@@ -44,6 +44,8 @@ except ImportError:  # pragma: no cover
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 _RESCALE = 1.0e250
+# The node pass tests signs by the product nxt * psi_cur, which must not overflow.
+_NODE_RESCALE = 1.0e150
 
 
 class DomainKind(Enum):
@@ -149,7 +151,7 @@ def _numerov_nodes(u, h, two_m, e):
         t_prev = t_cur
         t_cur = t_next
         a = abs(psi_cur)
-        if a > _RESCALE:
+        if a > _NODE_RESCALE:
             psi_prev /= a
             psi_cur /= a
     return nodes

@@ -16,7 +16,7 @@ import pytest
 
 from imagewell import electrostatics as el
 from imagewell.constants import HARTREE_EV, nm_to_bohr
-from imagewell.errors import SingularityError, StackError
+from imagewell.errors import ConvergenceError, SingularityError, StackError
 
 
 def rel(a, b):
@@ -261,6 +261,33 @@ def test_truncation_bound_is_certified_and_relative():
     assert loose.terms_used < tight.terms_used
     assert loose.truncation_error_bound <= 1e-4
     assert abs(loose.v - tight.v) <= 2e-4 * abs(tight.v)
+
+
+# Reflection product 1 - 1e-11: just inside the allowed range, but the grouped
+# series would need ~1e11 groups, far past the term cap.
+NEAR_UNIT = el.DielectricStack(el.METAL, 1.0, 2.0e11, 0.0, 1.0)
+NEAR_UNIT_MIRROR = el.DielectricStack(2.0e11, 1.0, el.METAL, 0.0, 1.0)
+CAPPED_CALLS = [
+    (el.potential_slab_series, NEAR_UNIT, 0.4),
+    (el.potential_slab_images, NEAR_UNIT, 0.4),
+    (el.slab_potential_curve, NEAR_UNIT, np.array([0.3, 0.4])),
+    (el.potential_left_halfplane, NEAR_UNIT_MIRROR, 0.4),
+    (el.halfplane_potential_curve, NEAR_UNIT_MIRROR, np.array([0.3, 0.4])),
+    (el.plate_plate_energy, NEAR_UNIT, 0.4),
+    (el.plate_plate_curve, NEAR_UNIT, np.array([0.3, 0.4])),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, stack, where", CAPPED_CALLS, ids=[call[0].__name__ for call in CAPPED_CALLS]
+)
+def test_term_cap_raises_with_diagnostics(fn, stack, where):
+    with pytest.raises(ConvergenceError) as info:
+        fn(stack, where)
+    err = info.value
+    assert err.terms >= 1_000_000
+    assert err.estimate is not None and np.all(np.isfinite(err.estimate))
+    assert err.error_bound is not None and np.max(err.error_bound) > 1e-10
 
 
 # ---------------------------------------------------------------------------
