@@ -205,7 +205,7 @@ def generate_images(
 
 def _require_interior(stack: DielectricStack, z0_nm: np.ndarray) -> None:
     guard = MIN_OFFSET_FRAC * stack.c_nm
-    bad = (z0_nm - stack.a_nm < guard) | (stack.b_nm - z0_nm < guard)
+    bad = ~((z0_nm - stack.a_nm >= guard) & (stack.b_nm - z0_nm >= guard))  # negated: NaN fails
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise SingularityError(
@@ -259,7 +259,7 @@ def _slab_geometry_au(stack: DielectricStack, z0_nm):
 
 
 def _check_ratio(ratio: float) -> None:
-    if ratio != 1.0 and abs(ratio) > 1.0 - 1.0e-12:
+    if abs(ratio) > 1.0 - 1.0e-12:
         raise ConvergenceError(
             f"reflection product {ratio} too close to unit magnitude; "
             "use METAL for conducting half-spaces"
@@ -314,7 +314,8 @@ def _slab_sum(stack: DielectricStack, z0_nm, q: float, tol: float, images: bool 
     z0, a, b, c, bset = _slab_geometry_au(stack, z0_nm)
     da, db = z0 - a, b - z0  # distances to the two interfaces
     rho = bset.ratio
-    _check_ratio(rho)
+    if rho != 1.0:  # at ratio 1 the exact metal remainder below takes over
+        _check_ratio(rho)
     block, bound = _ladder(da, db, c, rho, bset.beta_21, bset.beta_23, rho)
     if images:
         groups = _image_groups(float(z0), a, b, bset)
@@ -537,13 +538,13 @@ def _plate_sum(stack: DielectricStack, z0_nm, q: float, tol: float):
     rho, b21, b23 = bset.ratio, bset.beta_21, bset.beta_23
     if b21 == 0.0 or b23 == 0.0:
         return np.zeros_like(z0_nm)
-    _check_ratio(rho)
     da, db = z0 - a, b - z0
     to_ev = lambda s: q * q * s / stack.k2 * HARTREE_EV  # noqa: E731
     if b21 == -1.0 and b23 == -1.0:  # two metals: the remainder from group 0 is exact
         v = da / c
         s = 0.5 * v * digamma(1.0 + v) - 0.5 * digamma(2.0) + 0.5 * (1.0 - v) * digamma(2.0 - v)
         return to_ev(-s / c)
+    _check_ratio(rho)
 
     def block(t0, t1):
         t = _group_index(t0, t1, np.ndim(da))

@@ -5,7 +5,9 @@ Two independent solvers:
 * ``solve_eigenstates`` -- two-sided fixed-step 4th-order (Numerov) shooting.
   Node counts of a full left-to-right pass bracket each eigenvalue, then
   bisection on the sign of the two-sided boundary-mismatch Wronskian at an
-  interior match point refines it to machine precision.
+  interior match point refines it to machine precision.  One recurrence
+  serves the node count and both passes; the right pass is the left pass run
+  over the mirrored grid.
 * ``diagonalization_oracle`` -- second-order central-difference Hamiltonian
   diagonalized with a symmetric tridiagonal eigensolver.  Exists to
   cross-check the shooting path and must never share its integration core.
@@ -28,24 +30,10 @@ from scipy.linalg import eigh_tridiagonal
 from .constants import BOHR_RADIUS_NM, HARTREE_EV, HBAR_JS, STANDARD_GRAVITY_MS2
 from .errors import DomainError, EigenSearchError, GridError
 
-try:  # pragma: no cover - exercised implicitly
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
-
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
-_RESCALE = 1.0e250
-# The node pass tests signs by the product nxt * psi_cur, which must not overflow.
-_NODE_RESCALE = 1.0e150
+# Every pass rescales above this so the sign test nxt * cur cannot overflow.
+_RESCALE = 1.0e150
 
 
 class DomainKind(Enum):
@@ -126,96 +114,73 @@ class Eigenstate:
 
 
 # ---------------------------------------------------------------------------
-# Numerov integration kernels (shooting route only)
+# Numerov integration kernel (shooting route only)
 
 
-@njit(cache=True)
-def _numerov_nodes(u, h, two_m, e):
-    """Interior sign changes of the left-to-right pass with psi(0) = 0."""
-    n = u.shape[0]
-    c = h * h / 12.0
-    t_prev = c * two_m * (u[0] - e)
-    t_cur = c * two_m * (u[1] - e)
-    psi_prev = 0.0
-    psi_cur = 1.0
+def _coefficients(u, h, two_m, e):
+    """Numerov factors h^2/12 * 2m (u - e) at one energy, as a Python list."""
+    return (h * h / 12.0 * two_m * (u - e)).tolist()
+
+
+def _numerov(t, psi0, psi1, stop, keep):
+    """March psi[0..stop] from the seeds psi0, psi1 over the factors ``t``.
+
+    Returns the number of sign changes among psi[1..stop] and, when ``keep``
+    is set, the psi list (else None).  A pass over ``t[::-1]`` integrates
+    from the far end.
+    """
+    t_prev, t_cur = t[0], t[1]
+    prev, cur = psi0, psi1
+    psi = [prev, cur] if keep else None
     nodes = 0
-    for i in range(1, n - 1):
-        t_next = c * two_m * (u[i + 1] - e)
-        nxt = ((2.0 + 10.0 * t_cur) * psi_cur - (1.0 - t_prev) * psi_prev) / (
-            1.0 - t_next
-        )
-        if nxt * psi_cur < 0.0:
+    for t_next in t[2 : stop + 1]:
+        nxt = ((2.0 + 10.0 * t_cur) * cur - (1.0 - t_prev) * prev) / (1.0 - t_next)
+        if nxt * cur < 0.0:
             nodes += 1
-        psi_prev = psi_cur
-        psi_cur = nxt
-        t_prev = t_cur
-        t_cur = t_next
-        a = abs(psi_cur)
-        if a > _NODE_RESCALE:
-            psi_prev /= a
-            psi_cur /= a
-    return nodes
-
-
-@njit(cache=True)
-def _numerov_left(u, h, two_m, e, stop):
-    """Forward integration psi[0..stop] from a hard wall at index 0."""
-    c = h * h / 12.0
-    psi = np.zeros(stop + 1)
-    psi[1] = 1.0
-    for i in range(1, stop):
-        t_prev = c * two_m * (u[i - 1] - e)
-        t_cur = c * two_m * (u[i] - e)
-        t_next = c * two_m * (u[i + 1] - e)
-        psi[i + 1] = (
-            (2.0 + 10.0 * t_cur) * psi[i] - (1.0 - t_prev) * psi[i - 1]
-        ) / (1.0 - t_next)
-        a = abs(psi[i + 1])
+        prev, cur = cur, nxt
+        t_prev, t_cur = t_cur, t_next
+        if keep:
+            psi.append(nxt)
+        a = abs(nxt)
         if a > _RESCALE:
-            psi[: i + 2] /= a
-    return psi
+            prev /= a
+            cur /= a
+            if keep:
+                psi = [p / a for p in psi]
+    return nodes, psi
 
 
-@njit(cache=True)
-def _numerov_right(u, h, two_m, e, start, kappa):
-    """Backward integration psi[start..n-1]; kappa > 0 seeds a decaying tail
-    at the open end, kappa <= 0 a hard wall."""
-    n = u.shape[0]
-    c = h * h / 12.0
-    m = n - start
-    psi = np.zeros(m)
-    if kappa > 0.0:
-        psi[m - 1] = 1.0
-        g = kappa * h
-        if g > 600.0:
-            g = 600.0
-        psi[m - 2] = math.exp(g)
-    else:
-        psi[m - 1] = 0.0
-        psi[m - 2] = 1.0
-    for j in range(m - 2, 0, -1):
-        i = start + j
-        t_prev = c * two_m * (u[i - 1] - e)
-        t_cur = c * two_m * (u[i] - e)
-        t_next = c * two_m * (u[i + 1] - e)
-        psi[j - 1] = (
-            (2.0 + 10.0 * t_cur) * psi[j] - (1.0 - t_next) * psi[j + 1]
-        ) / (1.0 - t_prev)
-        a = abs(psi[j - 1])
-        if a > _RESCALE:
-            psi[j - 1 :] /= a
-    return psi
+def _count_nodes(u, h, two_m, e):
+    """Interior sign changes of the left-to-right pass with psi(0) = 0."""
+    return _numerov(_coefficients(u, h, two_m, e), 0.0, 1.0, len(u) - 1, False)[0]
 
 
-def _decay_kappa(u_end: float, e: float, two_m: float) -> float:
-    gap = two_m * (u_end - e)
-    return math.sqrt(gap) if gap > 0.0 else -1.0
+def _bisect_nodes(u, h, two_m, k, lo, hi, rtol):
+    """Shrink [lo, hi] around eigenvalue k by node-count bisection until the
+    width is within ``rtol`` (relative) or the midpoint stops moving."""
+    for _ in range(240):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if _count_nodes(u, h, two_m, mid) >= k + 1:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= rtol * max(abs(lo), abs(hi), 1.0e-12):
+            break
+    return lo, hi
 
 
 def _mismatch(u, h, two_m, e, m_idx, open_right):
-    kappa = _decay_kappa(u[-1], e, two_m) if open_right else -1.0
-    left = _numerov_left(u, h, two_m, e, m_idx + 1)
-    right = _numerov_right(u, h, two_m, e, m_idx - 1, kappa)
+    t = _coefficients(u, h, two_m, e)
+    # the right pass starts from a decaying tail at an open end, else a wall
+    gap = two_m * (u[-1] - e) if open_right else 0.0
+    if gap > 0.0:
+        seeds = (1.0, math.exp(min(math.sqrt(gap) * h, 600.0)))
+    else:
+        seeds = (0.0, 1.0)
+    left = np.array(_numerov(t, 0.0, 1.0, m_idx + 1, True)[1])
+    right = np.array(_numerov(t[::-1], *seeds, len(t) - m_idx, True)[1][::-1])
     left = left / (np.max(np.abs(left)) or 1.0)
     right = right / (np.max(np.abs(right)) or 1.0)
     dl = left[m_idx + 1] - left[m_idx - 1]
@@ -302,18 +267,18 @@ def solve_eigenstates(
     Each eigenvalue is first isolated by bisection on the node count of the
     full forward pass, then polished by bisection on the sign of the
     boundary-mismatch Wronskian at the match point (outermost classical
-    turning point for half-lines, midpoint for intervals).  Degenerate
-    symmetric-well pairs are re-symmetrized into even/odd combinations.
+    turning point for half-lines, midpoint for intervals).  The node count,
+    the left pass and the right pass are one Numerov recurrence; the right
+    pass is the left pass over the mirrored grid, reversed afterwards.
+    Degenerate symmetric-well pairs are re-symmetrized into even/odd
+    combinations.
     """
     if n_states < 1:
         raise DomainError("n_states must be >= 1")
     if not (m_eff > 0.0 and math.isfinite(m_eff)):
         raise DomainError("m_eff must be positive and finite")
     flipped = profile.kind is DomainKind.HALF_LINE_WALL_RIGHT
-    if flipped:
-        u = np.ascontiguousarray(profile.u_hartree[::-1])
-    else:
-        u = profile.u_hartree
+    u = profile.u_hartree[::-1] if flipped else profile.u_hartree
     n = u.size
     h = profile.step_bohr
     two_m = 2.0 * m_eff
@@ -326,7 +291,7 @@ def solve_eigenstates(
         u_win = np.concatenate([u[1:], [u[-1]]])
     for expansion in range(5):
         lo, hi = _search_window(u_win, profile.span_bohr, m_eff, n_states, expansion)
-        if _numerov_nodes(u, h, two_m, hi) >= n_states:
+        if _count_nodes(u, h, two_m, hi) >= n_states:
             break
     else:
         raise EigenSearchError(
@@ -336,18 +301,8 @@ def solve_eigenstates(
     symmetric = _profile_is_symmetric(profile)
     states: list[Eigenstate] = []
     for k in range(n_states):
-        e_lo, e_hi = lo, hi
         # phase 1: node-count bisection isolates eigenvalue k
-        for _ in range(240):
-            mid = 0.5 * (e_lo + e_hi)
-            if mid == e_lo or mid == e_hi:
-                break
-            if _numerov_nodes(u, h, two_m, mid) >= k + 1:
-                e_hi = mid
-            else:
-                e_lo = mid
-            if e_hi - e_lo <= 1.0e-6 * max(abs(e_lo), abs(e_hi), 1.0e-12):
-                break
+        e_lo, e_hi = _bisect_nodes(u, h, two_m, k, lo, hi, 1.0e-6)
         # match point from the bracket midpoint
         e_mid = 0.5 * (e_lo + e_hi)
         if profile.kind is DomainKind.INTERVAL:
@@ -377,14 +332,7 @@ def solve_eigenstates(
         else:
             # no sign change (e.g. splitting below resolution): fall back to
             # node bisection all the way down
-            for _ in range(200):
-                mid = 0.5 * (e_lo + e_hi)
-                if mid == e_lo or mid == e_hi:
-                    break
-                if _numerov_nodes(u, h, two_m, mid) >= k + 1:
-                    e_hi = mid
-                else:
-                    e_lo = mid
+            e_lo, e_hi = _bisect_nodes(u, h, two_m, k, e_lo, e_hi, 0.0)
             energy = 0.5 * (e_lo + e_hi)
         _, left, right = _mismatch(u, h, two_m, energy, m_idx, open_right)
         psi = _assemble(left, right, m_idx)

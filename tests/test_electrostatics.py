@@ -263,6 +263,24 @@ def test_truncation_bound_is_certified_and_relative():
     assert abs(loose.v - tight.v) <= 2e-4 * abs(tight.v)
 
 
+NAN_CALLS = [
+    el.potential_slab_series,
+    el.potential_slab_images,
+    el.potential_kernel_quadrature,
+    el.slab_potential_curve,
+    el.plate_plate_energy,
+    el.plate_plate_curve,
+    el.generate_images,
+]
+
+
+@pytest.mark.parametrize("fn", NAN_CALLS, ids=[fn.__name__ for fn in NAN_CALLS])
+def test_nan_position_raises_at_once(fn):
+    st = el.DielectricStack(2.0, 1.0, 5.0, 0.0, 1.0)
+    with pytest.raises(SingularityError):
+        fn(st, math.nan)
+
+
 # Reflection product 1 - 1e-11: just inside the allowed range, but the grouped
 # series would need ~1e11 groups, far past the term cap.
 NEAR_UNIT = el.DielectricStack(el.METAL, 1.0, 2.0e11, 0.0, 1.0)
@@ -288,6 +306,28 @@ def test_term_cap_raises_with_diagnostics(fn, stack, where):
     assert err.terms >= 1_000_000
     assert err.estimate is not None and np.all(np.isfinite(err.estimate))
     assert err.error_bound is not None and np.max(err.error_bound) > 1e-10
+
+
+# Reflection products that round to exactly 1 with no metal behind them: the
+# half-plane series (k1 = 1e17 over a metal back) and the plate-plate series
+# (k2 = 1e17 between unit permittivities) have no exact remainder to use.
+UNIT_MIRROR = el.DielectricStack(1.0e17, 1.0, el.METAL, 0.0, 1.0)
+UNIT_SLAB = el.DielectricStack(1.0, 1.0e17, 1.0, 0.0, 1.0)
+UNIT_CALLS = [
+    (el.potential_left_halfplane, UNIT_MIRROR, 0.4),
+    (el.halfplane_potential_curve, UNIT_MIRROR, np.array([0.3, 0.4])),
+    (el.plate_plate_energy, UNIT_SLAB, 0.4),
+    (el.plate_plate_curve, UNIT_SLAB, np.array([0.3, 0.4])),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, stack, where", UNIT_CALLS, ids=[call[0].__name__ for call in UNIT_CALLS]
+)
+def test_unit_ratio_without_remainder_raises_at_once(fn, stack, where):
+    with pytest.raises(ConvergenceError, match="too close to unit magnitude") as info:
+        fn(stack, where)
+    assert info.value.terms is None
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ convergence toward the analytic box levels.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,24 @@ def test_wall_side_mirror_symmetry():
     assert abs(sl.energy_h - sr.energy_h) / abs(sl.energy_h) < 1e-12
     flipped = sr.psi[::-1] if np.dot(sr.psi[::-1], sl.psi) >= 0 else -sr.psi[::-1]
     assert np.max(np.abs(flipped - sl.psi)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "kind, center",
+    [(sc.DomainKind.HALF_LINE_WALL_LEFT, 10.0), (sc.DomainKind.HALF_LINE_WALL_RIGHT, 50.0)],
+    ids=["wall_left", "wall_right"],
+)
+def test_harmonic_well_through_rescaled_passes(kind, center):
+    # the tail of u = (x - 10)^2 / 2 spans about e^1250 between the well and
+    # the open end at 60 bohr, so the kept pass from that end rescales
+    grid = np.linspace(0.0, 60.0, 6001)
+    prof = sc.PotentialProfile(grid, 0.5 * (grid - center) ** 2, kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        states = sc.solve_eigenstates(prof, n_states=3)
+    for n, s in enumerate(states):
+        assert abs(s.energy_h - (n + 0.5)) < 1e-8
+        assert s.nodes == n
 
 
 # ---------------------------------------------------------------------------
