@@ -314,7 +314,8 @@ def _slab_sum(stack: DielectricStack, z0_nm, q: float, tol: float, images: bool 
     z0, a, b, c, bset = _slab_geometry_au(stack, z0_nm)
     da, db = z0 - a, b - z0  # distances to the two interfaces
     rho = bset.ratio
-    if rho != 1.0:  # at ratio 1 the exact metal remainder below takes over
+    metal = bset.beta_21 == -1.0 and bset.beta_23 == -1.0
+    if not metal:  # between two metals the exact remainder below takes over
         _check_ratio(rho)
     block, bound = _ladder(da, db, c, rho, bset.beta_21, bset.beta_23, rho)
     if images:
@@ -324,7 +325,7 @@ def _slab_sum(stack: DielectricStack, z0_nm, q: float, tol: float, images: bool 
     def metal_tail(n):  # exact remainder past n groups when both coefficients are -1
         return (0.5 * digamma(n + da / c) + 0.5 * digamma(n + db / c) - digamma(n + 1.0)) / c
 
-    tail = metal_tail if rho == 1.0 else None
+    tail = metal_tail if metal else None
     return _sum_grouped(block, bound, tail, tol, lambda s: q * s / stack.k2 * HARTREE_EV)
 
 
@@ -335,8 +336,8 @@ def potential_slab_series(
 
     Terms are grouped by round trip so the group sequence behaves like
     ratio^n / n; for |ratio| < 1 a geometric majorant certifies the
-    truncation error, while between two metals (ratio == 1) the exact
-    remainder is added in closed form.
+    truncation error, while between two metals (both coefficients -1) the
+    exact remainder is added in closed form.
     """
     v, terms, err = _slab_sum(stack, z0_nm, q, tol)
     return PotentialValue(float(v), terms, float(err))

@@ -469,6 +469,39 @@ def _energy_and_pp(gap_nm, state_index, q, m_eff, n_points):
     return state.energy_ev, averaged_plate_plate(gap_nm, state, q=q)
 
 
+def _force_budget(
+    n_electrons, gap_nm, area_m2, hamaker_j, state_index, q, m_eff, n_points, delta_frac
+):
+    """The force budget at one gap and its slope dF_total/dD, both from the
+    spectra at gap - dd, gap and gap + dd (first and second central
+    differences; the Casimir and van der Waals terms are closed forms)."""
+    if n_electrons < 0 or int(n_electrons) != n_electrons:
+        raise DomainError("n_electrons must be a non-negative integer")
+    if gap_nm <= 0.0 or area_m2 < 0.0 or hamaker_j < 0.0:
+        raise DomainError("need gap > 0, area >= 0, hamaker >= 0")
+    dd = delta_frac * gap_nm
+    g_lo, g_hi = gap_nm - dd, gap_nm + dd
+    e_lo, u_lo = _energy_and_pp(g_lo, state_index, q, m_eff, n_points)
+    e_mid, u_mid = _energy_and_pp(gap_nm, state_index, q, m_eff, n_points)
+    e_hi, u_hi = _energy_and_pp(g_hi, state_index, q, m_eff, n_points)
+    f_binding = -(e_hi - e_lo) / (2.0 * dd) * EV_PER_NM_TO_N
+    f_pp = -(u_hi - u_lo) / (2.0 * dd) * EV_PER_NM_TO_N
+    f_cas = casimir_force(area_m2, gap_nm) if area_m2 > 0.0 else 0.0
+    f_vdw = vdw_force(hamaker_j, gap_nm) if hamaker_j > 0.0 else 0.0
+    n = int(n_electrons)
+    f_total = n * n * f_pp + n * f_binding + f_cas + f_vdw
+    curvature = n * n * (u_hi - 2.0 * u_mid + u_lo) + n * (e_hi - 2.0 * e_mid + e_lo)
+    slope = -curvature / (dd * dd) * EV_PER_NM_TO_N
+    if area_m2 > 0.0:
+        slope += (casimir_force(area_m2, g_hi) - casimir_force(area_m2, g_lo)) / (2.0 * dd)
+    if hamaker_j > 0.0:
+        slope += (vdw_force(hamaker_j, g_hi) - vdw_force(hamaker_j, g_lo)) / (2.0 * dd)
+    return ForceBreakdown(
+        gap_nm, e_mid, u_mid, f_binding, f_pp, f_cas, f_vdw, f_total,
+        n, area_m2, hamaker_j,
+    ), slope
+
+
 def total_force(
     n_electrons: int,
     gap_nm: float,
@@ -488,24 +521,9 @@ def total_force(
     All N charges are assumed to occupy the selected state; exclusion is
     deliberately not modeled.
     """
-    if n_electrons < 0 or int(n_electrons) != n_electrons:
-        raise DomainError("n_electrons must be a non-negative integer")
-    if gap_nm <= 0.0 or area_m2 < 0.0 or hamaker_j < 0.0:
-        raise DomainError("need gap > 0, area >= 0, hamaker >= 0")
-    dd = delta_frac * gap_nm
-    e_lo, u_lo = _energy_and_pp(gap_nm - dd, state_index, q, m_eff, n_points)
-    e_mid, u_mid = _energy_and_pp(gap_nm, state_index, q, m_eff, n_points)
-    e_hi, u_hi = _energy_and_pp(gap_nm + dd, state_index, q, m_eff, n_points)
-    f_binding = -(e_hi - e_lo) / (2.0 * dd) * EV_PER_NM_TO_N
-    f_pp = -(u_hi - u_lo) / (2.0 * dd) * EV_PER_NM_TO_N
-    f_cas = casimir_force(area_m2, gap_nm) if area_m2 > 0.0 else 0.0
-    f_vdw = vdw_force(hamaker_j, gap_nm) if hamaker_j > 0.0 else 0.0
-    n = int(n_electrons)
-    f_total = n * n * f_pp + n * f_binding + f_cas + f_vdw
-    return ForceBreakdown(
-        gap_nm, e_mid, u_mid, f_binding, f_pp, f_cas, f_vdw, f_total,
-        n, area_m2, hamaker_j,
-    )
+    return _force_budget(
+        n_electrons, gap_nm, area_m2, hamaker_j, state_index, q, m_eff, n_points, delta_frac
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -532,25 +550,16 @@ def levitation_curve(
 ) -> list[LevitationRow]:
     """Levitated mass M(D) = F_total(D)/g wherever the net force is
     repulsive; attractive rows are flagged with a NaN mass.  Stability is
-    the sign of dF_total/dD (restoring if the force grows on compression)."""
+    the sign of dF_total/dD (restoring if the force grows on compression),
+    taken by the second central difference over the same three spectra
+    that give the row's forces."""
     rows = []
     for gap in gaps_nm:
         gap = float(gap)
         try:
-            dd = delta_frac * gap
-            center = total_force(
-                n_electrons, gap, area_m2, hamaker_j, state_index,
-                q=q, m_eff=m_eff, n_points=n_points, delta_frac=delta_frac,
+            center, dforce = _force_budget(
+                n_electrons, gap, area_m2, hamaker_j, state_index, q, m_eff, n_points, delta_frac
             )
-            lower = total_force(
-                n_electrons, gap - dd, area_m2, hamaker_j, state_index,
-                q=q, m_eff=m_eff, n_points=n_points, delta_frac=delta_frac,
-            )
-            upper = total_force(
-                n_electrons, gap + dd, area_m2, hamaker_j, state_index,
-                q=q, m_eff=m_eff, n_points=n_points, delta_frac=delta_frac,
-            )
-            dforce = (upper.f_total_n - lower.f_total_n) / (2.0 * dd)
             repulsive = center.f_total_n > 0.0
             mass = center.f_total_n / STANDARD_GRAVITY_MS2 if repulsive else math.nan
             rows.append(

@@ -309,13 +309,18 @@ def test_term_cap_raises_with_diagnostics(fn, stack, where):
 
 
 # Reflection products that round to exactly 1 with no metal behind them: the
-# half-plane series (k1 = 1e17 over a metal back) and the plate-plate series
-# (k2 = 1e17 between unit permittivities) have no exact remainder to use.
+# half-plane series (k1 = 1e17 over a metal back), and the slab and plate-plate
+# series (k2 = 1e17 between unit permittivities) have no exact remainder to
+# use.  In the slab both coefficients round to +1; the slab's remainder is
+# derived for two metals, -1 and -1.
 UNIT_MIRROR = el.DielectricStack(1.0e17, 1.0, el.METAL, 0.0, 1.0)
 UNIT_SLAB = el.DielectricStack(1.0, 1.0e17, 1.0, 0.0, 1.0)
 UNIT_CALLS = [
     (el.potential_left_halfplane, UNIT_MIRROR, 0.4),
     (el.halfplane_potential_curve, UNIT_MIRROR, np.array([0.3, 0.4])),
+    (el.potential_slab_series, UNIT_SLAB, 0.4),
+    (el.potential_slab_images, UNIT_SLAB, 0.4),
+    (el.slab_potential_curve, UNIT_SLAB, np.array([0.3, 0.4])),
     (el.plate_plate_energy, UNIT_SLAB, 0.4),
     (el.plate_plate_curve, UNIT_SLAB, np.array([0.3, 0.4])),
 ]

@@ -380,6 +380,43 @@ def test_neutron_levitation_curve_rows():
     )
 
 
+@pytest.mark.parametrize("q", [-1.0, 0.0])
+@pytest.mark.parametrize("gap", [0.9, 1.6, 4.0])
+def test_binding_force_matches_scaling_identity(gap, q):
+    # between two metals U(z; D) = f(z/D)/D, so scaling the Hamiltonian
+    # (Hellmann-Feynman) gives F_binding = -dE/dD = (2E - <U>)/D from one
+    # spectrum; the central difference in total_force agrees to O(dd^2)
+    spec = sn.two_plate_spectrum(gap, 1, q=q)
+    state = spec.states[0]
+    u_avg = np.trapezoid(state.psi**2 * spec.profile.u_hartree, state.grid_bohr) * HARTREE_EV
+    identity = (2.0 * state.energy_ev - u_avg) / gap * EV_PER_NM_TO_N
+    assert sn.total_force(1, gap, 0.0, 0.0, q=q).f_binding_n == pytest.approx(identity, rel=1e-5)
+
+
+def test_levitation_rows_share_three_spectra(monkeypatch):
+    gaps = [1.0, 3.0]  # n = 1, q = -1: unstable at 1 nm, stable at 3 nm
+    calls = []
+    real = sn.two_plate_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sn, "two_plate_spectrum", counted)
+    rows = sn.levitation_curve(gaps, 1, 0.0, 0.0)
+    assert len(calls) == 3 * len(gaps)
+    assert [r.stable for r in rows] == [False, True]
+    for row, gap in zip(rows, gaps):
+        d = 1.0e-3 * gap
+        assert not row.failed
+        assert row.breakdown == sn.total_force(1, gap, 0.0, 0.0)
+        nested = (
+            sn.total_force(1, gap + d, 0.0, 0.0).f_total_n
+            - sn.total_force(1, gap - d, 0.0, 0.0).f_total_n
+        )
+        assert row.stable == (nested < 0.0)
+
+
 def test_levitation_attractive_rows_are_flagged_not_failed():
     # pure Casimir pull: never repulsive, so no mass balances it
     rows = sn.levitation_curve([3.0], 0, 1.0e-6, 0.0)
