@@ -25,15 +25,3 @@ EV_PER_NM_TO_N = EV_J / 1.0e-9
 
 def nm_to_bohr(x):
     return x / BOHR_RADIUS_NM
-
-
-def bohr_to_nm(x):
-    return x * BOHR_RADIUS_NM
-
-
-def hartree_to_ev(e):
-    return e * HARTREE_EV
-
-
-def ev_to_hartree(e):
-    return e / HARTREE_EV

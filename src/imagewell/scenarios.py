@@ -163,14 +163,13 @@ def interval_profile(
     gap_nm: float,
     q: float = -1.0,
     n_points: int = 4001,
-    k2: float = 1.0,
 ) -> sc.PotentialProfile:
     """Self-energy profile of a charge between two metal plates a distance
     ``gap_nm`` apart (walls at both ends; wall samples taken half a step
     inside)."""
     if gap_nm <= 0.0:
         raise DomainError("gap must be > 0")
-    stack = el.DielectricStack(el.METAL, k2, el.METAL, 0.0, gap_nm)
+    stack = el.DielectricStack.double_metal(gap_nm)
     grid_nm = np.linspace(0.0, gap_nm, n_points)
     z_eval = grid_nm.copy()
     h = grid_nm[1]
@@ -200,20 +199,24 @@ class SweepRow:
     message: str = ""
 
 
-def _solve_row(profile, m_eff, n_states, gap_nm, layers):
-    states = sc.solve_eigenstates(profile, m_eff=m_eff, n_states=n_states)
-    return SweepRow(
-        gap_nm=gap_nm,
-        layers=layers,
-        energies_ev=tuple(s.energy_ev for s in states),
-        bohr_nm=tuple(sc.bohr_radius_numeric(s) for s in states),
-        kinds=tuple(s.kind for s in states),
-    )
-
-
-def _failed_row(gap_nm, layers, n_states, exc):
-    nan = (math.nan,) * n_states
-    return SweepRow(gap_nm, layers, nan, nan, (), failed=True, message=str(exc))
+def _halfline_rows(eps_host, eps_slab, m_eff, q, cases, n_states, n_points, d_max_nm):
+    """Solve one half-line row per ``(gap_nm, layers)`` case; a row whose
+    profile or spectrum fails is flagged with NaN values, not dropped."""
+    rows = []
+    for gap, layers in cases:
+        try:
+            profile = halfline_profile(
+                eps_host, eps_slab, gap, m_eff=m_eff, q=q,
+                n_states=n_states, n_points=n_points, d_max_nm=d_max_nm,
+            )
+            states = sc.solve_eigenstates(profile, m_eff=m_eff, n_states=n_states)
+            energies = tuple(s.energy_ev for s in states)
+            radii = tuple(sc.bohr_radius_numeric(s) for s in states)
+            rows.append(SweepRow(gap, layers, energies, radii, tuple(s.kind for s in states)))
+        except ImagewellError as exc:
+            nan = (math.nan,) * n_states
+            rows.append(SweepRow(gap, layers, nan, nan, (), failed=True, message=str(exc)))
+    return rows
 
 
 def schottky_gap_sweep(
@@ -229,19 +232,8 @@ def schottky_gap_sweep(
     metal-wall limit).  Failed rows are flagged, not dropped."""
     m_eff = carrier_mass(semiconductor, carrier)
     q = -1.0 if carrier is Carrier.ELECTRON else 1.0
-    rows = []
-    for gap in gaps_nm:
-        try:
-            if gap < 0.0:
-                raise DomainError("gap must be >= 0")
-            profile = halfline_profile(
-                semiconductor.eps, 1.0, float(gap), m_eff=m_eff, q=q,
-                n_states=n_states, n_points=n_points, d_max_nm=d_max_nm,
-            )
-            rows.append(_solve_row(profile, m_eff, n_states, float(gap), None))
-        except ImagewellError as exc:
-            rows.append(_failed_row(float(gap), None, n_states, exc))
-    return rows
+    cases = [(float(gap), None) for gap in gaps_nm]
+    return _halfline_rows(semiconductor.eps, 1.0, m_eff, q, cases, n_states, n_points, d_max_nm)
 
 
 def noble_film_sweep(
@@ -256,20 +248,11 @@ def noble_film_sweep(
     layers x layer thickness."""
     if film.layer_thickness_nm is None:
         raise DomainError(f"{film.name} has no layer thickness")
-    rows = []
-    for n_layers in layers:
-        if n_layers < 0 or int(n_layers) != n_layers:
-            raise DomainError("layer counts must be non-negative integers")
-        gap = n_layers * film.layer_thickness_nm
-        try:
-            profile = halfline_profile(
-                1.0, film.eps, gap, m_eff=1.0, q=-1.0,
-                n_states=n_states, n_points=n_points, d_max_nm=d_max_nm,
-            )
-            rows.append(_solve_row(profile, 1.0, n_states, gap, int(n_layers)))
-        except ImagewellError as exc:
-            rows.append(_failed_row(gap, int(n_layers), n_states, exc))
-    return rows
+    layers = list(layers)
+    if any(n < 0 or int(n) != n for n in layers):
+        raise DomainError("layer counts must be non-negative integers")
+    cases = [(n * film.layer_thickness_nm, int(n)) for n in layers]
+    return _halfline_rows(1.0, film.eps, 1.0, -1.0, cases, n_states, n_points, d_max_nm)
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +279,12 @@ class EffectiveEpsilonTable:
         object.__setattr__(self, "eps", e)
 
 
-def default_eps_samples(n: int = 2001) -> np.ndarray:
-    return 1.0 + np.geomspace(1.0e-3, 1.0e4, n)
-
-
 def effective_epsilon_curve(eps_samples=None) -> EffectiveEpsilonTable:
     """Closed-form reference table radius(eps) for the single-wall analogue
     (electron in vacuum, unit mass)."""
-    eps = default_eps_samples() if eps_samples is None else np.asarray(eps_samples, float)
+    if eps_samples is None:
+        eps_samples = 1.0 + np.geomspace(1.0e-3, 1.0e4, 2001)
+    eps = np.asarray(eps_samples, float)
     if eps.ndim != 1 or eps.size < 2:
         raise DomainError("need at least two eps samples")
     if np.any(eps <= 1.0) or np.any(np.diff(eps) <= 0.0):
@@ -479,6 +460,8 @@ def _force_budget(
         raise DomainError("n_electrons must be a non-negative integer")
     if gap_nm <= 0.0 or area_m2 < 0.0 or hamaker_j < 0.0:
         raise DomainError("need gap > 0, area >= 0, hamaker >= 0")
+    if not 0.0 < delta_frac < 1.0:
+        raise DomainError(f"delta_frac must lie in (0, 1), got {delta_frac}")
     dd = delta_frac * gap_nm
     g_lo, g_hi = gap_nm - dd, gap_nm + dd
     e_lo, u_lo = _energy_and_pp(g_lo, state_index, q, m_eff, n_points)

@@ -5,7 +5,9 @@ Two independent solvers:
 * ``solve_eigenstates`` -- two-sided fixed-step 4th-order (Numerov) shooting.
   Node counts of a full left-to-right pass bracket each eigenvalue, then
   bisection on the sign of the two-sided boundary-mismatch Wronskian at an
-  interior match point refines it to machine precision.  One recurrence
+  interior match point refines it to machine precision; where that sign does
+  not change across the bracket, node-count bisection runs to the end
+  instead.  One bisection loop serves all three searches, and one recurrence
   serves the node count and both passes; the right pass is the left pass run
   over the mirrored grid.
 * ``diagonalization_oracle`` -- second-order central-difference Hamiltonian
@@ -13,9 +15,11 @@ Two independent solvers:
   cross-check the shooting path and must never share its integration core.
 
 Profiles are stored in atomic units (Bohr / Hartree); eigenstate energies
-convert to eV at the accessor.  Open half-line ends impose a decaying
-condition with the local decay constant at the truncation radius; walls are
-hard (psi = 0).
+convert to eV at the accessor.  Walls are hard (psi = 0).  An open half-line
+end imposes a decaying tail with the local decay constant at the truncation
+radius when that root lies inside the node-count bracket; otherwise the
+node-count fallback returns the state with a hard wall at the truncation
+radius, which lies above the decaying-tail root.
 """
 
 from __future__ import annotations
@@ -155,14 +159,18 @@ def _count_nodes(u, h, two_m, e):
     return _numerov(_coefficients(u, h, two_m, e), 0.0, 1.0, len(u) - 1, False)[0]
 
 
-def _bisect_nodes(u, h, two_m, k, lo, hi, rtol):
-    """Shrink [lo, hi] around eigenvalue k by node-count bisection until the
-    width is within ``rtol`` (relative) or the midpoint stops moving."""
+def _bisect(side, lo, hi, rtol):
+    """Shrink [lo, hi] around the root of ``side`` (> 0 above it, < 0 below)
+    until the width is within ``rtol`` (relative) or the midpoint stops
+    moving; an exact zero returns ``(mid, mid)``."""
     for _ in range(240):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _count_nodes(u, h, two_m, mid) >= k + 1:
+        s = side(mid)
+        if s == 0.0:
+            return mid, mid
+        if s > 0.0:
             hi = mid
         else:
             lo = mid
@@ -250,28 +258,23 @@ def _finalize(
     return Eigenstate(energy_h, psi, grid, _count_nodes_array(psi), parity, kind)
 
 
-def _search_window(u, span, m_eff, n_states, expansion):
-    quantum = math.pi**2 / (2.0 * m_eff * span * span)
-    umin = float(np.min(u))
-    lo = 1.5 * umin if umin < 0.0 else -quantum
-    u_ref = float(u[-1])
-    hi = u_ref + (2.0**expansion) * 50.0 * max(1.0, n_states * n_states / 16.0) * quantum
-    return lo, hi
-
-
 def solve_eigenstates(
     profile: PotentialProfile, m_eff: float = 1.0, n_states: int = 1
 ) -> list[Eigenstate]:
     """Lowest ``n_states`` eigenstates by two-sided Numerov shooting.
 
     Each eigenvalue is first isolated by bisection on the node count of the
-    full forward pass, then polished by bisection on the sign of the
-    boundary-mismatch Wronskian at the match point (outermost classical
-    turning point for half-lines, midpoint for intervals).  The node count,
-    the left pass and the right pass are one Numerov recurrence; the right
-    pass is the left pass over the mirrored grid, reversed afterwards.
-    Degenerate symmetric-well pairs are re-symmetrized into even/odd
-    combinations.
+    full forward pass (to 1e-6 relative), then polished by bisection on the
+    sign of the boundary-mismatch Wronskian at the match point (outermost
+    classical turning point for half-lines, midpoint for intervals).  When
+    the mismatch has the same sign at both bracket ends -- a pair split below
+    resolution, or a half-line state whose decaying-tail root lies outside
+    the bracket -- node-count bisection continues to machine precision, and
+    a half-line state then carries a hard wall at the truncation radius
+    instead of the decaying tail.  The node count, the left pass and the
+    right pass are one Numerov recurrence; the right pass is the left pass
+    over the mirrored grid, reversed afterwards.  Degenerate symmetric-well
+    pairs are re-symmetrized into even/odd combinations.
     """
     if n_states < 1:
         raise DomainError("n_states must be >= 1")
@@ -284,13 +287,15 @@ def solve_eigenstates(
     two_m = 2.0 * m_eff
     open_right = profile.kind is not DomainKind.INTERVAL
 
-    # reference for the bisection window: barrier top (interval) or tail
-    if profile.kind is DomainKind.INTERVAL:
-        u_win = np.concatenate([u[1:-1], [u[(n - 1) // 2]]])
-    else:
-        u_win = np.concatenate([u[1:], [u[-1]]])
+    # window from below the well bottom to past the barrier top (interval)
+    # or the tail (half line)
+    span = profile.span_bohr
+    quantum = math.pi**2 / (2.0 * m_eff * span * span)
+    umin = float(np.min(u[1:] if open_right else u[1:-1]))
+    lo = 1.5 * umin if umin < 0.0 else -quantum
+    u_ref = profile.classification_reference()
     for expansion in range(5):
-        lo, hi = _search_window(u_win, profile.span_bohr, m_eff, n_states, expansion)
+        hi = u_ref + (2.0**expansion) * 50.0 * max(1.0, n_states * n_states / 16.0) * quantum
         if _count_nodes(u, h, two_m, hi) >= n_states:
             break
     else:
@@ -301,8 +306,11 @@ def solve_eigenstates(
     symmetric = _profile_is_symmetric(profile)
     states: list[Eigenstate] = []
     for k in range(n_states):
+        def above(e):  # node count k + 1 or more: e lies above eigenvalue k
+            return _count_nodes(u, h, two_m, e) - k - 0.5
+
         # phase 1: node-count bisection isolates eigenvalue k
-        e_lo, e_hi = _bisect_nodes(u, h, two_m, k, lo, hi, 1.0e-6)
+        e_lo, e_hi = _bisect(above, lo, hi, 1.0e-6)
         # match point from the bracket midpoint
         e_mid = 0.5 * (e_lo + e_hi)
         if profile.kind is DomainKind.INTERVAL:
@@ -315,25 +323,15 @@ def solve_eigenstates(
         w_lo, _, _ = _mismatch(u, h, two_m, e_lo, m_idx, open_right)
         w_hi, _, _ = _mismatch(u, h, two_m, e_hi, m_idx, open_right)
         if w_lo * w_hi < 0.0:
-            a, b, wa = e_lo, e_hi, w_lo
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                if mid == a or mid == b:
-                    break
-                wm, _, _ = _mismatch(u, h, two_m, mid, m_idx, open_right)
-                if wm == 0.0:
-                    a = b = mid
-                    break
-                if wa * wm < 0.0:
-                    b = mid
-                else:
-                    a, wa = mid, wm
-            energy = 0.5 * (a + b)
+            e_lo, e_hi = _bisect(
+                lambda e: -w_lo * _mismatch(u, h, two_m, e, m_idx, open_right)[0],
+                e_lo, e_hi, 0.0,
+            )
         else:
-            # no sign change (e.g. splitting below resolution): fall back to
-            # node bisection all the way down
-            e_lo, e_hi = _bisect_nodes(u, h, two_m, k, e_lo, e_hi, 0.0)
-            energy = 0.5 * (e_lo + e_hi)
+            # no sign change (splitting below resolution, or the decaying
+            # tail's root outside the bracket): node-count bisection to the end
+            e_lo, e_hi = _bisect(above, e_lo, e_hi, 0.0)
+        energy = 0.5 * (e_lo + e_hi)
         _, left, right = _mismatch(u, h, two_m, energy, m_idx, open_right)
         psi = _assemble(left, right, m_idx)
         if flipped:

@@ -230,6 +230,14 @@ def test_film_validation():
         sn.noble_film_sweep(lhe, [-1])
 
 
+def test_film_layer_counts_checked_before_any_solve(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sc, "solve_eigenstates", lambda *a, **k: calls.append(a))
+    with pytest.raises(DomainError):
+        sn.noble_film_sweep(sn.get_material("LHe"), [1, 2, -1])
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Charge between two plates
 
@@ -415,6 +423,28 @@ def test_levitation_rows_share_three_spectra(monkeypatch):
             - sn.total_force(1, gap - d, 0.0, 0.0).f_total_n
         )
         assert row.stable == (nested < 0.0)
+
+
+def test_force_budget_rejects_bad_delta_before_solving(monkeypatch):
+    calls = []
+    real = sn.two_plate_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sn, "two_plate_spectrum", counted)
+    for delta in (0.0, -1.0e-3, 1.0, math.nan):
+        with pytest.raises(DomainError):
+            sn.total_force(1, 1.0, 0.0, 0.0, delta_frac=delta)
+    assert calls == []
+
+
+def test_levitation_bad_delta_flags_row():
+    rows = sn.levitation_curve([1.0], 1, 0.0, 0.0, delta_frac=0.0)
+    assert len(rows) == 1
+    assert rows[0].failed and "delta_frac" in rows[0].message
+    assert math.isnan(rows[0].mass_kg)
 
 
 def test_levitation_attractive_rows_are_flagged_not_failed():

@@ -168,6 +168,16 @@ def test_oracle_grid_convergence_is_second_order():
     assert 3.5 < errors[1] / errors[2] < 4.5
 
 
+def test_bisect_stops_at_width_zero_or_float_resolution():
+    # no float squares to exactly 2, so only width and resolution stop these
+    lo, hi = sc._bisect(lambda e: e * e - 2.0, 1.0, 2.0, 1.0e-6)
+    assert lo * lo < 2.0 < hi * hi and hi - lo <= 1.0e-6 * hi
+    lo, hi = sc._bisect(lambda e: e * e - 2.0, 1.0, 2.0, 0.0)
+    assert lo * lo < 2.0 < hi * hi and np.nextafter(lo, 2.0) == hi
+    # an exact zero of the predicate ends the search at that point
+    assert sc._bisect(lambda e: e - 0.25, 0.0, 1.0, 0.0) == (0.25, 0.25)
+
+
 # ---------------------------------------------------------------------------
 # Validation
 
