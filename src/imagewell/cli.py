@@ -266,6 +266,8 @@ def _validate(command: str, v: dict) -> list[str]:
         problems.append("--tol: must be in (0, 1)")
     if v.get("dmax") is not None and not v["dmax"] > 0.0:
         problems.append("--dmax: must be > 0")
+    if have("q") and not math.isfinite(v["q"]):
+        problems.append("--q: must be finite")
 
     if command == "potential":
         if have("a", "b") and not v["a"] < v["b"]:
@@ -313,10 +315,10 @@ def _validate(command: str, v: dict) -> list[str]:
             problems.append("--gap: values must be > 0")
         if have("n") and v["n"] < 0:
             problems.append("--n: must be >= 0")
-        if have("area") and v["area"] < 0.0:
-            problems.append("--area: must be >= 0 (0 switches Casimir off)")
-        if have("hamaker") and v["hamaker"] < 0.0:
-            problems.append("--hamaker: must be >= 0 (0 switches VDW off)")
+        if have("area") and not 0.0 <= v["area"] < math.inf:
+            problems.append("--area: must be finite and >= 0 (0 switches Casimir off)")
+        if have("hamaker") and not 0.0 <= v["hamaker"] < math.inf:
+            problems.append("--hamaker: must be finite and >= 0 (0 switches VDW off)")
         if have("state") and v["state"] < 0:
             problems.append("--state: must be >= 0")
         if have("delta") and not 0.0 < v["delta"] < 0.1:

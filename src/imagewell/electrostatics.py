@@ -40,7 +40,7 @@ import numpy as np
 from scipy.special import digamma
 
 from .constants import HARTREE_EV, nm_to_bohr
-from .errors import ConvergenceError, SingularityError, StackError
+from .errors import ConvergenceError, DomainError, SingularityError, StackError
 
 METAL = math.inf
 
@@ -183,7 +183,7 @@ def generate_images(
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    _require_interior(stack, np.asarray([z0_nm]))
+    _require_source(stack, np.asarray([z0_nm]), q)
     bset = beta_coefficients(stack.k1, stack.k2, stack.k3)
     a, b = stack.a_nm, stack.b_nm
     images: list[ImageCharge] = []
@@ -203,7 +203,9 @@ def generate_images(
     return images
 
 
-def _require_interior(stack: DielectricStack, z0_nm: np.ndarray) -> None:
+def _require_source(stack: DielectricStack, z0_nm: np.ndarray, q: float) -> None:
+    if not math.isfinite(q):
+        raise DomainError(f"charge q must be finite, got {q}")
     guard = MIN_OFFSET_FRAC * stack.c_nm
     bad = ~((z0_nm - stack.a_nm >= guard) & (stack.b_nm - z0_nm >= guard))  # negated: NaN fails
     if np.any(bad):
@@ -310,7 +312,7 @@ def _slab_sum(stack: DielectricStack, z0_nm, q: float, tol: float, images: bool 
     """Grouped slab series at positions z0_nm, in volts; the images route
     swaps in its own groups but keeps the majorant and metal remainder."""
     z0_nm = np.asarray(z0_nm, dtype=float)
-    _require_interior(stack, z0_nm)
+    _require_source(stack, z0_nm, q)
     z0, a, b, c, bset = _slab_geometry_au(stack, z0_nm)
     da, db = z0 - a, b - z0  # distances to the two interfaces
     rho = bset.ratio
@@ -363,6 +365,8 @@ def slab_potential_curve(
 
 
 def _halfplane_sum(stack: DielectricStack, dist_a_nm, q: float, tol: float):
+    if not math.isfinite(q):
+        raise DomainError(f"charge q must be finite, got {q}")
     if stack.k1 == METAL:
         raise StackError("charge cannot sit inside a metal half-space")
     dist_a_nm = np.asarray(dist_a_nm, dtype=float)
@@ -475,7 +479,7 @@ def potential_kernel_quadrature(
     This route never forms reflection coefficients or image positions, so
     it cross-checks the two reflection-based routes independently.
     """
-    _require_interior(stack, np.asarray([z0_nm]))
+    _require_source(stack, np.asarray([z0_nm]), q)
     z0, a, b, c, _ = _slab_geometry_au(stack, z0_nm)
     da, db = z0 - a, b - z0
     d_min = min(da, db)
@@ -534,7 +538,7 @@ def potential_kernel_quadrature(
 
 def _plate_sum(stack: DielectricStack, z0_nm, q: float, tol: float):
     z0_nm = np.asarray(z0_nm, dtype=float)
-    _require_interior(stack, z0_nm)
+    _require_source(stack, z0_nm, q)
     z0, a, b, c, bset = _slab_geometry_au(stack, z0_nm)
     rho, b21, b23 = bset.ratio, bset.beta_21, bset.beta_23
     if b21 == 0.0 or b23 == 0.0:

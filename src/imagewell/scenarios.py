@@ -458,8 +458,8 @@ def _force_budget(
     differences; the Casimir and van der Waals terms are closed forms)."""
     if n_electrons < 0 or int(n_electrons) != n_electrons:
         raise DomainError("n_electrons must be a non-negative integer")
-    if gap_nm <= 0.0 or area_m2 < 0.0 or hamaker_j < 0.0:
-        raise DomainError("need gap > 0, area >= 0, hamaker >= 0")
+    if gap_nm <= 0.0 or not (0.0 <= area_m2 < math.inf and 0.0 <= hamaker_j < math.inf):
+        raise DomainError("need gap > 0, and area and hamaker finite and >= 0")
     if not 0.0 < delta_frac < 1.0:
         raise DomainError(f"delta_frac must lie in (0, 1), got {delta_frac}")
     dd = delta_frac * gap_nm

@@ -3,13 +3,13 @@
 Two independent solvers:
 
 * ``solve_eigenstates`` -- two-sided fixed-step 4th-order (Numerov) shooting.
-  Node counts of a full left-to-right pass bracket each eigenvalue, then
-  bisection on the sign of the two-sided boundary-mismatch Wronskian at an
-  interior match point refines it to machine precision; where that sign does
-  not change across the bracket, node-count bisection runs to the end
-  instead.  One bisection loop serves all three searches, and one recurrence
-  serves the node count and both passes; the right pass is the left pass run
-  over the mirrored grid.
+  Node counts of the left-to-right pass bracket each eigenvalue, then
+  Illinois false position on the Casoratian of the two passes at an interior
+  match point refines it to 1e-13 relative; where that mismatch keeps its
+  sign across the bracket, node-count bisection runs to the end instead.  A
+  node pass stops once its count is decided, and counts already measured
+  settle a bisection step without a pass.  One recurrence serves the node
+  count and both passes; the right pass is the left pass over the mirrored grid.
 * ``diagonalization_oracle`` -- second-order central-difference Hamiltonian
   diagonalized with a symmetric tridiagonal eigensolver.  Exists to
   cross-check the shooting path and must never share its integration core.
@@ -126,37 +126,45 @@ def _coefficients(u, h, two_m, e):
     return (h * h / 12.0 * two_m * (u - e)).tolist()
 
 
-def _numerov(t, psi0, psi1, stop, keep):
+def _numerov(t, psi0, psi1, stop, keep, cap=0):
     """March psi[0..stop] from the seeds psi0, psi1 over the factors ``t``.
 
-    Returns the number of sign changes among psi[1..stop] and, when ``keep``
-    is set, the psi list (else None).  A pass over ``t[::-1]`` integrates
-    from the far end.
+    Returns the number of sign changes among psi[1..stop], the last two
+    values, the peak |psi| on their scale and, when ``keep`` is set, the psi
+    list (else None).  With ``cap > 0`` the pass ends at the cap-th sign
+    change and returns min(full count, cap).  A pass over ``t[::-1]``
+    integrates from the far end.
     """
     t_prev, t_cur = t[0], t[1]
     prev, cur = psi0, psi1
     psi = [prev, cur] if keep else None
+    peak = max(abs(prev), abs(cur))
     nodes = 0
     for t_next in t[2 : stop + 1]:
         nxt = ((2.0 + 10.0 * t_cur) * cur - (1.0 - t_prev) * prev) / (1.0 - t_next)
         if nxt * cur < 0.0:
             nodes += 1
+            if nodes == cap:
+                break
         prev, cur = cur, nxt
         t_prev, t_cur = t_cur, t_next
         if keep:
             psi.append(nxt)
         a = abs(nxt)
+        if a > peak:
+            peak = a
         if a > _RESCALE:
             prev /= a
             cur /= a
+            peak /= a
             if keep:
                 psi = [p / a for p in psi]
-    return nodes, psi
+    return nodes, prev, cur, peak, psi
 
 
-def _count_nodes(u, h, two_m, e):
-    """Interior sign changes of the left-to-right pass with psi(0) = 0."""
-    return _numerov(_coefficients(u, h, two_m, e), 0.0, 1.0, len(u) - 1, False)[0]
+def _count_nodes(u, h, two_m, e, cap):
+    """Interior sign changes, up to ``cap``, of the pass with psi(0) = 0."""
+    return _numerov(_coefficients(u, h, two_m, e), 0.0, 1.0, len(u) - 1, False, cap)[0]
 
 
 def _bisect(side, lo, hi, rtol):
@@ -179,35 +187,66 @@ def _bisect(side, lo, hi, rtol):
     return lo, hi
 
 
-def _mismatch(u, h, two_m, e, m_idx, open_right):
+def _false_position(f, lo, hi, f_lo, f_hi, rtol):
+    """Illinois false position on [lo, hi], where f(lo) = f_lo and f(hi) =
+    f_hi differ in sign.  A trial point keeps rtol/2 |x| inside the bracket,
+    so a converged iterate pulls the far end in.  Stops at relative width
+    ``rtol`` or at adjacent floats; an exact zero at x returns ``(x, x)``."""
+    moved = 0  # +1 when hi moved last, -1 when lo did
+    for _ in range(240):
+        if hi - lo <= rtol * max(abs(lo), abs(hi), 1.0e-12):
+            break
+        x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        margin = 0.5 * rtol * abs(x)
+        x = min(max(x, lo + margin), hi - margin)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if x == lo or x == hi:
+                break
+        fx = f(x)
+        if fx == 0.0:
+            return x, x
+        if (fx > 0.0) == (f_hi > 0.0):
+            if moved > 0:  # the same end twice: halve the stale one
+                f_lo *= 0.5
+            hi, f_hi, moved = x, fx, 1
+        else:
+            if moved < 0:
+                f_hi *= 0.5
+            lo, f_lo, moved = x, fx, -1
+    return lo, hi
+
+
+def _passes(u, h, two_m, e, m_idx, open_right, keep):
+    """Left pass over psi[0..m_idx+1] and right pass from the far end to psi[m_idx],
+    or to psi[m_idx-1] when ``keep`` is set, so kept passes share three points."""
     t = _coefficients(u, h, two_m, e)
     # the right pass starts from a decaying tail at an open end, else a wall
     gap = two_m * (u[-1] - e) if open_right else 0.0
-    if gap > 0.0:
-        seeds = (1.0, math.exp(min(math.sqrt(gap) * h, 600.0)))
-    else:
-        seeds = (0.0, 1.0)
-    left = np.array(_numerov(t, 0.0, 1.0, m_idx + 1, True)[1])
-    right = np.array(_numerov(t[::-1], *seeds, len(t) - m_idx, True)[1][::-1])
-    left = left / (np.max(np.abs(left)) or 1.0)
-    right = right / (np.max(np.abs(right)) or 1.0)
-    dl = left[m_idx + 1] - left[m_idx - 1]
-    dr = right[2] - right[0]
-    return left[m_idx] * dr - right[1] * dl, left, right
+    seeds = (1.0, math.exp(min(math.sqrt(gap) * h, 600.0))) if gap > 0.0 else (0.0, 1.0)
+    stop = len(t) - m_idx if keep else len(t) - m_idx - 1
+    return _numerov(t, 0.0, 1.0, m_idx + 1, keep), _numerov(t[::-1], *seeds, stop, keep)
 
 
-def _assemble(left, right, m_idx):
+def _mismatch(u, h, two_m, e, m_idx, open_right):
+    """Casoratian C_m = L_m R_{m+1} - L_{m+1} R_m at the match point, each pass
+    scaled by its peak |psi|.  Numerov keeps (1 - t_i)(1 - t_{i+1}) C_i equal
+    at every i, so C_m has the sign of the two-sided mismatch
+    L_m (R_{m+1} - R_{m-1}) - R_m (L_{m+1} - L_{m-1}) = C_m + C_{m-1}."""
+    left, right = _passes(u, h, two_m, e, m_idx, open_right, False)
+    (_, l_m, l_next, l_peak, _), (_, r_next, r_m, r_peak, _) = left, right
+    return (l_m * r_next - l_next * r_m) / (l_peak * r_peak)
+
+
+def _assemble(u, h, two_m, e, m_idx, open_right):
+    (*_, l_peak, left), (*_, r_peak, right) = _passes(u, h, two_m, e, m_idx, open_right, True)
+    left = np.array(left) / l_peak
+    right = np.array(right[::-1]) / r_peak
     j = int(np.argmax(np.abs(right[:3])))
-    denom = right[j]
-    if denom == 0.0:
+    if right[j] == 0.0:
         j = 1
-        denom = right[j] if right[j] != 0.0 else 1.0
-    ratio = left[m_idx - 1 + j] / denom
-    n = m_idx - 1 + right.size
-    psi = np.empty(n)
-    psi[:m_idx] = left[:m_idx]
-    psi[m_idx:] = ratio * right[1:]
-    return psi
+    ratio = left[m_idx - 1 + j] / (right[j] or 1.0)
+    return np.concatenate((left[:m_idx], ratio * right[1:]))
 
 
 def _count_nodes_array(psi: np.ndarray) -> int:
@@ -264,17 +303,17 @@ def solve_eigenstates(
     """Lowest ``n_states`` eigenstates by two-sided Numerov shooting.
 
     Each eigenvalue is first isolated by bisection on the node count of the
-    full forward pass (to 1e-6 relative), then polished by bisection on the
-    sign of the boundary-mismatch Wronskian at the match point (outermost
-    classical turning point for half-lines, midpoint for intervals).  When
-    the mismatch has the same sign at both bracket ends -- a pair split below
-    resolution, or a half-line state whose decaying-tail root lies outside
-    the bracket -- node-count bisection continues to machine precision, and
-    a half-line state then carries a hard wall at the truncation radius
-    instead of the decaying tail.  The node count, the left pass and the
-    right pass are one Numerov recurrence; the right pass is the left pass
-    over the mirrored grid, reversed afterwards.  Degenerate symmetric-well
-    pairs are re-symmetrized into even/odd combinations.
+    forward pass (to 1e-6 relative); a node pass stops at its n_states-th
+    sign change, and a step that the counts measured so far decide takes no
+    pass.  Illinois false position on the peak-scaled Casoratian at the match
+    point (outermost classical turning point for half-lines, midpoint for
+    intervals) then polishes it to 1e-13 relative, below which rounding noise
+    sets the mismatch's sign.  When the mismatch has the same sign at both
+    bracket ends -- a pair split below resolution, or a half-line state whose
+    decaying-tail root lies outside the bracket -- node-count bisection
+    continues to machine precision, and a half-line state then carries a hard
+    wall at the truncation radius instead of the decaying tail.  Degenerate
+    symmetric-well pairs are re-symmetrized into even/odd combinations.
     """
     if n_states < 1:
         raise DomainError("n_states must be >= 1")
@@ -296,7 +335,7 @@ def solve_eigenstates(
     u_ref = profile.classification_reference()
     for expansion in range(5):
         hi = u_ref + (2.0**expansion) * 50.0 * max(1.0, n_states * n_states / 16.0) * quantum
-        if _count_nodes(u, h, two_m, hi) >= n_states:
+        if _count_nodes(u, h, two_m, hi, n_states) >= n_states:
             break
     else:
         raise EigenSearchError(
@@ -305,9 +344,17 @@ def solve_eigenstates(
 
     symmetric = _profile_is_symmetric(profile)
     states: list[Eigenstate] = []
+    measured = []  # (energy, node count up to n_states); a count below n_states is exact
     for k in range(n_states):
         def above(e):  # node count k + 1 or more: e lies above eigenvalue k
-            return _count_nodes(u, h, two_m, e) - k - 0.5
+            # counts grow with energy: k + 1 or more at or below e, or an
+            # exact count of k or less at or above e, decides e without a pass
+            for e_m, c in measured:
+                if (c > k and e_m <= e) or (c <= k and e_m >= e):
+                    return c - k - 0.5
+            c = _count_nodes(u, h, two_m, e, n_states)
+            measured.append((e, c))
+            return c - k - 0.5
 
         # phase 1: node-count bisection isolates eigenvalue k
         e_lo, e_hi = _bisect(above, lo, hi, 1.0e-6)
@@ -319,21 +366,18 @@ def solve_eigenstates(
             allowed = np.nonzero(u[1:-1] <= e_mid)[0]
             m_idx = int(allowed[-1]) + 1 if allowed.size else n // 2
         m_idx = min(max(m_idx, 2), n - 3)
-        # phase 2: mismatch-sign bisection to machine precision
-        w_lo, _, _ = _mismatch(u, h, two_m, e_lo, m_idx, open_right)
-        w_hi, _, _ = _mismatch(u, h, two_m, e_hi, m_idx, open_right)
+        # phase 2: false position on the mismatch to 1e-13 relative
+        def mismatch(e):
+            return _mismatch(u, h, two_m, e, m_idx, open_right)
+        w_lo, w_hi = mismatch(e_lo), mismatch(e_hi)
         if w_lo * w_hi < 0.0:
-            e_lo, e_hi = _bisect(
-                lambda e: -w_lo * _mismatch(u, h, two_m, e, m_idx, open_right)[0],
-                e_lo, e_hi, 0.0,
-            )
+            e_lo, e_hi = _false_position(mismatch, e_lo, e_hi, w_lo, w_hi, 1.0e-13)
         else:
             # no sign change (splitting below resolution, or the decaying
             # tail's root outside the bracket): node-count bisection to the end
             e_lo, e_hi = _bisect(above, e_lo, e_hi, 0.0)
         energy = 0.5 * (e_lo + e_hi)
-        _, left, right = _mismatch(u, h, two_m, energy, m_idx, open_right)
-        psi = _assemble(left, right, m_idx)
+        psi = _assemble(u, h, two_m, energy, m_idx, open_right)
         if flipped:
             psi = psi[::-1]
         states.append(_finalize(energy, psi, profile, symmetric))

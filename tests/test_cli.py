@@ -95,6 +95,15 @@ def test_validation_rules_reject_bad_values():
         ["schottky", "--material", "Nope", "--gap", "1"],
         ["film", "--material", "GaAs", "--layers", "1"],  # no layer thickness
         ["levitate", "--gap", "1", "--n", "1", "--area", "0", "--delta", "0.5"],
+        ["levitate", "--gap", "1", "--n", "1", "--area", "nan", "--hamaker", "0"],
+        ["levitate", "--gap", "1", "--n", "1", "--area", "inf", "--hamaker", "0"],
+        ["levitate", "--gap", "1", "--n", "1", "--area", "0", "--hamaker", "nan"],
+        ["levitate", "--gap", "1", "--n", "1", "--area", "0", "--hamaker", "inf"],
+        # every subcommand with --q needs a finite charge
+        POTENTIAL_ARGS + ["--q", "nan"],
+        ["eigen", "--gap", "1", "--q", "nan"],
+        ["plates", "--gap", "1", "--q=-inf"],
+        ["levitate", "--gap", "1", "--n", "1", "--area", "0", "--q", "inf"],
     ]
     for argv in bad_invocations:
         with pytest.raises(cli.UsageError):
@@ -243,5 +252,7 @@ def test_usage_errors_exit_two(capsys):
     assert cli.main(["eigen", "--gap", "0"]) == 2
     assert cli.main(["eigen", "--gap", "1:2"]) == 2
     assert cli.main(["schottky", "--material", "Nope", "--gap", "1"]) == 2
+    assert cli.main(["levitate", "--gap", "1", "--n", "1", "--area", "nan", "--hamaker", "0"]) == 2
+    assert cli.main(POTENTIAL_ARGS + ["--q", "nan"]) == 2
     err = capsys.readouterr().err
     assert "invalid invocation" in err

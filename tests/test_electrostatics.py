@@ -16,7 +16,7 @@ import pytest
 
 from imagewell import electrostatics as el
 from imagewell.constants import HARTREE_EV, nm_to_bohr
-from imagewell.errors import ConvergenceError, SingularityError, StackError
+from imagewell.errors import ConvergenceError, DomainError, SingularityError, StackError
 
 
 def rel(a, b):
@@ -279,6 +279,17 @@ def test_nan_position_raises_at_once(fn):
     st = el.DielectricStack(2.0, 1.0, 5.0, 0.0, 1.0)
     with pytest.raises(SingularityError):
         fn(st, math.nan)
+
+
+CHARGE_CALLS = NAN_CALLS + [el.potential_left_halfplane, el.halfplane_potential_curve]
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", CHARGE_CALLS, ids=[fn.__name__ for fn in CHARGE_CALLS])
+def test_nonfinite_charge_raises_at_once(fn, q):
+    st = el.DielectricStack(2.0, 1.0, 5.0, 0.0, 1.0)
+    with pytest.raises(DomainError, match="charge q must be finite"):
+        fn(st, 0.5, q=q)
 
 
 # Reflection product 1 - 1e-11: just inside the allowed range, but the grouped

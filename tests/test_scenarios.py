@@ -440,6 +440,25 @@ def test_force_budget_rejects_bad_delta_before_solving(monkeypatch):
     assert calls == []
 
 
+def test_force_budget_rejects_nonfinite_area_or_hamaker_before_solving(monkeypatch):
+    calls = []
+    real = sn.two_plate_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sn, "two_plate_spectrum", counted)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            sn.total_force(1, 1.0, bad, 0.0)
+        with pytest.raises(DomainError):
+            sn.total_force(1, 1.0, 0.0, bad)
+        row = sn.levitation_curve([1.0], 1, bad, 0.0)[0]
+        assert row.failed and math.isnan(row.mass_kg) and "area" in row.message
+    assert calls == []
+
+
 def test_levitation_bad_delta_flags_row():
     rows = sn.levitation_curve([1.0], 1, 0.0, 0.0, delta_frac=0.0)
     assert len(rows) == 1
@@ -467,3 +486,55 @@ def test_sweep_row_replace_keeps_shape():
     row = sn.schottky_gap_sweep(sn.get_material("GaAs"), sn.Carrier.ELECTRON, [1.0])[0]
     marked = dataclasses.replace(row, failed=True, message="synthetic")
     assert marked.energies_ev == row.energies_ev and marked.failed
+
+
+# ---------------------------------------------------------------------------
+# Eigenvalue search: work and recorded energies
+
+
+def test_two_state_solve_work(monkeypatch):
+    counts = {"_mismatch": 0, "_count_nodes": 0}
+
+    def counted(name):
+        real = getattr(sc, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(sc, name, counted(name))
+    sn.two_plate_spectrum(1.6, 1)
+    single_passes = counts["_count_nodes"]
+    counts.update(_mismatch=0, _count_nodes=0)
+    sn.two_plate_spectrum(1.6, 2)
+    # false position from the node-count bracket, including its two ends
+    assert counts["_mismatch"] <= 2 * 14
+    # without reuse of the first state's node counts this would be the window
+    # pass plus two full bisections, 2 * single_passes - 1
+    assert counts["_count_nodes"] < 2 * single_passes - 1
+
+
+# Energies (eV) recorded before the mismatch polish moved from bisection to
+# false position; they must hold to 1e-12 relative.  An intended numeric
+# change (fourth order at the singular walls, ROADMAP F) re-records them.
+RECORDED_PLATES_EV = {
+    0.8: (-1.2101363807966772, -0.1440411740944543, 2.521508834006751),
+    1.6: (-0.9225124499159884, -0.8326034404704848, -0.0752381134094152),
+    4.0: (-0.8522074435603995, -0.8521987206320585, -0.26111363647328706),
+}
+
+
+def test_recorded_energies_hold():
+    for gap, recorded in RECORDED_PLATES_EV.items():
+        energies = [s.energy_ev for s in sn.two_plate_spectrum(gap, 3).states]
+        assert energies == pytest.approx(recorded, rel=1e-12, abs=0.0)
+    box = sn.two_plate_spectrum(1.6, 1, q=0.0).states[0].energy_ev
+    assert box == pytest.approx(0.14688678225408403, rel=1e-12, abs=0.0)
+    # GaAs at a 5 nm gap takes the node-count fallback (ROADMAP G)
+    gaas = sn.schottky_gap_sweep(sn.get_material("GaAs"), sn.Carrier.ELECTRON, [5.0])[0]
+    assert gaas.energies_ev[0] == pytest.approx(-8.819349329013618e-05, rel=1e-12, abs=0.0)
+    film = sn.noble_film_sweep(sn.get_material("sAr"), [3], d_max_nm=25)[0]
+    assert film.energies_ev[0] == pytest.approx(-0.21039540335340845, rel=1e-12, abs=0.0)

@@ -178,6 +178,65 @@ def test_bisect_stops_at_width_zero_or_float_resolution():
     assert sc._bisect(lambda e: e - 0.25, 0.0, 1.0, 0.0) == (0.25, 0.25)
 
 
+def test_false_position_stops_at_zero_width_or_float_resolution():
+    calls = []
+
+    def f(e):
+        calls.append(e)
+        return e * e - 2.0
+
+    lo, hi = sc._false_position(f, 1.0, 2.0, -1.0, 2.0, 1.0e-13)
+    assert lo * lo < 2.0 < hi * hi and hi - lo <= 1.0e-13 * hi
+    assert len(calls) <= 12  # superlinear, where bisection would take 43
+    # concave: plain false position would move only the upper end
+    calls.clear()
+    lo, hi = sc._false_position(lambda e: f(e) / (e * e), 1.0, 2.0, -1.0, 0.5, 1.0e-13)
+    assert lo * lo < 2.0 < hi * hi and hi - lo <= 1.0e-13 * hi
+    assert len(calls) <= 12
+    lo, hi = sc._false_position(f, 1.0, 2.0, -1.0, 2.0, 0.0)
+    assert lo * lo < 2.0 < hi * hi and np.nextafter(lo, 2.0) == hi
+    # an exact zero ends the search at that point
+    assert sc._false_position(lambda e: e - 0.25, 0.0, 1.0, -0.25, 0.75, 0.0) == (0.25, 0.25)
+
+
+def test_capped_node_pass_counts_up_to_the_cap():
+    prof = box_profile(30.0, 1001)
+    u, h = prof.u_hartree, prof.step_bohr
+    last = u.size - 1
+    seen = set()
+    for e in np.linspace(-0.01, 0.3, 41):
+        t = sc._coefficients(u, h, 2.0, e)
+        full = sc._numerov(t, 0.0, 1.0, last, False)[0]
+        seen.add(full)
+        for cap in (1, 2, 3):
+            assert sc._numerov(t, 0.0, 1.0, last, False, cap)[0] == min(full, cap)
+    assert seen >= {0, 1, 2, 3, 4}
+
+
+def two_sided_wronskian(u, h, two_m, e, m, open_right):
+    """The mismatch from kept passes: L_m (R_{m+1} - R_{m-1}) - R_m (L_{m+1} - L_{m-1})."""
+    (*_, left), (*_, right) = sc._passes(u, h, two_m, e, m, open_right, True)
+    right = right[::-1]
+    return left[m] * (right[2] - right[0]) - right[1] * (left[m + 1] - left[m - 1])
+
+
+def test_scalar_mismatch_has_the_two_sided_sign():
+    grid = np.linspace(0.0, 10.0, 2001)
+    x = (grid - 5.0) / 2.5
+    well = sc.PotentialProfile(grid, 0.8 * ((x * x - 1.0) ** 2 - 1.0) + 0.02 * x,
+                               sc.DomainKind.INTERVAL)
+    for prof, open_right, m in ((well, False, 1000), (metal_wall_profile(2, 2001), True, 300)):
+        u, h = prof.u_hartree, prof.step_bohr
+        roots = [s.energy_h for s in sc.solve_eigenstates(prof, n_states=2)]
+        gap = roots[1] - roots[0]
+        signs = set()
+        for e in roots[0] + gap * np.array([-0.6, -0.3, -0.05, 0.05, 0.3, 0.6, 1.05, 1.3]):
+            w = sc._mismatch(u, h, 2.0, e, m, open_right)
+            signs.add(w > 0.0)
+            assert np.sign(w) == np.sign(two_sided_wronskian(u, h, 2.0, e, m, open_right))
+        assert signs == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # Validation
 
