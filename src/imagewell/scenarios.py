@@ -456,8 +456,9 @@ def _force_budget(
     """The force budget at one gap and its slope dF_total/dD, both from the
     spectra at gap - dd, gap and gap + dd (first and second central
     differences; the Casimir and van der Waals terms are closed forms)."""
-    if n_electrons < 0 or int(n_electrons) != n_electrons:
-        raise DomainError("n_electrons must be a non-negative integer")
+    # NaN fails the chained test; past 2**53 floats cannot tell integers apart
+    if not 0 <= n_electrons < 2**53 or int(n_electrons) != n_electrons:
+        raise DomainError("n_electrons must be an integer in [0, 2**53)")
     if gap_nm <= 0.0 or not (0.0 <= area_m2 < math.inf and 0.0 <= hamaker_j < math.inf):
         raise DomainError("need gap > 0, and area and hamaker finite and >= 0")
     if not 0.0 < delta_frac < 1.0:
@@ -551,7 +552,7 @@ def levitation_curve(
         except ImagewellError as exc:
             nanb = ForceBreakdown(
                 gap, math.nan, math.nan, math.nan, math.nan, math.nan,
-                math.nan, math.nan, int(n_electrons), area_m2, hamaker_j,
+                math.nan, math.nan, n_electrons, area_m2, hamaker_j,
             )
             rows.append(
                 LevitationRow(gap, math.nan, False, False, nanb, True, str(exc))

@@ -3,13 +3,13 @@
 Two independent solvers:
 
 * ``solve_eigenstates`` -- two-sided fixed-step 4th-order (Numerov) shooting.
-  Node counts of the left-to-right pass bracket each eigenvalue, then
-  Illinois false position on the Casoratian of the two passes at an interior
-  match point refines it to 1e-13 relative; where that mismatch keeps its
-  sign across the bracket, node-count bisection runs to the end instead.  A
-  node pass stops once its count is decided, and counts already measured
-  settle a bisection step without a pass.  One recurrence serves the node
-  count and both passes; the right pass is the left pass over the mirrored grid.
+  Node counts bracket each eigenvalue: the Sturm count of Numerov's recurrence
+  as a symmetric tridiagonal matrix (Barth, Martin & Wilkinson 1967), exact
+  where every interior 1 - h^2/12 2m (u - E) > 0.  Illinois false position on
+  the Casoratian of the two passes at an interior match point then refines it
+  to 1e-13 relative; where that mismatch keeps its sign across the bracket,
+  node-count bisection runs to the end instead.  One recurrence serves both
+  passes; the right pass is the left pass over the mirrored grid.
 * ``diagonalization_oracle`` -- second-order central-difference Hamiltonian
   diagonalized with a symmetric tridiagonal eigensolver.  Exists to
   cross-check the shooting path and must never share its integration core.
@@ -24,19 +24,21 @@ radius, which lies above the decaying-tail root.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 from .constants import BOHR_RADIUS_NM, HARTREE_EV, HBAR_JS, STANDARD_GRAVITY_MS2
 from .errors import DomainError, EigenSearchError, GridError
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
-# Every pass rescales above this so the sign test nxt * cur cannot overflow.
+# Every pass rescales above this, so psi and the Casoratian's products stay finite.
 _RESCALE = 1.0e150
 
 
@@ -121,31 +123,19 @@ class Eigenstate:
 # Numerov integration kernel (shooting route only)
 
 
-def _coefficients(u, h, two_m, e):
-    """Numerov factors h^2/12 * 2m (u - e) at one energy, as a Python list."""
-    return (h * h / 12.0 * two_m * (u - e)).tolist()
-
-
-def _numerov(t, psi0, psi1, stop, keep, cap=0):
+def _numerov(t, psi0, psi1, stop, keep):
     """March psi[0..stop] from the seeds psi0, psi1 over the factors ``t``.
 
-    Returns the number of sign changes among psi[1..stop], the last two
-    values, the peak |psi| on their scale and, when ``keep`` is set, the psi
-    list (else None).  With ``cap > 0`` the pass ends at the cap-th sign
-    change and returns min(full count, cap).  A pass over ``t[::-1]``
+    Returns the last two values, the peak |psi| on their scale and, when
+    ``keep`` is set, the psi list (else None).  A pass over ``t[::-1]``
     integrates from the far end.
     """
     t_prev, t_cur = t[0], t[1]
     prev, cur = psi0, psi1
     psi = [prev, cur] if keep else None
     peak = max(abs(prev), abs(cur))
-    nodes = 0
     for t_next in t[2 : stop + 1]:
         nxt = ((2.0 + 10.0 * t_cur) * cur - (1.0 - t_prev) * prev) / (1.0 - t_next)
-        if nxt * cur < 0.0:
-            nodes += 1
-            if nodes == cap:
-                break
         prev, cur = cur, nxt
         t_prev, t_cur = t_cur, t_next
         if keep:
@@ -159,12 +149,27 @@ def _numerov(t, psi0, psi1, stop, keep, cap=0):
             peak /= a
             if keep:
                 psi = [p / a for p in psi]
-    return nodes, prev, cur, peak, psi
+    return prev, cur, peak, psi
 
 
-def _count_nodes(u, h, two_m, e, cap):
-    """Interior sign changes, up to ``cap``, of the pass with psi(0) = 0."""
-    return _numerov(_coefficients(u, h, two_m, e), 0.0, 1.0, len(u) - 1, False, cap)[0]
+@functools.lru_cache(maxsize=8)
+def _minus_ones(n):  # dstebz's off-diagonal; it only reads it
+    return np.full(n, -1.0)
+
+
+def _count_nodes(u, h, two_m, e):
+    """Interior sign changes of the pass with psi(0) = 0.  In z_i = (1 - t_i) psi_i
+    Numerov reads z_{i+1} + z_{i-1} = (12/(1 - t_i) - 10) z_i, so while every
+    1 - t_i > 0 they are the Sturm count of that tridiagonal matrix: its
+    eigenvalues below zero (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967))."""
+    w = 1.0 - h * h / 12.0 * two_m * (u[1:-1] - e)
+    if not np.all(w > 0.0):
+        raise GridError(f"grid too coarse: 1 - h^2/12 2m (u - E) <= 0 at E = {e:.6g} Hartree")
+    off = _minus_ones(max(w.size - 1, 1))  # the wrapper wants one entry even at size 1
+    count, *_, info = dstebz(12.0 / w - 10.0, off, 1, -1.0e300, 0.0, 0, 0, 1.0e300, "E")
+    if info != 0:
+        raise EigenSearchError(f"Sturm count failed (LAPACK dstebz info {info})")
+    return count
 
 
 def _bisect(side, lo, hi, rtol):
@@ -220,7 +225,7 @@ def _false_position(f, lo, hi, f_lo, f_hi, rtol):
 def _passes(u, h, two_m, e, m_idx, open_right, keep):
     """Left pass over psi[0..m_idx+1] and right pass from the far end to psi[m_idx],
     or to psi[m_idx-1] when ``keep`` is set, so kept passes share three points."""
-    t = _coefficients(u, h, two_m, e)
+    t = (h * h / 12.0 * two_m * (u - e)).tolist()  # Numerov factors
     # the right pass starts from a decaying tail at an open end, else a wall
     gap = two_m * (u[-1] - e) if open_right else 0.0
     seeds = (1.0, math.exp(min(math.sqrt(gap) * h, 600.0))) if gap > 0.0 else (0.0, 1.0)
@@ -234,7 +239,7 @@ def _mismatch(u, h, two_m, e, m_idx, open_right):
     at every i, so C_m has the sign of the two-sided mismatch
     L_m (R_{m+1} - R_{m-1}) - R_m (L_{m+1} - L_{m-1}) = C_m + C_{m-1}."""
     left, right = _passes(u, h, two_m, e, m_idx, open_right, False)
-    (_, l_m, l_next, l_peak, _), (_, r_next, r_m, r_peak, _) = left, right
+    (l_m, l_next, l_peak, _), (r_next, r_m, r_peak, _) = left, right
     return (l_m * r_next - l_next * r_m) / (l_peak * r_peak)
 
 
@@ -302,11 +307,14 @@ def solve_eigenstates(
 ) -> list[Eigenstate]:
     """Lowest ``n_states`` eigenstates by two-sided Numerov shooting.
 
-    Each eigenvalue is first isolated by bisection on the node count of the
-    forward pass (to 1e-6 relative); a node pass stops at its n_states-th
-    sign change, and a step that the counts measured so far decide takes no
-    pass.  Illinois false position on the peak-scaled Casoratian at the match
-    point (outermost classical turning point for half-lines, midpoint for
+    Each eigenvalue is first isolated by bisection on the node count (to 1e-6
+    relative): LAPACK ``dstebz``'s Sturm count of tridiag(-1, a, -1), where
+    a_i = 12/(1 - t_i) - 10 and t_i = h^2/12 2m (u_i - E), which is Numerov's
+    recurrence for z_i = (1 - t_i) psi_i (Barth, Martin & Wilkinson, Numer.
+    Math. 9, 386 (1967)).  It needs every interior 1 - t_i > 0; a grid too
+    coarse for that raises ``GridError``.
+    Illinois false position on the peak-scaled Casoratian at the match point
+    (outermost classical turning point for half-lines, midpoint for
     intervals) then polishes it to 1e-13 relative, below which rounding noise
     sets the mismatch's sign.  When the mismatch has the same sign at both
     bracket ends -- a pair split below resolution, or a half-line state whose
@@ -335,7 +343,7 @@ def solve_eigenstates(
     u_ref = profile.classification_reference()
     for expansion in range(5):
         hi = u_ref + (2.0**expansion) * 50.0 * max(1.0, n_states * n_states / 16.0) * quantum
-        if _count_nodes(u, h, two_m, hi, n_states) >= n_states:
+        if _count_nodes(u, h, two_m, hi) >= n_states:
             break
     else:
         raise EigenSearchError(
@@ -344,15 +352,15 @@ def solve_eigenstates(
 
     symmetric = _profile_is_symmetric(profile)
     states: list[Eigenstate] = []
-    measured = []  # (energy, node count up to n_states); a count below n_states is exact
+    measured = []  # (energy, node count); every count is exact
     for k in range(n_states):
         def above(e):  # node count k + 1 or more: e lies above eigenvalue k
-            # counts grow with energy: k + 1 or more at or below e, or an
-            # exact count of k or less at or above e, decides e without a pass
+            # counts grow with energy: k + 1 or more at or below e, or k or
+            # less at or above e, decides e without a new count
             for e_m, c in measured:
                 if (c > k and e_m <= e) or (c <= k and e_m >= e):
                     return c - k - 0.5
-            c = _count_nodes(u, h, two_m, e, n_states)
+            c = _count_nodes(u, h, two_m, e)
             measured.append((e, c))
             return c - k - 0.5
 

@@ -1,4 +1,5 @@
-"""Property tests for the two reflection-sum routes of the slab potential.
+"""Property tests for the two reflection-sum routes of the slab potential,
+and for the node count that brackets the shooting solver's eigenvalues.
 
 Each property compares a stack with a transformed copy whose exact potential
 is known from the first: mirrored, translated, with every length or every
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from imagewell import electrostatics as el  # noqa: E402
+from imagewell import schrodinger as sc  # noqa: E402
 from imagewell.constants import HARTREE_EV, nm_to_bohr  # noqa: E402
 
 ROUNDING = 16.0 * np.finfo(float).eps
@@ -91,3 +93,32 @@ def test_permittivity_scaling(fn, case, lam):
 def test_matched_stack_is_zero(fn, case):
     s, z0 = case
     assert fn(el.DielectricStack(s.k2, s.k2, s.k2, s.a_nm, s.b_nm), z0).v == 0.0
+
+
+@st.composite
+def smooth_wells(draw):
+    """An interval well: three cosine modes of amplitude <= 0.5 Hartree over
+    5-10 Bohr on 401 points, fine enough to resolve the lowest levels."""
+    length = draw(st.floats(5.0, 10.0))
+    amps = [draw(st.floats(-0.5, 0.5)) for _ in range(3)]
+    grid = np.linspace(0.0, length, 401)
+    u = sum(c * np.cos((j + 1) * np.pi * grid / length) for j, c in enumerate(amps))
+    return sc.PotentialProfile(grid, u, sc.DomainKind.INTERVAL)
+
+
+@settings(max_examples=20, deadline=None)
+@given(smooth_wells(), st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_node_count_equals_state_index(prof, fracs):
+    u, h = prof.u_hartree, prof.step_bohr
+    roots = [s.energy_h for s in sc.solve_eigenstates(prof, n_states=3)]
+    gaps = np.diff(roots)
+    assume(np.min(gaps) > 1e-6 * max(1.0, abs(roots[-1])))
+    for k, root in enumerate(roots):
+        delta = 1e-7 * max(1.0, abs(root))
+        assert sc._count_nodes(u, h, 2.0, root - delta) == k
+        assert sc._count_nodes(u, h, 2.0, root + delta) == k + 1
+    # never decreasing in E, over the whole window from below the well bottom
+    lo, hi = float(np.min(u)) - 1.0, roots[-1] + 1.0
+    energies = np.sort(np.concatenate((np.linspace(0.0, 1.0, 64), fracs))) * (hi - lo) + lo
+    counts = [sc._count_nodes(u, h, 2.0, e) for e in energies]
+    assert counts[0] == 0 and counts == sorted(counts)

@@ -459,6 +459,15 @@ def test_force_budget_rejects_nonfinite_area_or_hamaker_before_solving(monkeypat
     assert calls == []
 
 
+def test_force_budget_rejects_nonfinite_electron_count(monkeypatch):
+    monkeypatch.setattr(sn, "two_plate_spectrum", None)  # never reached
+    for bad in (math.nan, math.inf, 10**400):
+        with pytest.raises(DomainError):
+            sn.total_force(bad, 1.0, 0.0, 0.0)
+        row = sn.levitation_curve([1.0], bad, 0.0, 0.0)[0]
+        assert row.failed and math.isnan(row.mass_kg) and "n_electrons" in row.message
+
+
 def test_levitation_bad_delta_flags_row():
     rows = sn.levitation_curve([1.0], 1, 0.0, 0.0, delta_frac=0.0)
     assert len(rows) == 1

@@ -12,9 +12,10 @@ import warnings
 import numpy as np
 import pytest
 
+from imagewell import scenarios as sn
 from imagewell import schrodinger as sc
 from imagewell.constants import BOHR_RADIUS_NM, HARTREE_EV
-from imagewell.errors import DomainError, GridError
+from imagewell.errors import DomainError, EigenSearchError, GridError
 
 
 def box_profile(length_bohr, n_points):
@@ -199,18 +200,50 @@ def test_false_position_stops_at_zero_width_or_float_resolution():
     assert sc._false_position(lambda e: e - 0.25, 0.0, 1.0, -0.25, 0.75, 0.0) == (0.25, 0.25)
 
 
-def test_capped_node_pass_counts_up_to_the_cap():
-    prof = box_profile(30.0, 1001)
-    u, h = prof.u_hartree, prof.step_bohr
-    last = u.size - 1
-    seen = set()
-    for e in np.linspace(-0.01, 0.3, 41):
-        t = sc._coefficients(u, h, 2.0, e)
-        full = sc._numerov(t, 0.0, 1.0, last, False)[0]
-        seen.add(full)
-        for cap in (1, 2, 3):
-            assert sc._numerov(t, 0.0, 1.0, last, False, cap)[0] == min(full, cap)
-    assert seen >= {0, 1, 2, 3, 4}
+def node_pass_sign_changes(u, h, two_m, e):
+    """Sign changes among psi[1..] of a kept Numerov pass with psi(0) = 0."""
+    t = (h * h / 12.0 * two_m * (u - e)).tolist()
+    psi = np.array(sc._numerov(t, 0.0, 1.0, len(t) - 1, True)[3][1:])
+    return int(np.count_nonzero(psi[1:] * psi[:-1] < 0.0))
+
+
+def test_sturm_count_equals_node_pass_sign_changes():
+    gaas = sn.get_material("GaAs")
+    m_gaas = sn.carrier_mass(gaas, sn.Carrier.ELECTRON)
+    cases = (  # profile, mass, states, energies probed besides those around the roots
+        (box_profile(30.0, 1001), 1.0, 8, np.linspace(-0.01, 0.3, 41)),
+        (sn.interval_profile(1.6, n_points=1001), 1.0, 4, []),
+        (sn.halfline_profile(gaas.eps, 1.0, 1.0, m_eff=m_gaas, n_states=3), m_gaas, 3, []),
+    )
+    for prof, m_eff, n_states, extra in cases:
+        u, h = prof.u_hartree, prof.step_bohr
+        roots = np.array([s.energy_h for s in sc.solve_eigenstates(prof, m_eff, n_states)])
+        energies = np.concatenate((extra, roots * (1.0 - 1e-6), roots * (1.0 + 1e-6),
+                                   0.5 * (roots[1:] + roots[:-1])))
+        seen = set()
+        for e in energies:
+            assert np.min(np.abs(roots - e)) >= 1e-9 * abs(e)
+            count = sc._count_nodes(u, h, 2.0 * m_eff, e)
+            assert count == node_pass_sign_changes(u, h, 2.0 * m_eff, e)
+            seen.add(count)
+        assert seen >= set(range(n_states + 1))
+    # one interior point still counts (LAPACK's wrapper needs a one-entry off-diagonal)
+    assert [sc._count_nodes(np.zeros(3), 0.1, 2.0, e) for e in (-1.0, 1.0e3)] == [0, 1]
+
+
+def test_count_guards_raise_typed_errors(monkeypatch):
+    # a barrier too high for the grid step: 1 - t <= 0 inside it
+    grid = np.linspace(0.0, 10.0, 51)
+    u = np.where(np.abs(grid - 5.0) < 1.0, 1.0e4, 0.0)
+    with pytest.raises(GridError, match="too coarse"):
+        sc.solve_eigenstates(sc.PotentialProfile(grid, u, sc.DomainKind.INTERVAL))
+    h = grid[1]
+    for barrier in (6.0 / (h * h), 1.0e4):  # 1 - t exactly zero, then negative
+        with pytest.raises(GridError, match="too coarse"):
+            sc._count_nodes(np.full(51, barrier), h, 2.0, 0.0)
+    monkeypatch.setattr(sc, "dstebz", lambda *args: (0, None, None, None, 2))
+    with pytest.raises(EigenSearchError, match="dstebz info 2"):
+        sc.solve_eigenstates(box_profile(30.0, 101))
 
 
 def two_sided_wronskian(u, h, two_m, e, m, open_right):
