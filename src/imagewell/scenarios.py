@@ -153,7 +153,8 @@ def halfline_profile(
         u_ev = q * q * (-1.0 / (4.0 * eps_host * nm_to_bohr(d_eval))) * HARTREE_EV
     else:
         stack = el.DielectricStack(eps_host, eps_slab, el.METAL, 0.0, gap_nm)
-        u_ev = 0.5 * q * el.halfplane_potential_curve(stack, d_eval, q=q)
+        with np.errstate(over="ignore"):  # PotentialProfile rejects what overflows
+            u_ev = 0.5 * q * el.halfplane_potential_curve(stack, d_eval, q=q)
     return sc.PotentialProfile(
         nm_to_bohr(grid_nm), u_ev / HARTREE_EV, sc.DomainKind.HALF_LINE_WALL_LEFT
     )
@@ -166,19 +167,20 @@ def interval_profile(
 ) -> sc.PotentialProfile:
     """Self-energy profile of a charge between two metal plates a distance
     ``gap_nm`` apart (walls at both ends; wall samples taken half a step
-    inside)."""
+    inside).  The left half of the grid is evaluated and mirrored, so the
+    profile equals its mirror float for float."""
     if gap_nm <= 0.0:
         raise DomainError("gap must be > 0")
     stack = el.DielectricStack.double_metal(gap_nm)
     grid_nm = np.linspace(0.0, gap_nm, n_points)
-    z_eval = grid_nm.copy()
-    h = grid_nm[1]
-    z_eval[0] = 0.5 * h
-    z_eval[-1] = gap_nm - 0.5 * h
     if q == 0.0:
         u_ev = np.zeros_like(grid_nm)
     else:
-        u_ev = 0.5 * q * el.slab_potential_curve(stack, z_eval, q=q)
+        z_eval = grid_nm[: (n_points + 1) // 2].copy()
+        z_eval[0] = 0.5 * grid_nm[1]
+        with np.errstate(over="ignore"):  # PotentialProfile rejects what overflows
+            half = 0.5 * q * el.slab_potential_curve(stack, z_eval, q=q)
+        u_ev = np.concatenate((half, half[: n_points // 2][::-1]))
     return sc.PotentialProfile(
         nm_to_bohr(grid_nm), u_ev / HARTREE_EV, sc.DomainKind.INTERVAL
     )

@@ -9,7 +9,9 @@ Two independent solvers:
   the Casoratian of the two passes at an interior match point then refines it
   to 1e-13 relative; where that mismatch keeps its sign across the bracket,
   node-count bisection runs to the end instead.  One recurrence serves both
-  passes; the right pass is the left pass over the mirrored grid.
+  passes; the right pass is the left pass over the mirrored grid, so on an
+  interval whose potential equals its mirror float for float (every
+  two-plate profile) a single pass serves both sides.
 * ``diagonalization_oracle`` -- second-order central-difference Hamiltonian
   diagonalized with a symmetric tridiagonal eigensolver.  Exists to
   cross-check the shooting path and must never share its integration core.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -123,17 +126,19 @@ class Eigenstate:
 # Numerov integration kernel (shooting route only)
 
 
-def _numerov(t, psi0, psi1, stop, keep):
+def _numerov(t, psi0, psi1, stop, keep, peak=0.0):
     """March psi[0..stop] from the seeds psi0, psi1 over the factors ``t``.
 
     Returns the last two values, the peak |psi| on their scale and, when
     ``keep`` is set, the psi list (else None).  A pass over ``t[::-1]``
-    integrates from the far end.
+    integrates from the far end.  Seeded with the last two values and the
+    ``peak`` of an earlier pass over ``t[j - 1:]``, it continues that pass
+    float for float.
     """
     t_prev, t_cur = t[0], t[1]
     prev, cur = psi0, psi1
     psi = [prev, cur] if keep else None
-    peak = max(abs(prev), abs(cur))
+    peak = max(peak, abs(prev), abs(cur))
     for t_next in t[2 : stop + 1]:
         nxt = ((2.0 + 10.0 * t_cur) * cur - (1.0 - t_prev) * prev) / (1.0 - t_next)
         prev, cur = cur, nxt
@@ -222,29 +227,44 @@ def _false_position(f, lo, hi, f_lo, f_hi, rtol):
     return lo, hi
 
 
-def _passes(u, h, two_m, e, m_idx, open_right, keep):
+def _passes(u, h, two_m, e, m_idx, open_right, keep, mirrored=False):
     """Left pass over psi[0..m_idx+1] and right pass from the far end to psi[m_idx],
-    or to psi[m_idx-1] when ``keep`` is set, so kept passes share three points."""
+    or to psi[m_idx-1] when ``keep`` is set, so kept passes share three points.
+
+    On a ``mirrored`` interval (u equal to its mirror, float for float) the
+    right pass runs the left pass's arithmetic from the same seeds, so one
+    pass serves both: the right pass, continued to the left pass's stop when
+    that lies further (one step, on an odd number of points).  Kept passes on
+    an even number of points would need the reverse, and stay two."""
     t = (h * h / 12.0 * two_m * (u - e)).tolist()  # Numerov factors
+    l_stop = m_idx + 1
+    r_stop = len(t) - m_idx if keep else len(t) - m_idx - 1
+    if mirrored and (r_stop == l_stop or (r_stop < l_stop and not keep)):
+        right = _numerov(t, 0.0, 1.0, r_stop, keep)
+        if r_stop == l_stop:
+            return right, right
+        prev, cur, peak, _ = right
+        left = _numerov(t[r_stop - 1 : l_stop + 1], prev, cur, l_stop - r_stop + 1, False, peak)
+        return left, right
     # the right pass starts from a decaying tail at an open end, else a wall
     gap = two_m * (u[-1] - e) if open_right else 0.0
     seeds = (1.0, math.exp(min(math.sqrt(gap) * h, 600.0))) if gap > 0.0 else (0.0, 1.0)
-    stop = len(t) - m_idx if keep else len(t) - m_idx - 1
-    return _numerov(t, 0.0, 1.0, m_idx + 1, keep), _numerov(t[::-1], *seeds, stop, keep)
+    return _numerov(t, 0.0, 1.0, l_stop, keep), _numerov(t[::-1], *seeds, r_stop, keep)
 
 
-def _mismatch(u, h, two_m, e, m_idx, open_right):
+def _mismatch(u, h, two_m, e, m_idx, open_right, mirrored=False):
     """Casoratian C_m = L_m R_{m+1} - L_{m+1} R_m at the match point, each pass
     scaled by its peak |psi|.  Numerov keeps (1 - t_i)(1 - t_{i+1}) C_i equal
     at every i, so C_m has the sign of the two-sided mismatch
     L_m (R_{m+1} - R_{m-1}) - R_m (L_{m+1} - L_{m-1}) = C_m + C_{m-1}."""
-    left, right = _passes(u, h, two_m, e, m_idx, open_right, False)
+    left, right = _passes(u, h, two_m, e, m_idx, open_right, False, mirrored)
     (l_m, l_next, l_peak, _), (r_next, r_m, r_peak, _) = left, right
     return (l_m * r_next - l_next * r_m) / (l_peak * r_peak)
 
 
-def _assemble(u, h, two_m, e, m_idx, open_right):
-    (*_, l_peak, left), (*_, r_peak, right) = _passes(u, h, two_m, e, m_idx, open_right, True)
+def _assemble(u, h, two_m, e, m_idx, open_right, mirrored=False):
+    passes = _passes(u, h, two_m, e, m_idx, open_right, True, mirrored)
+    (*_, l_peak, left), (*_, r_peak, right) = passes
     left = np.array(left) / l_peak
     right = np.array(right[::-1]) / r_peak
     j = int(np.argmax(np.abs(right[:3])))
@@ -316,12 +336,15 @@ def solve_eigenstates(
     Illinois false position on the peak-scaled Casoratian at the match point
     (outermost classical turning point for half-lines, midpoint for
     intervals) then polishes it to 1e-13 relative, below which rounding noise
-    sets the mismatch's sign.  When the mismatch has the same sign at both
-    bracket ends -- a pair split below resolution, or a half-line state whose
+    sets the mismatch's sign.  On an interval whose potential equals its
+    mirror exactly, each mismatch takes one pass instead of two, with the
+    same floats.  When the mismatch has the same sign at both bracket ends
+    -- a pair split below resolution, or a half-line state whose
     decaying-tail root lies outside the bracket -- node-count bisection
     continues to machine precision, and a half-line state then carries a hard
     wall at the truncation radius instead of the decaying tail.  Degenerate
     symmetric-well pairs are re-symmetrized into even/odd combinations.
+    A grid step whose square is not a normal float raises ``GridError``.
     """
     if n_states < 1:
         raise DomainError("n_states must be >= 1")
@@ -333,7 +356,13 @@ def solve_eigenstates(
     h = profile.step_bohr
     two_m = 2.0 * m_eff
     open_right = profile.kind is not DomainKind.INTERVAL
+    mirrored = not open_right and np.array_equal(u, u[::-1])
 
+    # Numerov's factors h^2/12 2m (u - E) lose digits once h^2 leaves the
+    # normal floats, and the 1/span^2 energy scale overflows soon after
+    # (about a 1e-152 nm gap on 4001 points)
+    if h * h < sys.float_info.min:
+        raise GridError(f"grid step {h:.3g} Bohr too fine: h^2 is not a normal float")
     # window from below the well bottom to past the barrier top (interval)
     # or the tail (half line)
     span = profile.span_bohr
@@ -376,7 +405,7 @@ def solve_eigenstates(
         m_idx = min(max(m_idx, 2), n - 3)
         # phase 2: false position on the mismatch to 1e-13 relative
         def mismatch(e):
-            return _mismatch(u, h, two_m, e, m_idx, open_right)
+            return _mismatch(u, h, two_m, e, m_idx, open_right, mirrored)
         w_lo, w_hi = mismatch(e_lo), mismatch(e_hi)
         if w_lo * w_hi < 0.0:
             e_lo, e_hi = _false_position(mismatch, e_lo, e_hi, w_lo, w_hi, 1.0e-13)
@@ -385,7 +414,7 @@ def solve_eigenstates(
             # tail's root outside the bracket): node-count bisection to the end
             e_lo, e_hi = _bisect(above, e_lo, e_hi, 0.0)
         energy = 0.5 * (e_lo + e_hi)
-        psi = _assemble(u, h, two_m, energy, m_idx, open_right)
+        psi = _assemble(u, h, two_m, energy, m_idx, open_right, mirrored)
         if flipped:
             psi = psi[::-1]
         states.append(_finalize(energy, psi, profile, symmetric))

@@ -10,6 +10,11 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +251,37 @@ def test_failed_row_exits_one(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "synthetic failure" in captured.err
     assert captured.out.count("\n") == 2  # header plus the flagged row
+
+
+LEVITATE_TAIL = ["--n", "1", "--area", "0", "--hamaker", "0"]
+
+
+@pytest.mark.parametrize("bad", [["--gap", "1e-300"], ["--gap", "1", "--q", "1e200"]],
+                         ids=["tiny_gap", "huge_charge"])
+def test_unsolvable_plates_exit_one_with_typed_errors(capsys, bad):
+    # a step too fine for Numerov, or a potential past the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["eigen"] + bad) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "imagewell: GridError: " in captured.err
+        for command in (["plates"] + bad, ["levitate"] + bad + LEVITATE_TAIL):
+            assert cli.main(command) == 1
+            captured = capsys.readouterr()
+            header, rows = read_csv(captured.out)
+            assert len(rows) == 1 and rows[0][1] == "NaN"
+            assert "row 0 failed: " in captured.err
+
+
+def test_module_entry_point_matches_in_process(capsys):
+    src = Path(cli.__file__).resolve().parents[1]
+    path = [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = ["eigen", "--gap", "1.6"]
+    done = subprocess.run([sys.executable, "-m", "imagewell", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert cli.main(argv) == done.returncode == 0
+    assert done.stdout == capsys.readouterr().out
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,5 +1,6 @@
 """Property tests for the two reflection-sum routes of the slab potential,
-and for the node count that brackets the shooting solver's eigenvalues.
+for the node count that brackets the shooting solver's eigenvalues, and for
+the one-pass mismatch on mirror-symmetric intervals.
 
 Each property compares a stack with a transformed copy whose exact potential
 is known from the first: mirrored, translated, with every length or every
@@ -122,3 +123,32 @@ def test_node_count_equals_state_index(prof, fracs):
     energies = np.sort(np.concatenate((np.linspace(0.0, 1.0, 64), fracs))) * (hi - lo) + lo
     counts = [sc._count_nodes(u, h, 2.0, e) for e in energies]
     assert counts[0] == 0 and counts == sorted(counts)
+
+
+@st.composite
+def mirrored_wells(draw):
+    """An interval double well equal to its mirror float for float, on an odd
+    or even number of points: cosine modes plus a square barrier over the
+    middle 60 % of up to 0.9 of 6/h^2, tall and wide enough that passes
+    through it rescale, and an energy between the well's bottom and top, so
+    every 1 - h^2/12 2m (u - E) stays above 0.1."""
+    n_points = draw(st.integers(151, 401))
+    length = draw(st.floats(5.0, 20.0))
+    grid = np.linspace(0.0, length, n_points)
+    h = grid[1] - grid[0]
+    amps = [draw(st.floats(-0.5, 0.5)) for _ in range(3)]
+    u = sum(c * np.cos((j + 1) * np.pi * grid / length) for j, c in enumerate(amps))
+    barrier = np.abs(grid - 0.5 * length) < 0.3 * length
+    u = u + draw(st.floats(0.0, 0.9)) * 6.0 / (h * h) * barrier
+    u = 0.5 * (u + u[::-1])
+    e = u.min() + draw(st.floats(0.0, 1.0)) * (u.max() - u.min())
+    return u, h, e
+
+
+@settings(max_examples=100, deadline=None)
+@given(mirrored_wells())
+def test_mirror_mismatch_is_bitwise_the_two_passes(well):
+    u, h, e = well
+    m = (u.size - 1) // 2
+    one = sc._mismatch(u, h, 2.0, e, m, False, True)
+    assert np.isfinite(one) and one == sc._mismatch(u, h, 2.0, e, m, False)

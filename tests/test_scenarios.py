@@ -8,6 +8,7 @@ macroscopic force terms.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,29 @@ def test_interval_profile_properties():
     assert np.all(free.u_hartree == 0.0)
     with pytest.raises(DomainError):
         sn.interval_profile(0.0)
+
+
+@pytest.mark.parametrize("n_points", [4001, 4000, 101, 100])
+def test_interval_profile_is_an_exact_mirror(n_points):
+    for q in (-1.0, 0.5):
+        for gap in (0.5, 0.9, 1.6, 4.0):
+            u = sn.interval_profile(gap, q=q, n_points=n_points).u_hartree
+            assert np.array_equal(u, u[::-1])
+            # against the whole grid evaluated point by point, as before mirroring
+            z = np.linspace(0.0, gap, n_points)
+            z[0], z[-1] = 0.5 * z[1], gap - 0.5 * z[1]
+            stack = el.DielectricStack.double_metal(gap)
+            full = 0.5 * q * el.slab_potential_curve(stack, z, q=q) / HARTREE_EV
+            assert np.max(np.abs(u / full - 1.0)) < 1e-11
+
+
+def test_huge_charge_gives_grid_error_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (lambda: sn.interval_profile(1.0, q=1e200),
+                      lambda: sn.halfline_profile(12.9, 1.0, 1.0, q=1e200)):
+            with pytest.raises(GridError, match="must be finite"):
+                build()
 
 
 # ---------------------------------------------------------------------------

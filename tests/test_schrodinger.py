@@ -270,6 +270,93 @@ def test_scalar_mismatch_has_the_two_sided_sign():
         assert signs == {True, False}
 
 
+def mirrored_barrier(height, n_points=801):
+    """Two wells split by a Gaussian barrier, exactly equal to its mirror.  At
+    height 2968.75 the ground state's left pass first rescales on step m + 1,
+    the step the one-pass mismatch continues past the right pass's stop."""
+    grid = np.linspace(0.0, 20.0, n_points)
+    x = (grid - 10.0) / 4.0
+    u = height * np.exp(-x * x)
+    return sc.PotentialProfile(grid, 0.5 * (u + u[::-1]), sc.DomainKind.INTERVAL)
+
+
+def test_mirror_one_pass_is_bitwise_the_two_passes():
+    grid = np.linspace(0.0, 12.0, 4001)
+    x = (grid - 6.0) / 2.0
+    w = 2.5 * ((x * x - 1.0) ** 2 - 1.0)
+    double_well = sc.PotentialProfile(grid, 0.5 * (w + w[::-1]), sc.DomainKind.INTERVAL)
+    rescaled = mirrored_barrier(2968.75)
+    cases = (
+        sn.interval_profile(1.6), sn.interval_profile(4.0, q=0.5, n_points=4000),
+        box_profile(30.0, 1001), box_profile(30.0, 1000), double_well, rescaled,
+    )
+    for prof in cases:
+        u, h, n = prof.u_hartree, prof.step_bohr, prof.u_hartree.size
+        m = (n - 1) // 2
+        assert np.array_equal(u, u[::-1])
+        roots = np.array([s.energy_h for s in sc.solve_eigenstates(prof, n_states=2)])
+        energies = np.concatenate([roots * (1.0 + d) for d in (-1e-6, -1e-9, 0.0, 1e-9, 1e-6)])
+        for e in energies:
+            one = sc._mismatch(u, h, 2.0, e, m, False, True)
+            assert one == sc._mismatch(u, h, 2.0, e, m, False) and math.isfinite(one)
+            kept = sc._assemble(u, h, 2.0, e, m, False, True)
+            assert np.array_equal(kept, sc._assemble(u, h, 2.0, e, m, False))
+    # the barrier's premise: no rescale up to psi[m], one on the continued step
+    u, h = rescaled.u_hartree, rescaled.step_bohr
+    t = (h * h / 12.0 * 2.0 * (u - sc.solve_eigenstates(rescaled)[0].energy_h)).tolist()
+    assert 1e140 < sc._numerov(t, 0.0, 1.0, 400, False)[2] <= sc._RESCALE
+    assert sc._numerov(t, 0.0, 1.0, 401, False)[2] == 1.0
+
+
+def record_numerov_calls(monkeypatch):
+    """(length of t, stop) of every Numerov pass from here on."""
+    calls = []
+    real = sc._numerov
+
+    def recorded(t, psi0, psi1, stop, keep, peak=0.0):
+        calls.append((len(t), stop))
+        return real(t, psi0, psi1, stop, keep, peak)
+
+    monkeypatch.setattr(sc, "_numerov", recorded)
+    return calls
+
+
+def test_mirror_solve_runs_half_the_numerov_steps(monkeypatch):
+    calls = record_numerov_calls(monkeypatch)
+    mirror = sn.interval_profile(1.6)
+    sc.solve_eigenstates(mirror, n_states=2)
+    one_pass = sum(stop - 1 for _, stop in calls)
+    calls.clear()
+    # one ulp off the mirror at one point: two passes per mismatch
+    u = mirror.u_hartree.copy()
+    u[-2] = np.nextafter(u[-2], 0.0)
+    broken = sc.PotentialProfile(mirror.grid_bohr, u, sc.DomainKind.INTERVAL)
+    sc.solve_eigenstates(broken, n_states=2)
+    two_pass = sum(stop - 1 for _, stop in calls)
+    assert 0.45 < one_pass / two_pass < 0.55
+
+
+def test_asymmetric_interval_keeps_two_passes(monkeypatch):
+    calls = record_numerov_calls(monkeypatch)
+    grid = np.linspace(0.0, 10.0, 2001)
+    x = (grid - 5.0) / 2.5
+    prof = sc.PotentialProfile(grid, 0.8 * ((x * x - 1.0) ** 2 - 1.0) + 0.02 * x,
+                               sc.DomainKind.INTERVAL)
+    sc.solve_eigenstates(prof, n_states=2)
+    # every solve pass runs the full grid: left to m + 1, right to m or m - 1
+    assert len(calls) % 2 == 0 and {length for length, _ in calls} == {2001}
+    assert {stop for _, stop in calls[0::2]} == {1001}
+    assert {stop for _, stop in calls[1::2]} <= {1000, 1001}
+
+
+def test_tiny_span_raises_grid_error():
+    # h^2 below the normal floats: gaps up to about 1e-152 nm on 4001 points
+    for gap in (1e-300, 1e-155, 1e-153):
+        with pytest.raises(GridError, match="not a normal float"):
+            sn.two_plate_spectrum(gap)
+    assert sn.two_plate_spectrum(1e-150).states[0].energy_ev > 0.0
+
+
 # ---------------------------------------------------------------------------
 # Validation
 
