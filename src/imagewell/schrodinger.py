@@ -5,13 +5,14 @@ Two independent solvers:
 * ``solve_eigenstates`` -- two-sided fixed-step 4th-order (Numerov) shooting.
   Node counts bracket each eigenvalue: the Sturm count of Numerov's recurrence
   as a symmetric tridiagonal matrix (Barth, Martin & Wilkinson 1967), exact
-  where every interior 1 - h^2/12 2m (u - E) > 0.  Illinois false position on
-  the Casoratian of the two passes at an interior match point then refines it
-  to 1e-13 relative; where that mismatch keeps its sign across the bracket,
-  node-count bisection runs to the end instead.  One recurrence serves both
-  passes; the right pass is the left pass over the mirrored grid, so on an
-  interval whose potential equals its mirror float for float (every
-  two-plate profile) a single pass serves both sides.
+  where every interior 1 - h^2/12 2m (u - E) > 0, taken from one LDL^T sweep
+  (LAPACK ``dpttrf``, restarted past each non-positive pivot).  Illinois
+  false position on the Casoratian of the two passes at an interior match
+  point then refines it to 1e-13 relative; where that mismatch keeps its
+  sign across the bracket, node-count bisection runs to the end instead.
+  One recurrence serves both passes; the right pass is the left pass over
+  the mirrored grid, so on an interval whose potential equals its mirror
+  float for float (every two-plate profile) a single pass serves both sides.
 * ``diagonalization_oracle`` -- second-order central-difference Hamiltonian
   diagonalized with a symmetric tridiagonal eigensolver.  Exists to
   cross-check the shooting path and must never share its integration core.
@@ -26,7 +27,6 @@ radius, which lies above the decaying-tail root.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstebz
+from scipy.linalg.lapack import dpttrf
 
 from .constants import BOHR_RADIUS_NM, HARTREE_EV, HBAR_JS, STANDARD_GRAVITY_MS2
 from .errors import DomainError, EigenSearchError, GridError
@@ -127,7 +127,7 @@ class Eigenstate:
 
 
 def _numerov(t, psi0, psi1, stop, keep, peak=0.0):
-    """March psi[0..stop] from the seeds psi0, psi1 over the factors ``t``.
+    """March psi[0..stop] from the seeds psi0, psi1 over the factor array ``t``.
 
     Returns the last two values, the peak |psi| on their scale and, when
     ``keep`` is set, the psi list (else None).  A pass over ``t[::-1]``
@@ -135,46 +135,60 @@ def _numerov(t, psi0, psi1, stop, keep, peak=0.0):
     ``peak`` of an earlier pass over ``t[j - 1:]``, it continues that pass
     float for float.
     """
-    t_prev, t_cur = t[0], t[1]
     prev, cur = psi0, psi1
     psi = [prev, cur] if keep else None
     peak = max(peak, abs(prev), abs(cur))
-    for t_next in t[2 : stop + 1]:
-        nxt = ((2.0 + 10.0 * t_cur) * cur - (1.0 - t_prev) * prev) / (1.0 - t_next)
+    # the step's coefficients 2 + 10 t_i and 1 - t_i, over the marched slice
+    a = (2.0 + 10.0 * t[1:stop]).tolist()
+    w = (1.0 - t[: stop + 1]).tolist()
+    for a_i, w_prev, w_next in zip(a, w, w[2:]):
+        nxt = (a_i * cur - w_prev * prev) / w_next
         prev, cur = cur, nxt
-        t_prev, t_cur = t_cur, t_next
         if keep:
             psi.append(nxt)
-        a = abs(nxt)
-        if a > peak:
-            peak = a
-        if a > _RESCALE:
-            prev /= a
-            cur /= a
-            peak /= a
+        mag = abs(nxt)
+        if mag > peak:
+            peak = mag
+        if mag > _RESCALE:
+            prev /= mag
+            cur /= mag
+            peak /= mag
             if keep:
-                psi = [p / a for p in psi]
+                psi = [p / mag for p in psi]
     return prev, cur, peak, psi
-
-
-@functools.lru_cache(maxsize=8)
-def _minus_ones(n):  # dstebz's off-diagonal; it only reads it
-    return np.full(n, -1.0)
 
 
 def _count_nodes(u, h, two_m, e):
     """Interior sign changes of the pass with psi(0) = 0.  In z_i = (1 - t_i) psi_i
     Numerov reads z_{i+1} + z_{i-1} = (12/(1 - t_i) - 10) z_i, so while every
     1 - t_i > 0 they are the Sturm count of that tridiagonal matrix: its
-    eigenvalues below zero (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967))."""
+    eigenvalues below zero (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)),
+    here the non-positive pivots of its LDL^T factorisation.  LAPACK ``dpttrf``
+    factors up to the first such pivot q; the sweep restarts past it with the
+    next diagonal entry less 1/q, taking q = -``sys.float_info.min`` for |q|
+    below that.  With the -1 off-diagonal this is the pivot recurrence of
+    LAPACK's bisection eigensolver (``?stebz`` via ``?laebz``, pivmin
+    included) float for float, so the counts are its counts, except where it
+    splits the matrix: a_j a_{j-1} above about 2e31, i.e. 1 - t below about
+    3e-15, at the edge of the grid guard."""
     w = 1.0 - h * h / 12.0 * two_m * (u[1:-1] - e)
     if not np.all(w > 0.0):
         raise GridError(f"grid too coarse: 1 - h^2/12 2m (u - E) <= 0 at E = {e:.6g} Hartree")
-    off = _minus_ones(max(w.size - 1, 1))  # the wrapper wants one entry even at size 1
-    count, *_, info = dstebz(12.0 / w - 10.0, off, 1, -1.0e300, 0.0, 0, 0, 1.0e300, "E")
-    if info != 0:
-        raise EigenSearchError(f"Sturm count failed (LAPACK dstebz info {info})")
-    return count
+    d = 12.0 / w - 10.0
+    off = np.full(d.size - 1, -1.0)
+    count = 0
+    while d.size > 1:  # the wrapper rejects a single entry
+        d, off, info = dpttrf(d, off, overwrite_d=1, overwrite_e=1)
+        if info == 0:
+            return count
+        if info < 0:
+            raise EigenSearchError(f"Sturm count failed (LAPACK dpttrf info {info})")
+        count += 1
+        if info == d.size:
+            return count
+        d[info] -= 1.0 / min(d[info - 1], -sys.float_info.min)
+        d, off = d[info:], off[info:]
+    return count + int(d[0] < sys.float_info.min)  # a last pivot below pivmin counts
 
 
 def _bisect(side, lo, hi, rtol):
@@ -236,9 +250,9 @@ def _passes(u, h, two_m, e, m_idx, open_right, keep, mirrored=False):
     pass serves both: the right pass, continued to the left pass's stop when
     that lies further (one step, on an odd number of points).  Kept passes on
     an even number of points would need the reverse, and stay two."""
-    t = (h * h / 12.0 * two_m * (u - e)).tolist()  # Numerov factors
+    t = h * h / 12.0 * two_m * (u - e)  # Numerov factors
     l_stop = m_idx + 1
-    r_stop = len(t) - m_idx if keep else len(t) - m_idx - 1
+    r_stop = t.size - m_idx if keep else t.size - m_idx - 1
     if mirrored and (r_stop == l_stop or (r_stop < l_stop and not keep)):
         right = _numerov(t, 0.0, 1.0, r_stop, keep)
         if r_stop == l_stop:
@@ -328,11 +342,12 @@ def solve_eigenstates(
     """Lowest ``n_states`` eigenstates by two-sided Numerov shooting.
 
     Each eigenvalue is first isolated by bisection on the node count (to 1e-6
-    relative): LAPACK ``dstebz``'s Sturm count of tridiag(-1, a, -1), where
-    a_i = 12/(1 - t_i) - 10 and t_i = h^2/12 2m (u_i - E), which is Numerov's
-    recurrence for z_i = (1 - t_i) psi_i (Barth, Martin & Wilkinson, Numer.
-    Math. 9, 386 (1967)).  It needs every interior 1 - t_i > 0; a grid too
-    coarse for that raises ``GridError``.
+    relative): the Sturm count of tridiag(-1, a, -1), where a_i = 12/(1 - t_i)
+    - 10 and t_i = h^2/12 2m (u_i - E), which is Numerov's recurrence for
+    z_i = (1 - t_i) psi_i (Barth, Martin & Wilkinson, Numer. Math. 9, 386
+    (1967)), counted as the non-positive pivots of its LDL^T factorisation
+    (LAPACK ``dpttrf``, restarted past each one).  It needs every interior
+    1 - t_i > 0; a grid too coarse for that raises ``GridError``.
     Illinois false position on the peak-scaled Casoratian at the match point
     (outermost classical turning point for half-lines, midpoint for
     intervals) then polishes it to 1e-13 relative, below which rounding noise
@@ -344,7 +359,8 @@ def solve_eigenstates(
     continues to machine precision, and a half-line state then carries a hard
     wall at the truncation radius instead of the decaying tail.  Degenerate
     symmetric-well pairs are re-symmetrized into even/odd combinations.
-    A grid step whose square is not a normal float raises ``GridError``.
+    A grid of fewer than 4 points, or a step h with h^2 or h^2/12 2m not a
+    normal float, raises ``GridError``.
     """
     if n_states < 1:
         raise DomainError("n_states must be >= 1")
@@ -358,11 +374,18 @@ def solve_eigenstates(
     open_right = profile.kind is not DomainKind.INTERVAL
     mirrored = not open_right and np.array_equal(u, u[::-1])
 
-    # Numerov's factors h^2/12 2m (u - E) lose digits once h^2 leaves the
-    # normal floats, and the 1/span^2 energy scale overflows soon after
-    # (about a 1e-152 nm gap on 4001 points)
+    if n < 4:  # the match point needs an interior neighbour on each side
+        raise GridError(f"shooting needs at least 4 grid points, got {n}")
+    # Numerov's factors h^2/12 2m (u - E) lose digits once h^2 or their
+    # coefficient leaves the normal floats, and the 1/span^2 energy scale
+    # overflows soon after (about a 1e-152 nm gap on 4001 points)
     if h * h < sys.float_info.min:
         raise GridError(f"grid step {h:.3g} Bohr too fine: h^2 is not a normal float")
+    coefficient = h * h / 12.0 * two_m  # as every count and pass forms it
+    if coefficient < sys.float_info.min:
+        raise GridError(
+            f"h^2/12 2m = {coefficient:.3g} is not a normal float: step or mass too small"
+        )
     # window from below the well bottom to past the barrier top (interval)
     # or the tail (half line)
     span = profile.span_bohr

@@ -256,10 +256,13 @@ def test_failed_row_exits_one(capsys, monkeypatch):
 LEVITATE_TAIL = ["--n", "1", "--area", "0", "--hamaker", "0"]
 
 
-@pytest.mark.parametrize("bad", [["--gap", "1e-300"], ["--gap", "1", "--q", "1e200"]],
-                         ids=["tiny_gap", "huge_charge"])
+@pytest.mark.parametrize("bad", [
+    ["--gap", "1e-300"], ["--gap", "1", "--q", "1e200"], ["--gap", "1e-150", "--mass", "1e-7"],
+    ["--gap", "1", "--mass", "1e-308"], ["--gap", "1.6", "--mass", "1e-310"],
+], ids=["tiny_gap", "huge_charge", "tiny_gap_light", "tiny_mass", "subnormal_mass"])
 def test_unsolvable_plates_exit_one_with_typed_errors(capsys, bad):
-    # a step too fine for Numerov, or a potential past the float range
+    # a step too fine for Numerov, a potential past the float range, or a
+    # step and mass whose Numerov coefficient h^2/12 2m is not a normal float
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["eigen"] + bad) == 1

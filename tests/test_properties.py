@@ -1,6 +1,7 @@
 """Property tests for the two reflection-sum routes of the slab potential,
-for the node count that brackets the shooting solver's eigenvalues, and for
-the one-pass mismatch on mirror-symmetric intervals.
+for the node count that brackets the shooting solver's eigenvalues (against
+LAPACK ``dstebz``'s Sturm count as the reference), for the one-pass mismatch
+on mirror-symmetric intervals, and for the 1/m scaling of box levels.
 
 Each property compares a stack with a transformed copy whose exact potential
 is known from the first: mirrored, translated, with every length or every
@@ -16,11 +17,13 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
+from scipy.linalg.lapack import dstebz  # noqa: E402
 
 from imagewell import electrostatics as el  # noqa: E402
 from imagewell import schrodinger as sc  # noqa: E402
 from imagewell.constants import HARTREE_EV, nm_to_bohr  # noqa: E402
+from imagewell.errors import GridError  # noqa: E402
 
 ROUNDING = 16.0 * np.finfo(float).eps
 ROUTES = [el.potential_slab_series, el.potential_slab_images]
@@ -152,3 +155,101 @@ def test_mirror_mismatch_is_bitwise_the_two_passes(well):
     m = (u.size - 1) // 2
     one = sc._mismatch(u, h, 2.0, e, m, False, True)
     assert np.isfinite(one) and one == sc._mismatch(u, h, 2.0, e, m, False)
+
+
+def dstebz_count(u, h, two_m, e):
+    """Reference count: LAPACK ``dstebz``'s eigenvalues of Numerov's z-form
+    tridiag(-1, 12/(1 - t) - 10, -1) in (-1e300, 0]."""
+    w = 1.0 - h * h / 12.0 * two_m * (u[1:-1] - e)
+    off = np.full(max(w.size - 1, 1), -1.0)  # the wrapper wants one entry even at size 1
+    count, *_, info = dstebz(12.0 / w - 10.0, off, 1, -1.0e300, 0.0, 0, 0, 1.0e300, "E")
+    assert info == 0
+    return count
+
+
+@st.composite
+def count_wells(draw):
+    """(u, h, 2m) on 3 to 401 points (3 leave one interior point): an interval
+    of cosine modes, or a half line with an image tail -a/d sampled half a
+    step inside the wall at either end; masses from 0.05 to 20."""
+    n_points = draw(st.integers(3, 401))
+    length = draw(st.floats(5.0, 40.0))
+    grid = np.linspace(0.0, length, n_points)
+    if draw(st.booleans()):
+        amps = [draw(st.floats(-0.5, 0.5)) for _ in range(3)]
+        u = sum(c * np.cos((j + 1) * np.pi * grid / length) for j, c in enumerate(amps))
+    else:
+        d = grid.copy()
+        d[0] = 0.5 * grid[1]
+        u = -draw(st.floats(0.05, 1.0)) / d
+        if draw(st.booleans()):
+            u = u[::-1]
+    return u, grid[1], 2.0 * draw(st.floats(0.05, 20.0))
+
+
+def count_steps(u, h, two_m, lo, hi):
+    """Each energy in (lo, hi] at which the reference count steps up, to
+    adjacent floats: the lowest float with the higher count."""
+    return [
+        sc._bisect(lambda e: dstebz_count(u, h, two_m, e) - k - 0.5, lo, hi, 0.0)[1]
+        for k in range(dstebz_count(u, h, two_m, lo), dstebz_count(u, h, two_m, hi))
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(count_wells(), st.lists(st.floats(0.0, 2.0), max_size=20))
+def test_chained_count_equals_dstebz(well, fracs):
+    u, h, two_m = well
+    c = h * h / 12.0 * two_m
+    inner = u[1:-1]
+    # from just above the grid guard (1 - t = 1/2 at the highest point), or
+    # one Hartree below the well, to three count steps up
+    lo = max(float(inner.min()) - 1.0, float(inner.max()) - 0.5 / c)
+    hi = float(inner.max()) + 1.0
+    while dstebz_count(u, h, two_m, hi) < min(dstebz_count(u, h, two_m, lo) + 3, inner.size):
+        hi += 2.0 * (hi - lo)
+    steps = count_steps(u, h, two_m, lo, hi)
+    energies = [lo + f * (hi - lo) for f in fracs]
+    for r in steps:
+        energies += [np.nextafter(r, -np.inf), r]
+        energies += [r * (1.0 + s * 10.0**-p) for s in (-1.0, 1.0) for p in range(2, 15)]
+    for e in energies:
+        # inside the grid guard, and clear of dstebz's split (1 - t below 3e-15)
+        if np.all(1.0 - c * (inner - e) > 1.0e-12):
+            assert sc._count_nodes(u, h, two_m, e) == dstebz_count(u, h, two_m, e)
+
+
+# u whose diagonal entry 12/(1 - u) - 10 is exactly d, at E = 0 with h = 1 and
+# 2m = 12 (so h^2/12 2m = 1): chains of them hit exact zero pivots.  The
+# second example's pivots are 2, 0, 2^1022, 1, 0, 2^1022, -1, 0, 2^1022.
+EXACT_PIVOT_U = {d: 1.0 - 12.0 / (d + 10.0) for d in (2.0, 1.0, 0.5, 0.0, -0.5, -1.0)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(sorted(EXACT_PIVOT_U.values())),
+                          st.floats(-0.5, 0.5)), min_size=1, max_size=12))
+@example([EXACT_PIVOT_U[0.0]])
+@example([EXACT_PIVOT_U[d] for d in (2.0, 0.5, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 0.0)])
+def test_chained_count_at_exact_zero_pivots(interior):
+    u = np.array([0.0, *interior, 0.0])
+    assert sc._count_nodes(u, 1.0, 12.0, 0.0) == dstebz_count(u, 1.0, 12.0, 0.0)
+
+
+BOX = sc.PotentialProfile(np.linspace(0.0, 30.0, 201), np.zeros(201), sc.DomainKind.INTERVAL)
+BOX_STEP = BOX.step_bohr
+# the lightest mass 2^j whose Numerov coefficient h^2/12 2m is a normal float
+LIGHTEST = int(np.ceil(np.log2(np.finfo(float).tiny / (BOX_STEP * BOX_STEP / 12.0 * 2.0))))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(LIGHTEST, 30))
+@example(LIGHTEST)
+@example(30)
+def test_box_levels_times_mass_are_exact_for_powers_of_two(j):
+    # scaling m by 2^j scales every energy the solver forms by 2^-j exactly,
+    # while the levels stay above the 1e-12 Hartree floor of its stop tests
+    m = 2.0**j
+    levels = [s.energy_h for s in sc.solve_eigenstates(BOX, 1.0, 2)]
+    assert [s.energy_h * m for s in sc.solve_eigenstates(BOX, m, 2)] == levels
+    with pytest.raises(GridError, match="not a normal float"):
+        sc.solve_eigenstates(BOX, 2.0 ** (LIGHTEST - 1))

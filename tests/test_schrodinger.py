@@ -202,8 +202,8 @@ def test_false_position_stops_at_zero_width_or_float_resolution():
 
 def node_pass_sign_changes(u, h, two_m, e):
     """Sign changes among psi[1..] of a kept Numerov pass with psi(0) = 0."""
-    t = (h * h / 12.0 * two_m * (u - e)).tolist()
-    psi = np.array(sc._numerov(t, 0.0, 1.0, len(t) - 1, True)[3][1:])
+    t = h * h / 12.0 * two_m * (u - e)
+    psi = np.array(sc._numerov(t, 0.0, 1.0, t.size - 1, True)[3][1:])
     return int(np.count_nonzero(psi[1:] * psi[:-1] < 0.0))
 
 
@@ -227,7 +227,7 @@ def test_sturm_count_equals_node_pass_sign_changes():
             assert count == node_pass_sign_changes(u, h, 2.0 * m_eff, e)
             seen.add(count)
         assert seen >= set(range(n_states + 1))
-    # one interior point still counts (LAPACK's wrapper needs a one-entry off-diagonal)
+    # one interior point still counts (counted directly: LAPACK's wrapper rejects one entry)
     assert [sc._count_nodes(np.zeros(3), 0.1, 2.0, e) for e in (-1.0, 1.0e3)] == [0, 1]
 
 
@@ -241,9 +241,22 @@ def test_count_guards_raise_typed_errors(monkeypatch):
     for barrier in (6.0 / (h * h), 1.0e4):  # 1 - t exactly zero, then negative
         with pytest.raises(GridError, match="too coarse"):
             sc._count_nodes(np.full(51, barrier), h, 2.0, 0.0)
-    monkeypatch.setattr(sc, "dstebz", lambda *args: (0, None, None, None, 2))
-    with pytest.raises(EigenSearchError, match="dstebz info 2"):
+    monkeypatch.setattr(sc, "dpttrf", lambda d, e, **kw: (d, e, -2))
+    with pytest.raises(EigenSearchError, match="dpttrf info -2"):
         sc.solve_eigenstates(box_profile(30.0, 101))
+
+
+def test_shooting_needs_four_points(monkeypatch):
+    # 4 points, h = 1: Numerov's z-form tridiag(-1, 12/(1 + E/6) - 10, -1) on
+    # the two interior points first has a zero eigenvalue at E = 6/11
+    for kind in sc.DomainKind:
+        state, = sc.solve_eigenstates(sc.PotentialProfile(np.arange(4.0), np.zeros(4), kind))
+        assert state.energy_h == pytest.approx(6.0 / 11.0, rel=1e-12) and state.nodes == 0
+    # 3 points leave the match point no interior neighbour: refused before any count
+    monkeypatch.setattr(sc, "_count_nodes", None)
+    for kind in sc.DomainKind:
+        with pytest.raises(GridError, match="at least 4 grid points, got 3"):
+            sc.solve_eigenstates(sc.PotentialProfile(np.arange(3.0), np.zeros(3), kind))
 
 
 def two_sided_wronskian(u, h, two_m, e, m, open_right):
@@ -303,7 +316,7 @@ def test_mirror_one_pass_is_bitwise_the_two_passes():
             assert np.array_equal(kept, sc._assemble(u, h, 2.0, e, m, False))
     # the barrier's premise: no rescale up to psi[m], one on the continued step
     u, h = rescaled.u_hartree, rescaled.step_bohr
-    t = (h * h / 12.0 * 2.0 * (u - sc.solve_eigenstates(rescaled)[0].energy_h)).tolist()
+    t = h * h / 12.0 * 2.0 * (u - sc.solve_eigenstates(rescaled)[0].energy_h)
     assert 1e140 < sc._numerov(t, 0.0, 1.0, 400, False)[2] <= sc._RESCALE
     assert sc._numerov(t, 0.0, 1.0, 401, False)[2] == 1.0
 
@@ -355,6 +368,10 @@ def test_tiny_span_raises_grid_error():
         with pytest.raises(GridError, match="not a normal float"):
             sn.two_plate_spectrum(gap)
     assert sn.two_plate_spectrum(1e-150).states[0].energy_ev > 0.0
+    # h^2 normal, but h^2/12 2m subnormal: a light carrier, or a tiny mass
+    for gap, m_eff in ((1e-150, 1e-7), (1.0, 1e-308), (1.6, 1e-310)):
+        with pytest.raises(GridError, match="not a normal float"):
+            sn.two_plate_spectrum(gap, m_eff=m_eff)
 
 
 # ---------------------------------------------------------------------------
