@@ -65,18 +65,23 @@ class SweepSpec:
 
 
 def parse_sweep(text: str) -> SweepSpec:
+    """A sweep of at least one point between finite ends, else ValueError."""
     parts = text.split(":")
+    if len(parts) == 1:
+        parts = [parts[0], parts[0], "1"]
+    spec = None
     try:
-        if len(parts) == 1:
-            v = float(parts[0])
-            return SweepSpec(v, v, 1)
-        if len(parts) == 3:
-            return SweepSpec(float(parts[0]), float(parts[1]), int(parts[2]))
-        if len(parts) == 4 and parts[3] == "log":
-            return SweepSpec(float(parts[0]), float(parts[1]), int(parts[2]), True)
+        if len(parts) == 3 or (len(parts) == 4 and parts[3] == "log"):
+            spec = SweepSpec(float(parts[0]), float(parts[1]), int(parts[2]), len(parts) == 4)
     except ValueError:
         pass
-    raise ValueError(f"bad sweep spec {text!r}; expected start:stop:count[:log]")
+    if spec is None:
+        raise ValueError(f"bad sweep spec {text!r}; expected start:stop:count[:log]")
+    if spec.count < 1:
+        raise ValueError("count must be >= 1")
+    if not (math.isfinite(spec.start) and math.isfinite(spec.stop)):
+        raise ValueError("start and stop must be finite")
+    return spec
 
 
 def parse_layers(text: str) -> list[int]:
@@ -240,8 +245,6 @@ def parse_args(argv=None) -> RunConfig:
 def _check_sweep(problems, name, spec):
     if spec is None:
         return
-    if spec.count < 1:
-        problems.append(f"--{name}: count must be >= 1")
     if spec.count > 1 and not spec.start < spec.stop:
         problems.append(f"--{name}: start must be < stop for count > 1")
     if spec.log and spec.start <= 0.0:
@@ -264,8 +267,8 @@ def _validate(command: str, v: dict) -> list[str]:
         problems.append("--mass: must be > 0")
     if have("tol") and not 0.0 < v["tol"] < 1.0:
         problems.append("--tol: must be in (0, 1)")
-    if v.get("dmax") is not None and not v["dmax"] > 0.0:
-        problems.append("--dmax: must be > 0")
+    if v.get("dmax") is not None and not 0.0 < v["dmax"] < math.inf:
+        problems.append("--dmax: must be finite and > 0")
     if have("q") and not math.isfinite(v["q"]):
         problems.append("--q: must be finite")
 
@@ -283,8 +286,8 @@ def _validate(command: str, v: dict) -> list[str]:
         if have("k2") and v["k2"] == math.inf:
             problems.append("--k2: the slab hosting the charge cannot be a metal")
     elif command == "eigen":
-        if have("gap") and not v["gap"] > 0.0:
-            problems.append("--gap: must be > 0")
+        if have("gap") and not 0.0 < v["gap"] < math.inf:
+            problems.append("--gap: must be finite and > 0")
     elif command == "schottky":
         _check_sweep(problems, "gap", v.get("gap"))
         if v.get("gap") is not None and v["gap"].start < 0.0:

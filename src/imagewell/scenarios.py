@@ -127,9 +127,8 @@ def halfline_profile(
 
     The domain is the distance d from the host/slab interface, truncated by
     default at max(20 x expected Bohr radius of the highest requested state,
-    10 x gap); the wall value is evaluated half a step inside to dodge the
-    interface singularity (the wavefunction is pinned to zero there anyway).
-    A zero gap collapses exactly to the bare metal wall.
+    10 x gap).  The potential is evaluated off the wall only; the wall entry
+    repeats its neighbour.  A zero gap collapses exactly to the bare metal wall.
     """
     if gap_nm < 0.0:
         raise DomainError("gap must be >= 0")
@@ -147,14 +146,13 @@ def halfline_profile(
             )
         d_max_nm = max(20.0 * max(scales), 10.0 * gap_nm)
     grid_nm = np.linspace(0.0, d_max_nm, n_points)
-    d_eval = grid_nm.copy()
-    d_eval[0] = 0.5 * grid_nm[1]  # evaluate the wall point just inside
     if gap_nm == 0.0:
-        u_ev = q * q * (-1.0 / (4.0 * eps_host * nm_to_bohr(d_eval))) * HARTREE_EV
+        u_ev = q * q * (-1.0 / (4.0 * eps_host * nm_to_bohr(grid_nm[1:]))) * HARTREE_EV
     else:
         stack = el.DielectricStack(eps_host, eps_slab, el.METAL, 0.0, gap_nm)
         with np.errstate(over="ignore"):  # PotentialProfile rejects what overflows
-            u_ev = 0.5 * q * el.halfplane_potential_curve(stack, d_eval, q=q)
+            u_ev = 0.5 * q * el.halfplane_potential_curve(stack, grid_nm[1:], q=q)
+    u_ev = np.concatenate((u_ev[:1], u_ev))
     return sc.PotentialProfile(
         nm_to_bohr(grid_nm), u_ev / HARTREE_EV, sc.DomainKind.HALF_LINE_WALL_LEFT
     )
@@ -166,8 +164,8 @@ def interval_profile(
     n_points: int = 4001,
 ) -> sc.PotentialProfile:
     """Self-energy profile of a charge between two metal plates a distance
-    ``gap_nm`` apart (walls at both ends; wall samples taken half a step
-    inside).  The left half of the grid is evaluated and mirrored, so the
+    ``gap_nm`` apart (walls at both ends, each repeating its neighbour).  The
+    left half of the grid is evaluated off the wall and mirrored, so the
     profile equals its mirror float for float."""
     if gap_nm <= 0.0:
         raise DomainError("gap must be > 0")
@@ -176,10 +174,10 @@ def interval_profile(
     if q == 0.0:
         u_ev = np.zeros_like(grid_nm)
     else:
-        z_eval = grid_nm[: (n_points + 1) // 2].copy()
-        z_eval[0] = 0.5 * grid_nm[1]
+        z_nm = grid_nm[1 : (n_points + 1) // 2]  # the left half, off the wall
         with np.errstate(over="ignore"):  # PotentialProfile rejects what overflows
-            half = 0.5 * q * el.slab_potential_curve(stack, z_eval, q=q)
+            half = 0.5 * q * el.slab_potential_curve(stack, z_nm, q=q)
+        half = np.concatenate((half[:1], half))
         u_ev = np.concatenate((half, half[: n_points // 2][::-1]))
     return sc.PotentialProfile(
         nm_to_bohr(grid_nm), u_ev / HARTREE_EV, sc.DomainKind.INTERVAL

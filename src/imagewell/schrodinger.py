@@ -64,7 +64,8 @@ class StateKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class PotentialProfile:
-    """Potential energy on a uniform grid (lengths Bohr, energies Hartree)."""
+    """Potential energy on a uniform grid (lengths Bohr, energies Hartree).
+    Entries at a hard wall are never read and must be finite."""
 
     grid_bohr: np.ndarray
     u_hartree: np.ndarray
@@ -206,7 +207,7 @@ def _bisect(side, lo, hi, rtol):
             hi = mid
         else:
             lo = mid
-        if hi - lo <= rtol * max(abs(lo), abs(hi), 1.0e-12):
+        if hi - lo <= rtol * max(abs(lo), abs(hi)):
             break
     return lo, hi
 
@@ -218,7 +219,7 @@ def _false_position(f, lo, hi, f_lo, f_hi, rtol):
     ``rtol`` or at adjacent floats; an exact zero at x returns ``(x, x)``."""
     moved = 0  # +1 when hi moved last, -1 when lo did
     for _ in range(240):
-        if hi - lo <= rtol * max(abs(lo), abs(hi), 1.0e-12):
+        if hi - lo <= rtol * max(abs(lo), abs(hi)):
             break
         x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
         margin = 0.5 * rtol * abs(x)
@@ -299,7 +300,7 @@ def _count_nodes_array(psi: np.ndarray) -> int:
 def _profile_is_symmetric(profile: PotentialProfile) -> bool:
     if profile.kind is not DomainKind.INTERVAL:
         return False
-    u = profile.u_hartree
+    u = profile.u_hartree[1:-1]
     scale = float(np.max(np.abs(u))) or 1.0
     return bool(np.all(np.abs(u - u[::-1]) <= 1.0e-9 * scale))
 
@@ -372,6 +373,9 @@ def solve_eigenstates(
     h = profile.step_bohr
     two_m = 2.0 * m_eff
     open_right = profile.kind is not DomainKind.INTERVAL
+    # psi = 0 at a hard wall, so the passes take its entry from the neighbour
+    inner = u[1:] if open_right else u[1:-1]
+    u = np.pad(inner, (1, 0 if open_right else 1), mode="edge")
     mirrored = not open_right and np.array_equal(u, u[::-1])
 
     if n < 4:  # the match point needs an interior neighbour on each side
@@ -390,7 +394,7 @@ def solve_eigenstates(
     # or the tail (half line)
     span = profile.span_bohr
     quantum = math.pi**2 / (2.0 * m_eff * span * span)
-    umin = float(np.min(u[1:] if open_right else u[1:-1]))
+    umin = float(np.min(inner))
     lo = 1.5 * umin if umin < 0.0 else -quantum
     u_ref = profile.classification_reference()
     for expansion in range(5):
@@ -442,17 +446,17 @@ def solve_eigenstates(
             psi = psi[::-1]
         states.append(_finalize(energy, psi, profile, symmetric))
 
-    _symmetrize_degenerate_pairs(states, profile, symmetric)
-    _validate_ordering(states)
+    _symmetrize_degenerate_pairs(states, profile, symmetric, m_eff)
+    _validate_ordering(states, m_eff)
     return states
 
 
-def _symmetrize_degenerate_pairs(states, profile, symmetric):
+def _symmetrize_degenerate_pairs(states, profile, symmetric, m_eff):
     if not symmetric:
         return
     for i in range(len(states) - 1):
         a, b = states[i], states[i + 1]
-        if abs(b.energy_h - a.energy_h) >= 1.0e-12:
+        if abs(b.energy_h - a.energy_h) >= 1.0e-12 / m_eff:
             continue
         even_raw = a.psi + a.psi[::-1]
         if float(np.max(np.abs(even_raw))) < 1.0e-6:
@@ -464,21 +468,18 @@ def _symmetrize_degenerate_pairs(states, profile, symmetric):
         states[i + 1] = _finalize(b.energy_h, odd_raw, profile, symmetric)
 
 
-def _validate_ordering(states):
+def _validate_ordering(states, m_eff):
     for i in range(len(states) - 1):
-        if states[i + 1].energy_h < states[i].energy_h - 1.0e-12:
+        if states[i + 1].energy_h < states[i].energy_h - 1.0e-12 / m_eff:
             raise EigenSearchError("eigenvalues out of order; grid too coarse")
     for i, s in enumerate(states):
         if s.nodes == i:
             continue
         # near-degenerate pairs can carry mixed node counts; anything else
         # means the grid cannot resolve the state
-        gap = min(
-            abs(s.energy_h - states[j].energy_h)
-            for j in (i - 1, i + 1)
-            if 0 <= j < len(states)
-        ) if len(states) > 1 else math.inf
-        if gap > 1.0e-10 * max(1.0, abs(s.energy_h)):
+        gap = min((abs(s.energy_h - states[j].energy_h) for j in (i - 1, i + 1)
+                   if 0 <= j < len(states)), default=math.inf)
+        if gap > 1.0e-10 * max(1.0 / m_eff, abs(s.energy_h)):
             raise GridError(f"state {i} has {s.nodes} nodes; refine the grid")
 
 
@@ -508,7 +509,7 @@ def diagonalization_oracle(
         psi = np.zeros(n)
         psi[1:-1] = v[:, j]
         states.append(_finalize(float(w[j]), psi, profile, symmetric))
-    _symmetrize_degenerate_pairs(states, profile, symmetric)
+    _symmetrize_degenerate_pairs(states, profile, symmetric, m_eff)
     return states
 
 

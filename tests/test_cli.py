@@ -44,6 +44,13 @@ def test_parse_sweep_grammar():
     for bad in ("1:2", "a:b:3", "1:5:2:lin", ""):
         with pytest.raises(ValueError):
             cli.parse_sweep(bad)
+    # every sweep has at least one point and finite ends
+    for bad in ("0.1:0.9:0", "0.1:0.9:-3", "0.1:0.9:0:log"):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            cli.parse_sweep(bad)
+    for bad in ("inf", "nan", "0:inf:3", "-inf:1:2", "1:nan:2:log"):
+        with pytest.raises(ValueError, match="must be finite"):
+            cli.parse_sweep(bad)
 
 
 def test_parse_layers_grammar():
@@ -109,6 +116,14 @@ def test_validation_rules_reject_bad_values():
         ["eigen", "--gap", "1", "--q", "nan"],
         ["plates", "--gap", "1", "--q=-inf"],
         ["levitate", "--gap", "1", "--n", "1", "--area", "0", "--q", "inf"],
+        # sweeps need a point and finite ends; gap and truncation radius are finite
+        POTENTIAL_ARGS[:-1] + ["0.1:0.9:-3"],
+        POTENTIAL_ARGS[:-1] + ["0.1:0.9:0"],
+        ["plates", "--gap", "1:5:0"],
+        ["eigen", "--gap", "inf"],
+        ["schottky", "--material", "GaAs", "--gap", "0:inf:3"],
+        ["schottky", "--material", "GaAs", "--gap", "1", "--dmax", "inf"],
+        ["film", "--material", "sAr", "--layers", "1", "--dmax", "inf"],
     ]
     for argv in bad_invocations:
         with pytest.raises(cli.UsageError):
@@ -276,6 +291,19 @@ def test_unsolvable_plates_exit_one_with_typed_errors(capsys, bad):
             assert "row 0 failed: " in captured.err
 
 
+def test_plates_solve_grids_up_to_the_interface_guard(capsys):
+    # no potential sample lies closer to a plate than one grid step, so grids
+    # solve until that step falls inside the MIN_OFFSET_FRAC guard (1e-4 gap)
+    for points in ("8001", "10001"):
+        assert cli.main(["plates", "--gap", "0.9", "--points", points]) == 0
+        header, rows = read_csv(capsys.readouterr().out)
+        assert len(rows) == 1 and "NaN" not in rows[0]
+    assert cli.main(["plates", "--gap", "0.9", "--points", "10002"]) == 1
+    captured = capsys.readouterr()
+    assert read_csv(captured.out)[1][0][1] == "NaN"
+    assert "of an interface" in captured.err
+
+
 def test_module_entry_point_matches_in_process(capsys):
     src = Path(cli.__file__).resolve().parents[1]
     path = [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
@@ -285,6 +313,32 @@ def test_module_entry_point_matches_in_process(capsys):
                           capture_output=True, text=True, timeout=120)
     assert cli.main(argv) == done.returncode == 0
     assert done.stdout == capsys.readouterr().out
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+REFERENCE_RTOL = 1.0e-9
+
+
+def test_readme_commands_match_recorded_reference(capsys):
+    # the README examples against their recorded stdout, cell by cell as the
+    # benchmark's gate compares them: numbers to 1e-9 relative, text exactly
+    recorded = json.loads(REFERENCE.read_text(encoding="utf-8"))["stdout"]
+    assert len(recorded) == 7
+    for command, expected in recorded.items():
+        assert cli.main(command.split()) == 0, command
+        header, rows = read_csv(capsys.readouterr().out)
+        want_header, want_rows = read_csv(expected)
+        assert header == want_header and len(rows) == len(want_rows), command
+        for row, want in zip(rows, want_rows):
+            assert len(row) == len(want), command
+            for cell, ref in zip(row, want):
+                try:
+                    a, b = float(cell), float(ref)
+                except ValueError:
+                    assert cell == ref, command
+                    continue
+                same = a == b or abs(a - b) <= REFERENCE_RTOL * max(abs(a), abs(b))
+                assert same or (math.isnan(a) and math.isnan(b)), (command, cell, ref)
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,7 +1,8 @@
 """Property tests for the two reflection-sum routes of the slab potential,
 for the node count that brackets the shooting solver's eigenvalues (against
 LAPACK ``dstebz``'s Sturm count as the reference), for the one-pass mismatch
-on mirror-symmetric intervals, and for the 1/m scaling of box levels.
+on mirror-symmetric intervals, for the 1/m scaling of box levels, and for
+hard-wall entries of a profile being dead input to both eigensolvers.
 
 Each property compares a stack with a transformed copy whose exact potential
 is known from the first: mirrored, translated, with every length or every
@@ -23,7 +24,7 @@ from scipy.linalg.lapack import dstebz  # noqa: E402
 from imagewell import electrostatics as el  # noqa: E402
 from imagewell import schrodinger as sc  # noqa: E402
 from imagewell.constants import HARTREE_EV, nm_to_bohr  # noqa: E402
-from imagewell.errors import GridError  # noqa: E402
+from imagewell.errors import GridError, ImagewellError  # noqa: E402
 
 ROUNDING = 16.0 * np.finfo(float).eps
 ROUTES = [el.potential_slab_series, el.potential_slab_images]
@@ -242,14 +243,68 @@ LIGHTEST = int(np.ceil(np.log2(np.finfo(float).tiny / (BOX_STEP * BOX_STEP / 12.
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(LIGHTEST, 30))
+@given(st.integers(LIGHTEST, 960))
 @example(LIGHTEST)
 @example(30)
+@example(56)
+@example(960)
 def test_box_levels_times_mass_are_exact_for_powers_of_two(j):
-    # scaling m by 2^j scales every energy the solver forms by 2^-j exactly,
-    # while the levels stay above the 1e-12 Hartree floor of its stop tests
+    # scaling m by 2^j scales every energy the solver forms, and every energy
+    # threshold it applies, by 2^-j exactly; the labels stay those of a box
     m = 2.0**j
-    levels = [s.energy_h for s in sc.solve_eigenstates(BOX, 1.0, 2)]
-    assert [s.energy_h * m for s in sc.solve_eigenstates(BOX, m, 2)] == levels
+    levels = [s.energy_h for s in sc.solve_eigenstates(BOX, 1.0, 4)]
+    states = sc.solve_eigenstates(BOX, m, 4)
+    assert [s.energy_h * m for s in states] == levels
+    parities = [sc.Parity.EVEN, sc.Parity.ODD] * 2
+    assert [(s.nodes, s.parity) for s in states] == list(zip(range(4), parities))
     with pytest.raises(GridError, match="not a normal float"):
         sc.solve_eigenstates(BOX, 2.0 ** (LIGHTEST - 1))
+
+
+@st.composite
+def walled_wells(draw):
+    """(grid, u, kind, wall indices) on 60 to 301 points: an interval of
+    cosine modes made mirror-symmetric float for float, with one or both
+    walls to change, or a half line with an image tail -a/d and its wall at
+    either end."""
+    n_points = draw(st.integers(60, 301))
+    length = draw(st.floats(10.0, 30.0))
+    grid = np.linspace(0.0, length, n_points)
+    kind = draw(st.sampled_from(sc.DomainKind))
+    if kind is sc.DomainKind.INTERVAL:
+        amps = [draw(st.floats(-0.5, 0.5)) for _ in range(3)]
+        u = sum(c * np.cos((j + 1) * np.pi * grid / length) for j, c in enumerate(amps))
+        return grid, 0.5 * (u + u[::-1]), kind, draw(st.sampled_from([[0], [-1], [0, -1]]))
+    u = -draw(st.floats(0.25, 1.0)) / np.maximum(grid, grid[1])
+    if kind is sc.DomainKind.HALF_LINE_WALL_RIGHT:
+        return grid, u[::-1], kind, [-1]
+    return grid, u, kind, [0]
+
+
+def solved(solver, grid, u, kind, m_eff):
+    """Every float and label of the lowest two states, or the error raised."""
+    try:
+        states = solver(sc.PotentialProfile(grid, u, kind), m_eff, 2)
+    except ImagewellError as exc:
+        return repr(exc)
+    return [(s.energy_h, s.psi.tobytes(), s.nodes, s.parity, s.kind) for s in states]
+
+
+BOX_WALLS = (np.linspace(0.0, 20.0, 101), np.zeros(101), sc.DomainKind.INTERVAL, [0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(walled_wells(), st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=2, max_size=2),
+       st.one_of(st.floats(0.05, 20.0), st.just(2.0**40)))
+@example(BOX_WALLS, [1.0, 0.0], 1.0)
+@example(BOX_WALLS, [1.0e300, 0.0], 2.0**40)
+def test_hard_wall_entries_are_dead_input(well, values, m_eff):
+    # psi is pinned to zero at a hard wall, so no finite value there may move
+    # a result: not a one-sided change that breaks the mirror symmetry of an
+    # interval, nor one so large that its Numerov factor would overflow
+    grid, u, kind, walls = well
+    changed = u.copy()
+    changed[walls] = values[: len(walls)]
+    for solver in (sc.solve_eigenstates, sc.diagonalization_oracle):
+        assert solved(solver, grid, changed, kind, m_eff) == solved(solver, grid, u, kind, m_eff)

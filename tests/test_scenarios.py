@@ -71,9 +71,9 @@ def test_material_validation():
 
 def test_halfline_profile_contact_limit():
     prof = sn.halfline_profile(1.0, 5.0, 0.0)
-    d = prof.grid_bohr.copy()
-    d[0] = 0.5 * prof.step_bohr
-    assert np.allclose(prof.u_hartree, -1.0 / (4.0 * d), rtol=1e-14)
+    u, d = prof.u_hartree, prof.grid_bohr
+    assert np.allclose(u[1:], -1.0 / (4.0 * d[1:]), rtol=1e-14)
+    assert u[0] == u[1]  # the wall entry repeats its neighbour
     assert prof.kind is sc.DomainKind.HALF_LINE_WALL_LEFT
 
 
@@ -116,12 +116,12 @@ def test_interval_profile_is_an_exact_mirror(n_points):
         for gap in (0.5, 0.9, 1.6, 4.0):
             u = sn.interval_profile(gap, q=q, n_points=n_points).u_hartree
             assert np.array_equal(u, u[::-1])
-            # against the whole grid evaluated point by point, as before mirroring
-            z = np.linspace(0.0, gap, n_points)
-            z[0], z[-1] = 0.5 * z[1], gap - 0.5 * z[1]
+            # against the whole interior evaluated point by point, as before mirroring
+            z = np.linspace(0.0, gap, n_points)[1:-1]
             stack = el.DielectricStack.double_metal(gap)
             full = 0.5 * q * el.slab_potential_curve(stack, z, q=q) / HARTREE_EV
-            assert np.max(np.abs(u / full - 1.0)) < 1e-11
+            assert np.max(np.abs(u[1:-1] / full - 1.0)) < 1e-11
+            assert u[0] == u[1] and u[-1] == u[-2]  # each wall repeats its neighbour
 
 
 def test_huge_charge_gives_grid_error_without_warning():
