@@ -18,8 +18,11 @@ path from ``--config`` or the ``IMAGEWELL_CONFIG`` environment variable)
 supplies defaults; command-line flags override it.  Output is CSV (RFC-4180
 quoting, units in every numeric column header) or JSON (rows plus a
 metadata object); reruns with the same config are byte-identical, so
-wall-clock timing is reported on stderr only.  Exit status: 0 when no row
-failed, 1 when any row carries a failure flag, 2 for usage errors.
+wall-clock timing is reported on stderr only.  Every flag is checked
+before any work: each converter rejects the values its flag cannot take, and
+rules that span flags come from the library objects that own them.  Exit
+status: 0 when no row failed, 1 when any row carries a failure flag, 2 for
+usage errors.
 """
 
 from __future__ import annotations
@@ -111,10 +114,40 @@ def _carrier(text: str) -> sn.Carrier:
     return sn.Carrier(text.strip().lower())
 
 
+def _checked(conv, ok, need: str):
+    """``conv`` that also rejects, as ``must be <need>``, every value its
+    flag cannot take."""
+    def convert(text):
+        value = conv(text)
+        if not ok(value):
+            raise ValueError(f"must be {need}")
+        return value
+    return convert
+
+
+# Past this many points an interval grid's step lies inside the interface
+# guard, so every interval row would fail.
+_MAX_POINTS = round(1.0 / el.MIN_OFFSET_FRAC) + 1
+_POINTS = _checked(int, lambda n: 50 <= n <= _MAX_POINTS, f"in [50, {_MAX_POINTS}]")
+_STATES = _checked(int, lambda n: n >= 1, ">= 1")
+_MASS = _checked(float, lambda x: x > 0.0, "> 0")
+_CHARGE = _checked(float, math.isfinite, "finite")
+_LENGTH = _checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
+_INDEX = _checked(int, lambda n: n >= 0, ">= 0")
+_GAPS = _checked(parse_sweep, lambda s: s.count == 1 or s.start < s.stop,
+                 "ascending (start < stop) when count > 1")
+_OPEN_GAPS = _checked(_GAPS, lambda s: s.start > 0.0, "> 0")
+
+
+def _switch(force: str):
+    return _checked(float, lambda x: 0.0 <= x < math.inf,
+                    f"finite and >= 0 (0 switches {force} off)")
+
+
 # name -> (converter, default or _REQUIRED, help)
 _GLOBAL_SCHEMA = {
     "out": (str, None, "output path (default: stdout)"),
-    "format": (str, "csv", "csv or json"),
+    "format": (_checked(str, lambda f: f in ("csv", "json"), "csv or json"), "csv", "csv or json"),
 }
 
 _SCHEMAS: dict[str, dict] = {
@@ -125,49 +158,54 @@ _SCHEMAS: dict[str, dict] = {
         "a": (float, _REQUIRED, "left interface position (nm)"),
         "b": (float, _REQUIRED, "right interface position (nm)"),
         "z0": (parse_sweep, _REQUIRED, "charge position sweep inside (a, b) (nm)"),
-        "q": (float, 1.0, "charge in elementary units"),
-        "tol": (float, 1.0e-10, "relative truncation tolerance"),
+        "q": (_CHARGE, 1.0, "charge in elementary units"),
+        "tol": (_checked(float, lambda x: 0.0 < x < 1.0, "in (0, 1)"), 1.0e-10,
+                "relative truncation tolerance"),
     },
     "eigen": {
-        "gap": (float, _REQUIRED, "plate separation (nm)"),
-        "q": (float, -1.0, "charge in elementary units (0 = bare box)"),
-        "mass": (float, 1.0, "effective mass in electron masses"),
-        "states": (int, 2, "number of states"),
-        "points": (int, 4001, "grid points"),
+        "gap": (_LENGTH, _REQUIRED, "plate separation (nm)"),
+        "q": (_CHARGE, -1.0, "charge in elementary units (0 = bare box)"),
+        "mass": (_MASS, 1.0, "effective mass in electron masses"),
+        "states": (_STATES, 2, "number of states"),
+        "points": (_POINTS, 4001, "grid points"),
     },
     "schottky": {
         "material": (str, _REQUIRED, "semiconductor registry name"),
         "carrier": (_carrier, sn.Carrier.ELECTRON, "electron or hole"),
-        "gap": (parse_sweep, _REQUIRED, "vacuum gap sweep (nm), 0 allowed as the contact limit"),
-        "states": (int, 1, "number of states"),
-        "points": (int, 4001, "grid points"),
-        "dmax": (float, None, "override domain truncation (nm)"),
+        "gap": (_checked(_GAPS, lambda s: s.start > 0.0 or (s.start == 0.0 and not s.log),
+                         ">= 0, and > 0 to start a log sweep"), _REQUIRED,
+                "vacuum gap sweep (nm), 0 allowed as the contact limit"),
+        "states": (_STATES, 1, "number of states"),
+        "points": (_POINTS, 4001, "grid points"),
+        "dmax": (_LENGTH, None, "override domain truncation (nm)"),
     },
     "film": {
         "material": (str, _REQUIRED, "film registry name (needs a layer thickness)"),
-        "layers": (parse_layers, _REQUIRED, "layer counts start:stop[:step]"),
-        "states": (int, 1, "number of states"),
-        "points": (int, 4001, "grid points"),
-        "dmax": (float, None, "override domain truncation (nm)"),
+        "layers": (_checked(parse_layers, lambda ns: min(ns) >= 0, "non-negative"), _REQUIRED,
+                   "layer counts start:stop[:step]"),
+        "states": (_STATES, 1, "number of states"),
+        "points": (_POINTS, 4001, "grid points"),
+        "dmax": (_LENGTH, None, "override domain truncation (nm)"),
     },
     "plates": {
-        "gap": (parse_sweep, _REQUIRED, "plate separation sweep (nm)"),
-        "states": (int, 2, "number of states"),
-        "q": (float, -1.0, "charge in elementary units"),
-        "mass": (float, 1.0, "effective mass in electron masses"),
-        "points": (int, 4001, "grid points"),
+        "gap": (_OPEN_GAPS, _REQUIRED, "plate separation sweep (nm)"),
+        "states": (_STATES, 2, "number of states"),
+        "q": (_CHARGE, -1.0, "charge in elementary units"),
+        "mass": (_MASS, 1.0, "effective mass in electron masses"),
+        "points": (_POINTS, 4001, "grid points"),
     },
     "levitate": {
-        "gap": (parse_sweep, _REQUIRED, "plate separation sweep (nm)"),
-        "n": (int, _REQUIRED, "number of electrons N (no default by design)"),
-        "area": (float, _REQUIRED, "plate area in m^2 (explicit by design)"),
-        "hamaker": (float, sn.DEFAULT_HAMAKER_J,
+        "gap": (_OPEN_GAPS, _REQUIRED, "plate separation sweep (nm)"),
+        "n": (_INDEX, _REQUIRED, "number of electrons N (no default by design)"),
+        "area": (_switch("Casimir"), _REQUIRED, "plate area in m^2 (explicit by design)"),
+        "hamaker": (_switch("VDW"), sn.DEFAULT_HAMAKER_J,
                     "Hamaker constant in J (default is a placeholder, not a sourced value)"),
-        "state": (int, 0, "state index the electrons occupy"),
-        "q": (float, -1.0, "charge in elementary units"),
-        "mass": (float, 1.0, "effective mass in electron masses"),
-        "points": (int, 4001, "grid points"),
-        "delta": (float, 1.0e-3, "relative step for force differentiation"),
+        "state": (_INDEX, 0, "state index the electrons occupy"),
+        "q": (_CHARGE, -1.0, "charge in elementary units"),
+        "mass": (_MASS, 1.0, "effective mass in electron masses"),
+        "points": (_POINTS, 4001, "grid points"),
+        "delta": (_checked(float, lambda x: 0.0 < x < 0.1, "in (0, 0.1)"), 1.0e-3,
+                  "relative step for force differentiation"),
     },
 }
 
@@ -209,7 +247,8 @@ def _read_config_section(path: str, command: str) -> dict[str, str]:
 
 def parse_args(argv=None) -> RunConfig:
     """Parse flags (and optional config-file defaults) into a validated
-    RunConfig; a UsageError lists every violated constraint at once."""
+    RunConfig; a UsageError lists every violated constraint at once (a
+    rule spanning flags only once the flags it reads are valid)."""
     ns = build_parser().parse_args(argv)
     command = ns.command
     schema = {**_SCHEMAS[command], **_GLOBAL_SCHEMA}
@@ -235,98 +274,32 @@ def parse_args(argv=None) -> RunConfig:
         except (ValueError, TypeError) as exc:
             problems.append(f"--{name}: {exc}")
 
-    problems += _validate(command, values)
+    problems += _cross_flag_problems(command, values)
     if problems:
         raise UsageError("invalid invocation:\n  - " + "\n  - ".join(problems))
-    cfg = RunConfig(command, values.pop("out"), values.pop("format"), values)
-    return cfg
+    return RunConfig(command, values.pop("out"), values.pop("format"), values)
 
 
-def _check_sweep(problems, name, spec):
-    if spec is None:
-        return
-    if spec.count > 1 and not spec.start < spec.stop:
-        problems.append(f"--{name}: start must be < stop for count > 1")
-    if spec.log and spec.start <= 0.0:
-        problems.append(f"--{name}: log sweeps need start > 0")
-
-
-def _validate(command: str, v: dict) -> list[str]:
-    problems: list[str] = []
-
-    def have(*names):
-        return all(v.get(n) is not None for n in names)
-
-    if v.get("format") not in ("csv", "json"):
-        problems.append("--format: must be csv or json")
-    if have("points") and v["points"] < 50:
-        problems.append("--points: need at least 50 grid points")
-    if have("states") and v["states"] < 1:
-        problems.append("--states: must be >= 1")
-    if have("mass") and not v["mass"] > 0.0:
-        problems.append("--mass: must be > 0")
-    if have("tol") and not 0.0 < v["tol"] < 1.0:
-        problems.append("--tol: must be in (0, 1)")
-    if v.get("dmax") is not None and not 0.0 < v["dmax"] < math.inf:
-        problems.append("--dmax: must be finite and > 0")
-    if have("q") and not math.isfinite(v["q"]):
-        problems.append("--q: must be finite")
-
-    if command == "potential":
-        if have("a", "b") and not v["a"] < v["b"]:
-            problems.append("--a must be < --b")
-        if have("a", "b", "z0"):
-            lo = v["a"] + el.MIN_OFFSET_FRAC * (v["b"] - v["a"])
-            hi = v["b"] - el.MIN_OFFSET_FRAC * (v["b"] - v["a"])
-            s = v["z0"]
-            if not (lo <= s.start and max(s.start, s.stop) <= hi):
-                problems.append(
-                    f"--z0: sweep must stay inside ({lo:g}, {hi:g}) nm, away from the interfaces"
-                )
-        if have("k2") and v["k2"] == math.inf:
-            problems.append("--k2: the slab hosting the charge cannot be a metal")
-    elif command == "eigen":
-        if have("gap") and not 0.0 < v["gap"] < math.inf:
-            problems.append("--gap: must be finite and > 0")
-    elif command == "schottky":
-        _check_sweep(problems, "gap", v.get("gap"))
-        if v.get("gap") is not None and v["gap"].start < 0.0:
-            problems.append("--gap: values must be >= 0")
-        if have("material", "carrier"):
-            try:
-                mat = sn.get_material(v["material"])
-                sn.carrier_mass(mat, v["carrier"])
-            except ImagewellError as exc:
-                problems.append(str(exc))
-    elif command == "film":
-        if have("material"):
-            try:
-                mat = sn.get_material(v["material"])
-                if mat.layer_thickness_nm is None:
-                    problems.append(f"--material: {mat.name} has no layer thickness")
-            except ImagewellError as exc:
-                problems.append(str(exc))
-        if have("layers") and any(n < 0 for n in v["layers"]):
-            problems.append("--layers: counts must be >= 0")
-    elif command == "plates":
-        _check_sweep(problems, "gap", v.get("gap"))
-        if v.get("gap") is not None and v["gap"].start <= 0.0:
-            problems.append("--gap: values must be > 0")
-    elif command == "levitate":
-        _check_sweep(problems, "gap", v.get("gap"))
-        if v.get("gap") is not None and v["gap"].start <= 0.0:
-            problems.append("--gap: values must be > 0")
-        if have("n") and v["n"] < 0:
-            problems.append("--n: must be >= 0")
-        if have("area") and not 0.0 <= v["area"] < math.inf:
-            problems.append("--area: must be finite and >= 0 (0 switches Casimir off)")
-        if have("hamaker") and not 0.0 <= v["hamaker"] < math.inf:
-            problems.append("--hamaker: must be finite and >= 0 (0 switches VDW off)")
-        if have("state") and v["state"] < 0:
-            problems.append("--state: must be >= 0")
-        if have("delta") and not 0.0 < v["delta"] < 0.1:
-            problems.append("--delta: must be in (0, 0.1)")
-    return problems
+def _cross_flag_problems(command: str, v: dict) -> list[str]:
+    """Rules that span flags, each stated by the library object that owns
+    it.  A rule is skipped when a flag it reads failed its own check."""
+    try:
+        if command == "potential":
+            stack = el.DielectricStack(v["k1"], v["k2"], v["k3"], v["a"], v["b"])
+            guard = el.MIN_OFFSET_FRAC * stack.c_nm
+            ends = (v["z0"].start, v["z0"].stop)
+            if not (min(ends) - stack.a_nm >= guard and stack.b_nm - max(ends) >= guard):
+                return [f"--z0: both sweep ends must lie at least {guard:g} nm inside "
+                        f"({stack.a_nm:g}, {stack.b_nm:g}) nm, away from the interfaces"]
+        elif command == "schottky":
+            sn.carrier_mass(sn.get_material(v["material"]), v["carrier"])
+        elif command == "film" and sn.get_material(v["material"]).layer_thickness_nm is None:
+            return [f"--material: {v['material']} has no layer thickness"]
+    except ImagewellError as exc:  # MaterialNotFoundError too, before KeyError
+        return [str(exc)]
+    except KeyError:  # a flag the rule reads failed its own check
+        pass
+    return []
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ class GridError(ImagewellError, ValueError):
 class MaterialNotFoundError(ImagewellError, KeyError):
     """Lookup of an unknown material name."""
 
+    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
+
 
 class TableRangeError(ImagewellError, ValueError):
     """Inverse-lookup argument outside the tabulated range."""

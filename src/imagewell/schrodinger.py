@@ -490,19 +490,30 @@ def diagonalization_oracle(
 
     Dirichlet conditions at both grid ends (for open half-lines the decaying
     tail is approximated by the hard truncation, adequate whenever the
-    profile extends far past the state).  Requires at least 50 grid points.
+    profile extends far past the state).  Requires at least 50 grid points,
+    and m h^2 a normal float.
     """
     if n_states < 1:
         raise DomainError("n_states must be >= 1")
+    if not (m_eff > 0.0 and math.isfinite(m_eff)):
+        raise DomainError("m_eff must be positive and finite")
     n = profile.grid_bohr.size
     if n < 50:
         raise GridError(f"oracle needs >= 50 grid points, got {n}")
     h = profile.step_bohr
     u = profile.u_hartree
-    inv = 1.0 / (m_eff * h * h)
-    diag = inv + u[1:-1]
-    off = np.full(n - 3, -0.5 * inv)
+    mh2 = m_eff * h * h
+    if not sys.float_info.min <= mh2 < math.inf:
+        raise GridError(f"m h^2 = {mh2:.3g} is not a normal float: step or mass out of range")
+    inv = 1.0 / mh2
+    # solve s·H with s = 2^-e, which brings the kinetic scale to [1/2, 1):
+    # a power-of-two scale is exact, and keeps LAPACK clear of the squares
+    # that under- or overflow for very heavy or very light masses
+    s = math.ldexp(1.0, -math.frexp(inv)[1])
+    diag = inv * s + u[1:-1] * s
+    off = np.full(n - 3, -0.5 * inv * s)
     w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_states - 1))
+    w = w / s
     symmetric = _profile_is_symmetric(profile)
     states = []
     for j in range(n_states):

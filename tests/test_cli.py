@@ -124,10 +124,34 @@ def test_validation_rules_reject_bad_values():
         ["schottky", "--material", "GaAs", "--gap", "0:inf:3"],
         ["schottky", "--material", "GaAs", "--gap", "1", "--dmax", "inf"],
         ["film", "--material", "sAr", "--layers", "1", "--dmax", "inf"],
+        # the stack rejects impossible permittivities, and the whole z0 sweep,
+        # descending too, must stay inside the slab
+        POTENTIAL_ARGS + ["--k1", "-2"],
+        POTENTIAL_ARGS + ["--k2", "nan"],
+        POTENTIAL_ARGS + ["--k3", "0"],
+        POTENTIAL_ARGS[:-1] + ["0.9:-5:3"],
+        # past 10001 points an interval grid's step lies inside the interface guard
+        ["eigen", "--gap", "1", "--points", "10002"],
+        ["plates", "--gap", "1", "--points", "10002"],
+        ["levitate", "--gap", "1", "--n", "1", "--area", "0", "--points", "10002"],
+        ["schottky", "--material", "GaAs", "--gap", "1", "--points", "1000000000000"],
     ]
     for argv in bad_invocations:
         with pytest.raises(cli.UsageError):
             cli.parse_args(argv)
+    # a descending sweep that stays inside the slab is fine
+    assert cli.parse_args(POTENTIAL_ARGS[:-1] + ["0.9:0.1:3"]).params["z0"].count == 3
+
+
+def test_every_default_passes_its_own_converter():
+    # parse_args does not convert defaults, so each must already lie in its
+    # flag's range: a config file or flag spelling the default is accepted
+    for command, schema in cli._SCHEMAS.items():
+        for name, (conv, default, _help) in {**schema, **cli._GLOBAL_SCHEMA}.items():
+            if default is None or default is cli._REQUIRED:
+                continue
+            text = default.value if isinstance(default, cli.sn.Carrier) else str(default)
+            assert conv(text) == default, (command, name)
 
 
 def test_config_file_supplies_defaults(tmp_path, monkeypatch):
@@ -298,10 +322,10 @@ def test_plates_solve_grids_up_to_the_interface_guard(capsys):
         assert cli.main(["plates", "--gap", "0.9", "--points", points]) == 0
         header, rows = read_csv(capsys.readouterr().out)
         assert len(rows) == 1 and "NaN" not in rows[0]
-    assert cli.main(["plates", "--gap", "0.9", "--points", "10002"]) == 1
+    # one more point and every interval row would fail: a usage error
+    assert cli.main(["plates", "--gap", "0.9", "--points", "10002"]) == 2
     captured = capsys.readouterr()
-    assert read_csv(captured.out)[1][0][1] == "NaN"
-    assert "of an interface" in captured.err
+    assert captured.out == "" and "--points: must be in [50, 10001]" in captured.err
 
 
 def test_module_entry_point_matches_in_process(capsys):
@@ -349,3 +373,5 @@ def test_usage_errors_exit_two(capsys):
     assert cli.main(POTENTIAL_ARGS + ["--q", "nan"]) == 2
     err = capsys.readouterr().err
     assert "invalid invocation" in err
+    # the library's message, not its quoted repr
+    assert "\n  - unknown material 'Nope'; known: [" in err

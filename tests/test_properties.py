@@ -1,8 +1,10 @@
 """Property tests for the two reflection-sum routes of the slab potential,
 for the node count that brackets the shooting solver's eigenvalues (against
 LAPACK ``dstebz``'s Sturm count as the reference), for the one-pass mismatch
-on mirror-symmetric intervals, for the 1/m scaling of box levels, and for
-hard-wall entries of a profile being dead input to both eigensolvers.
+on mirror-symmetric intervals, for the 1/m scaling of box levels by both
+eigensolvers, for hard-wall entries of a profile being dead input to both
+eigensolvers, and for the CLI's sweep and layer strings ending either as a
+usage error or in one row per requested point.
 
 Each property compares a stack with a transformed copy whose exact potential
 is known from the first: mirrored, translated, with every length or every
@@ -14,6 +16,9 @@ position moves a 1/d potential by that ratio).  The amplification was
 measured at most 2.8 over 20,000 random cases per property, hence ROUNDING.
 """
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
@@ -21,6 +26,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 from scipy.linalg.lapack import dstebz  # noqa: E402
 
+from imagewell import cli  # noqa: E402
 from imagewell import electrostatics as el  # noqa: E402
 from imagewell import schrodinger as sc  # noqa: E402
 from imagewell.constants import HARTREE_EV, nm_to_bohr  # noqa: E402
@@ -247,16 +253,19 @@ LIGHTEST = int(np.ceil(np.log2(np.finfo(float).tiny / (BOX_STEP * BOX_STEP / 12.
 @example(LIGHTEST)
 @example(30)
 @example(56)
+@example(516)
 @example(960)
 def test_box_levels_times_mass_are_exact_for_powers_of_two(j):
-    # scaling m by 2^j scales every energy the solver forms, and every energy
-    # threshold it applies, by 2^-j exactly; the labels stay those of a box
+    # scaling m by 2^j scales every energy either solver forms, and every
+    # energy threshold shooting applies, by 2^-j exactly; the labels stay
+    # those of a box
     m = 2.0**j
-    levels = [s.energy_h for s in sc.solve_eigenstates(BOX, 1.0, 4)]
-    states = sc.solve_eigenstates(BOX, m, 4)
-    assert [s.energy_h * m for s in states] == levels
     parities = [sc.Parity.EVEN, sc.Parity.ODD] * 2
-    assert [(s.nodes, s.parity) for s in states] == list(zip(range(4), parities))
+    for solver in (sc.solve_eigenstates, sc.diagonalization_oracle):
+        levels = [s.energy_h for s in solver(BOX, 1.0, 4)]
+        states = solver(BOX, m, 4)
+        assert [s.energy_h * m for s in states] == levels
+        assert [(s.nodes, s.parity) for s in states] == list(zip(range(4), parities))
     with pytest.raises(GridError, match="not a normal float"):
         sc.solve_eigenstates(BOX, 2.0 ** (LIGHTEST - 1))
 
@@ -308,3 +317,53 @@ def test_hard_wall_entries_are_dead_input(well, values, m_eff):
     changed[walls] = values[: len(walls)]
     for solver in (sc.solve_eigenstates, sc.diagonalization_oracle):
         assert solved(solver, grid, changed, kind, m_eff) == solved(solver, grid, u, kind, m_eff)
+
+
+def run_cli(argv):
+    """(exit status, data rows of the CSV on stdout) of one in-process run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        status = cli.main(argv)
+    return status, out.getvalue().splitlines()[1:]
+
+
+POTENTIAL = ["potential", "--k1", "2", "--k2", "1", "--k3", "5", "--a", "0", "--b", "1"]
+z0_end = st.floats(-2.0, 3.0) | st.floats(0.0, 1.0)
+
+
+@given(z0_end, z0_end, st.integers(0, 4), st.booleans())
+@example(0.9, -5.0, 3, False)
+@example(0.9, 0.1, 3, False)
+@example(1.0e-4, 0.9999, 2, True)
+def test_cli_z0_sweep_is_a_usage_error_or_count_rows(start, stop, count, log):
+    # a charge closer than MIN_OFFSET_FRAC of the slab to an interface has no
+    # potential, so a sweep with an end there, descending ones included, is
+    # refused before any work; every other sweep yields all its rows
+    spec = f"{start!r}:{stop!r}:{count}" + (":log" if log else "")
+    status, rows = run_cli(POTENTIAL + [f"--z0={spec}"])
+    inside = all(end >= 1.0e-4 and 1.0 - end >= 1.0e-4 for end in (start, stop))
+    if count < 1 or not inside:
+        assert (status, rows) == (2, [])
+    else:
+        assert status == 0 and len(rows) == count
+
+
+@given(st.integers(-3, 8), st.integers(-3, 8), st.integers(-1, 3),
+       st.sampled_from(["{0}", "{0}:{1}", "{0}:{1}:{2}", "{0}:{1}:{2}:{2}", "{0}:x"]))
+def test_cli_layers_are_a_usage_error_or_one_row_each(start, stop, step, form):
+    layers = form.format(start, stop, step)
+    status, rows = run_cli(["film", "--material", "sAr", "--dmax", "25", "--points", "201",
+                            f"--layers={layers}"])
+    # the counts a well-formed string asks for, or None for a malformed one
+    fields = layers.split(":")
+    if "x" in layers or len(fields) > 3:
+        want = None
+    elif len(fields) == 1:
+        want = [start]
+    else:
+        by = step if len(fields) == 3 else 1
+        want = list(range(start, stop + 1, by)) if by > 0 and stop >= start else None
+    if want is None or want[0] < 0:
+        assert (status, rows) == (2, [])
+    else:
+        assert [int(row.split(",")[0]) for row in rows] == want

@@ -55,8 +55,10 @@ def test_builtin_materials_registry():
 
 
 def test_material_validation():
-    with pytest.raises(MaterialNotFoundError):
+    with pytest.raises(MaterialNotFoundError) as exc:
         sn.get_material("unobtainium")
+    # the plain message, not KeyError's quoted repr of it
+    assert str(exc.value).startswith("unknown material 'unobtainium'; known: [")
     with pytest.raises(DomainError):
         sn.carrier_mass(sn.get_material("LHe"), sn.Carrier.ELECTRON)
     with pytest.raises(DomainError):

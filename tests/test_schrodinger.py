@@ -405,6 +405,12 @@ def test_solver_argument_validation():
         sc.diagonalization_oracle(box_profile(30.0, 40))
     with pytest.raises(DomainError):
         sc.diagonalization_oracle(prof, n_states=0)
+    # a mass the oracle cannot scale is a typed error, not a wrong level
+    for m_eff in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            sc.diagonalization_oracle(prof, m_eff=m_eff)
+    with pytest.raises(GridError, match="not a normal float"):
+        sc.diagonalization_oracle(prof, m_eff=2.0**-1074)
 
 
 # ---------------------------------------------------------------------------
