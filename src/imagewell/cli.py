@@ -46,6 +46,9 @@ from . import scenarios as sn
 from .errors import ImagewellError
 
 _REQUIRED = object()
+# The most points a sweep or layer list may ask for, checked before any is
+# built: a far larger count cannot finish, and its grid alone can exhaust memory.
+_MAX_ROWS = 1_000_000
 
 
 class UsageError(Exception):
@@ -80,28 +83,27 @@ def parse_sweep(text: str) -> SweepSpec:
         pass
     if spec is None:
         raise ValueError(f"bad sweep spec {text!r}; expected start:stop:count[:log]")
-    if spec.count < 1:
-        raise ValueError("count must be >= 1")
+    if not 1 <= spec.count <= _MAX_ROWS:
+        raise ValueError(f"count must be >= 1 and <= {_MAX_ROWS}")
     if not (math.isfinite(spec.start) and math.isfinite(spec.stop)):
         raise ValueError("start and stop must be finite")
     return spec
 
 
 def parse_layers(text: str) -> list[int]:
-    parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return [int(parts[0])]
-        if len(parts) > 3:
-            raise ValueError
-        start, stop = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
-        if step <= 0 or stop < start:
-            raise ValueError
-        return list(range(start, stop + 1, step))
+        bounds = [int(part) for part in text.split(":")]
     except ValueError:
-        pass
-    raise ValueError(f"bad layer spec {text!r}; expected start:stop[:step] or a single integer")
+        bounds = []
+    if len(bounds) == 1:  # a single count n is n:n
+        bounds *= 2
+    if len(bounds) not in (2, 3) or bounds[1] < bounds[0] or min(bounds[2:], default=1) <= 0:
+        raise ValueError(
+            f"bad layer spec {text!r}; expected start:stop[:step] or a single integer")
+    counts = range(bounds[0], bounds[1] + 1, *bounds[2:])
+    if len(counts) > _MAX_ROWS:
+        raise ValueError(f"at most {_MAX_ROWS} layer counts")
+    return list(counts)
 
 
 def parse_eps(text: str) -> float:

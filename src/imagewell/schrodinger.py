@@ -10,9 +10,9 @@ Two independent solvers:
   false position on the Casoratian of the two passes at an interior match
   point then refines it to 1e-13 relative; where that mismatch keeps its
   sign across the bracket, node-count bisection runs to the end instead.
-  One recurrence serves both passes; the right pass is the left pass over
-  the mirrored grid, so on an interval whose potential equals its mirror
-  float for float (every two-plate profile) a single pass serves both sides.
+  An interval whose potential equals its mirror float for float (every
+  two-plate profile) is solved as its even and odd halves, each closed at
+  the centre by the mirror condition: state k is level k // 2 of half k % 2.
 * ``diagonalization_oracle`` -- second-order central-difference Hamiltonian
   diagonalized with a symmetric tridiagonal eigensolver.  Exists to
   cross-check the shooting path and must never share its integration core.
@@ -43,6 +43,7 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 # Every pass rescales above this, so psi and the Casoratian's products stay finite.
 _RESCALE = 1.0e150
+_WALL = (1.0, 0.0)  # a closed end (see _count_nodes): psi = 0 past the last row
 
 
 class DomainKind(Enum):
@@ -127,18 +128,15 @@ class Eigenstate:
 # Numerov integration kernel (shooting route only)
 
 
-def _numerov(t, psi0, psi1, stop, keep, peak=0.0):
+def _numerov(t, psi0, psi1, stop, keep):
     """March psi[0..stop] from the seeds psi0, psi1 over the factor array ``t``.
 
     Returns the last two values, the peak |psi| on their scale and, when
     ``keep`` is set, the psi list (else None).  A pass over ``t[::-1]``
-    integrates from the far end.  Seeded with the last two values and the
-    ``peak`` of an earlier pass over ``t[j - 1:]``, it continues that pass
-    float for float.
-    """
+    integrates from the far end."""
     prev, cur = psi0, psi1
     psi = [prev, cur] if keep else None
-    peak = max(peak, abs(prev), abs(cur))
+    peak = max(abs(prev), abs(cur))
     # the step's coefficients 2 + 10 t_i and 1 - t_i, over the marched slice
     a = (2.0 + 10.0 * t[1:stop]).tolist()
     w = (1.0 - t[: stop + 1]).tolist()
@@ -159,12 +157,13 @@ def _numerov(t, psi0, psi1, stop, keep, peak=0.0):
     return prev, cur, peak, psi
 
 
-def _count_nodes(u, h, two_m, e):
+def _count_nodes(u, h, two_m, e, end=_WALL):
     """Interior sign changes of the pass with psi(0) = 0.  In z_i = (1 - t_i) psi_i
     Numerov reads z_{i+1} + z_{i-1} = (12/(1 - t_i) - 10) z_i, so while every
-    1 - t_i > 0 they are the Sturm count of that tridiagonal matrix: its
-    eigenvalues below zero (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)),
-    here the non-positive pivots of its LDL^T factorisation.  LAPACK ``dpttrf``
+    1 - t_i > 0 they are the Sturm count of that tridiagonal matrix, its last
+    diagonal entry a made s a + c by a closed ``end`` (s, c): its eigenvalues
+    below zero (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)), here
+    the non-positive pivots of its LDL^T factorisation.  LAPACK ``dpttrf``
     factors up to the first such pivot q; the sweep restarts past it with the
     next diagonal entry less 1/q, taking q = -``sys.float_info.min`` for |q|
     below that.  With the -1 off-diagonal this is the pivot recurrence of
@@ -176,6 +175,7 @@ def _count_nodes(u, h, two_m, e):
     if not np.all(w > 0.0):
         raise GridError(f"grid too coarse: 1 - h^2/12 2m (u - E) <= 0 at E = {e:.6g} Hartree")
     d = 12.0 / w - 10.0
+    d[-1] = end[0] * d[-1] + end[1]
     off = np.full(d.size - 1, -1.0)
     count = 0
     while d.size > 1:  # the wrapper rejects a single entry
@@ -242,44 +242,38 @@ def _false_position(f, lo, hi, f_lo, f_hi, rtol):
     return lo, hi
 
 
-def _passes(u, h, two_m, e, m_idx, open_right, keep, mirrored=False):
+def _passes(u, h, two_m, e, m_idx, end, keep):
     """Left pass over psi[0..m_idx+1] and right pass from the far end to psi[m_idx],
     or to psi[m_idx-1] when ``keep`` is set, so kept passes share three points.
 
-    On a ``mirrored`` interval (u equal to its mirror, float for float) the
-    right pass runs the left pass's arithmetic from the same seeds, so one
-    pass serves both: the right pass, continued to the left pass's stop when
-    that lies further (one step, on an odd number of points).  Kept passes on
-    an even number of points would need the reverse, and stay two."""
+    The right pass starts from (psi[-1], psi[-2]): (1, e^(kappa h)) for a
+    decaying tail at an open end (``end`` None), (0, 1) there once E reaches
+    u[-1]; at a closed end (s, c), psi[-2] = 1 and the psi[-1] that makes the
+    step at the last row read z_{-3} = (s a + c) z_{-2} (0 at a wall)."""
     t = h * h / 12.0 * two_m * (u - e)  # Numerov factors
     l_stop = m_idx + 1
     r_stop = t.size - m_idx if keep else t.size - m_idx - 1
-    if mirrored and (r_stop == l_stop or (r_stop < l_stop and not keep)):
-        right = _numerov(t, 0.0, 1.0, r_stop, keep)
-        if r_stop == l_stop:
-            return right, right
-        prev, cur, peak, _ = right
-        left = _numerov(t[r_stop - 1 : l_stop + 1], prev, cur, l_stop - r_stop + 1, False, peak)
-        return left, right
-    # the right pass starts from a decaying tail at an open end, else a wall
-    gap = two_m * (u[-1] - e) if open_right else 0.0
-    seeds = (1.0, math.exp(min(math.sqrt(gap) * h, 600.0))) if gap > 0.0 else (0.0, 1.0)
+    if end is None:
+        gap = two_m * (u[-1] - e)
+        seeds = (1.0, math.exp(min(math.sqrt(gap) * h, 600.0))) if gap > 0.0 else (0.0, 1.0)
+    else:
+        t_r, t_out = t[-2:].tolist()
+        seeds = (((1.0 - end[0]) * (2.0 + 10.0 * t_r) - end[1] * (1.0 - t_r)) / (1.0 - t_out), 1.0)
     return _numerov(t, 0.0, 1.0, l_stop, keep), _numerov(t[::-1], *seeds, r_stop, keep)
 
 
-def _mismatch(u, h, two_m, e, m_idx, open_right, mirrored=False):
+def _mismatch(u, h, two_m, e, m_idx, end):
     """Casoratian C_m = L_m R_{m+1} - L_{m+1} R_m at the match point, each pass
     scaled by its peak |psi|.  Numerov keeps (1 - t_i)(1 - t_{i+1}) C_i equal
     at every i, so C_m has the sign of the two-sided mismatch
     L_m (R_{m+1} - R_{m-1}) - R_m (L_{m+1} - L_{m-1}) = C_m + C_{m-1}."""
-    left, right = _passes(u, h, two_m, e, m_idx, open_right, False, mirrored)
+    left, right = _passes(u, h, two_m, e, m_idx, end, False)
     (l_m, l_next, l_peak, _), (r_next, r_m, r_peak, _) = left, right
     return (l_m * r_next - l_next * r_m) / (l_peak * r_peak)
 
 
-def _assemble(u, h, two_m, e, m_idx, open_right, mirrored=False):
-    passes = _passes(u, h, two_m, e, m_idx, open_right, True, mirrored)
-    (*_, l_peak, left), (*_, r_peak, right) = passes
+def _assemble(u, h, two_m, e, m_idx, end):
+    (*_, l_peak, left), (*_, r_peak, right) = _passes(u, h, two_m, e, m_idx, end, True)
     left = np.array(left) / l_peak
     right = np.array(right[::-1]) / r_peak
     j = int(np.argmax(np.abs(right[:3])))
@@ -289,11 +283,22 @@ def _assemble(u, h, two_m, e, m_idx, open_right, mirrored=False):
     return np.concatenate((left[:m_idx], ratio * right[1:]))
 
 
+def _sectors(u):
+    """(u up to one point past the centre, closed end, sign of the mirror
+    image) of the even and the odd half of an interval equal to its mirror.
+    Its Jacobi matrix is persymmetric, so eigenvector k is symmetric or skew
+    with k sign changes (Cantoni & Butler, Linear Algebra Appl. 13, 275
+    (1976)).  At a centre point M, psi[M+1] = psi[M-1] halves row M (exactly
+    in floats), or psi[M] = 0; at a centre pair psi[K] = +-psi[K-1] shifts
+    row K - 1 by -+1."""
+    n, c = u.size, u.size // 2 + 1
+    if n % 2:
+        return [(u[: c + 1], (0.5, 0.0), 1.0), (u[:c], _WALL, -1.0)]
+    return [(u[:c], (1.0, -1.0), 1.0), (u[:c], (1.0, 1.0), -1.0)]
+
+
 def _count_nodes_array(psi: np.ndarray) -> int:
-    scale = np.max(np.abs(psi))
-    if scale == 0.0:
-        return 0
-    sig = psi[np.abs(psi) > 1.0e-8 * scale]
+    sig = psi[np.abs(psi) > 1.0e-8 * np.max(np.abs(psi))]  # empty for psi = 0
     return int(np.count_nonzero(np.diff(np.sign(sig)) != 0))
 
 
@@ -305,12 +310,8 @@ def _profile_is_symmetric(profile: PotentialProfile) -> bool:
     return bool(np.all(np.abs(u - u[::-1]) <= 1.0e-9 * scale))
 
 
-def _finalize(
-    energy_h: float,
-    psi: np.ndarray,
-    profile: PotentialProfile,
-    symmetric: bool,
-) -> Eigenstate:
+def _finalize(energy_h: float, psi: np.ndarray, profile: PotentialProfile,
+              symmetric: bool) -> Eigenstate:
     grid = profile.grid_bohr
     norm = math.sqrt(float(_trapezoid(psi * psi, grid)))
     if norm == 0.0:
@@ -327,11 +328,7 @@ def _finalize(
             parity = Parity.EVEN
         elif overlap < -0.99:
             parity = Parity.ODD
-    kind = (
-        StateKind.BOUND
-        if energy_h < profile.classification_reference()
-        else StateKind.BOX
-    )
+    kind = StateKind.BOUND if energy_h < profile.classification_reference() else StateKind.BOX
     psi = np.ascontiguousarray(psi)
     psi.setflags(write=False)
     return Eigenstate(energy_h, psi, grid, _count_nodes_array(psi), parity, kind)
@@ -350,16 +347,16 @@ def solve_eigenstates(
     (LAPACK ``dpttrf``, restarted past each one).  It needs every interior
     1 - t_i > 0; a grid too coarse for that raises ``GridError``.
     Illinois false position on the peak-scaled Casoratian at the match point
-    (outermost classical turning point for half-lines, midpoint for
-    intervals) then polishes it to 1e-13 relative, below which rounding noise
-    sets the mismatch's sign.  On an interval whose potential equals its
-    mirror exactly, each mismatch takes one pass instead of two, with the
-    same floats.  When the mismatch has the same sign at both bracket ends
-    -- a pair split below resolution, or a half-line state whose
+    (outermost classical turning point, or the midpoint of an interval that
+    is not a mirror) then polishes it to 1e-13 relative, below which rounding
+    noise sets the mismatch's sign.  An interval whose potential equals its
+    mirror exactly is solved as its even and odd halves (``_sectors``), whose
+    levels stay apart however deep the double well.  When the mismatch has
+    the same sign at both bracket ends -- a half-line state whose
     decaying-tail root lies outside the bracket -- node-count bisection
-    continues to machine precision, and a half-line state then carries a hard
-    wall at the truncation radius instead of the decaying tail.  Degenerate
-    symmetric-well pairs are re-symmetrized into even/odd combinations.
+    continues to machine precision, and the state then carries a hard wall
+    at the truncation radius instead.  Degenerate pairs of a profile
+    symmetric only to rounding are re-symmetrized into even/odd combinations.
     A grid of fewer than 4 points, or a step h with h^2 or h^2/12 2m not a
     normal float, raises ``GridError``.
     """
@@ -377,6 +374,8 @@ def solve_eigenstates(
     inner = u[1:] if open_right else u[1:-1]
     u = np.pad(inner, (1, 0 if open_right else 1), mode="edge")
     mirrored = not open_right and np.array_equal(u, u[::-1])
+    # (u, right end, sign of the mirror image) of the domain, or of each half
+    problems = _sectors(u) if mirrored else [(u, None if open_right else _WALL, 0.0)]
 
     if n < 4:  # the match point needs an interior neighbour on each side
         raise GridError(f"shooting needs at least 4 grid points, got {n}")
@@ -387,11 +386,10 @@ def solve_eigenstates(
         raise GridError(f"grid step {h:.3g} Bohr too fine: h^2 is not a normal float")
     coefficient = h * h / 12.0 * two_m  # as every count and pass forms it
     if coefficient < sys.float_info.min:
-        raise GridError(
-            f"h^2/12 2m = {coefficient:.3g} is not a normal float: step or mass too small"
-        )
+        raise GridError(f"h^2/12 2m = {coefficient:.3g} is not a normal float: "
+                        "step or mass too small")
     # window from below the well bottom to past the barrier top (interval)
-    # or the tail (half line)
+    # or the tail (half line); a mirror's halves hold alternate states
     span = profile.span_bohr
     quantum = math.pi**2 / (2.0 * m_eff * span * span)
     umin = float(np.min(inner))
@@ -402,46 +400,49 @@ def solve_eigenstates(
         if _count_nodes(u, h, two_m, hi) >= n_states:
             break
     else:
-        raise EigenSearchError(
-            f"could not bracket {n_states} states after window expansions"
-        )
+        raise EigenSearchError(f"could not bracket {n_states} states after window expansions")
 
     symmetric = _profile_is_symmetric(profile)
     states: list[Eigenstate] = []
-    measured = []  # (energy, node count); every count is exact
+    measured = [[] for _ in problems]  # (energy, node count) each; every count is exact
     for k in range(n_states):
-        def above(e):  # node count k + 1 or more: e lies above eigenvalue k
-            # counts grow with energy: k + 1 or more at or below e, or k or
-            # less at or above e, decides e without a new count
-            for e_m, c in measured:
-                if (c > k and e_m <= e) or (c <= k and e_m >= e):
-                    return c - k - 0.5
-            c = _count_nodes(u, h, two_m, e)
-            measured.append((e, c))
-            return c - k - 0.5
+        level, p = divmod(k, len(problems))
+        (v, end, sign), seen = problems[p], measured[p]
 
-        # phase 1: node-count bisection isolates eigenvalue k
+        def above(e):  # node count level + 1 or more: e lies above that eigenvalue
+            # counts grow with energy: level + 1 or more at or below e, or
+            # level or less at or above e, decides e without a new count
+            for e_m, c in seen:
+                if (c > level and e_m <= e) or (c <= level and e_m >= e):
+                    return c - level - 0.5
+            c = _count_nodes(v, h, two_m, e, end or _WALL)
+            seen.append((e, c))
+            return c - level - 0.5
+
+        # phase 1: node-count bisection isolates the eigenvalue
         e_lo, e_hi = _bisect(above, lo, hi, 1.0e-6)
         # match point from the bracket midpoint
         e_mid = 0.5 * (e_lo + e_hi)
-        if profile.kind is DomainKind.INTERVAL:
+        if profile.kind is DomainKind.INTERVAL and not mirrored:
             m_idx = (n - 1) // 2
         else:
-            allowed = np.nonzero(u[1:-1] <= e_mid)[0]
-            m_idx = int(allowed[-1]) + 1 if allowed.size else n // 2
-        m_idx = min(max(m_idx, 2), n - 3)
+            allowed = np.nonzero(v[1:-1] <= e_mid)[0]
+            m_idx = int(allowed[-1]) + 1 if allowed.size else v.size // 2
+        m_idx = min(max(m_idx, 2), max(v.size - 3, 1))
         # phase 2: false position on the mismatch to 1e-13 relative
         def mismatch(e):
-            return _mismatch(u, h, two_m, e, m_idx, open_right, mirrored)
+            return _mismatch(v, h, two_m, e, m_idx, end)
         w_lo, w_hi = mismatch(e_lo), mismatch(e_hi)
         if w_lo * w_hi < 0.0:
             e_lo, e_hi = _false_position(mismatch, e_lo, e_hi, w_lo, w_hi, 1.0e-13)
         else:
-            # no sign change (splitting below resolution, or the decaying
-            # tail's root outside the bracket): node-count bisection to the end
+            # no sign change (the decaying tail's root outside the bracket):
+            # node-count bisection to the end
             e_lo, e_hi = _bisect(above, e_lo, e_hi, 0.0)
         energy = 0.5 * (e_lo + e_hi)
-        psi = _assemble(u, h, two_m, energy, m_idx, open_right, mirrored)
+        psi = _assemble(v, h, two_m, energy, m_idx, end)
+        if sign:  # the sector and its mirror image
+            psi = np.concatenate((psi[: (n + 1) // 2], sign * psi[n // 2 - 1 :: -1]))
         if flipped:
             psi = psi[::-1]
         states.append(_finalize(energy, psi, profile, symmetric))
@@ -579,12 +580,7 @@ def radial_wavefunction(p: HydrogenicParams, r_nm) -> np.ndarray:
     if p.n == 2:
         return 2.0 * zn**1.5 * (1.0 - 0.5 * x) * np.exp(-0.5 * x)
     if p.n == 3:
-        return (
-            2.0
-            * zn**1.5
-            * (1.0 - 2.0 * x / 3.0 + 2.0 * x * x / 27.0)
-            * np.exp(-x / 3.0)
-        )
+        return 2.0 * zn**1.5 * (1.0 - 2.0 * x / 3.0 + 2.0 * x * x / 27.0) * np.exp(-x / 3.0)
     raise DomainError("radial forms implemented for n in {1, 2, 3}")
 
 

@@ -51,6 +51,11 @@ def test_parse_sweep_grammar():
     for bad in ("inf", "nan", "0:inf:3", "-inf:1:2", "1:nan:2:log"):
         with pytest.raises(ValueError, match="must be finite"):
             cli.parse_sweep(bad)
+    # the count is capped before any point is built
+    assert cli.parse_sweep(f"1:2:{cli._MAX_ROWS}").count == cli._MAX_ROWS
+    for bad in (f"1:2:{cli._MAX_ROWS + 1}", "1:2:100000000000", "1:2:100000000000:log"):
+        with pytest.raises(ValueError, match=f"<= {cli._MAX_ROWS}"):
+            cli.parse_sweep(bad)
 
 
 def test_parse_layers_grammar():
@@ -59,6 +64,11 @@ def test_parse_layers_grammar():
     assert cli.parse_layers("1:9:2") == [1, 3, 5, 7, 9]
     for bad in ("5:1", "1:5:0", "x", "1:2:3:4"):
         with pytest.raises(ValueError):
+            cli.parse_layers(bad)
+    # so is the number of layer counts
+    assert len(cli.parse_layers(f"0:{2 * cli._MAX_ROWS - 1}:2")) == cli._MAX_ROWS
+    for bad in (f"1:{cli._MAX_ROWS + 1}", "0:100000000000"):
+        with pytest.raises(ValueError, match=f"at most {cli._MAX_ROWS}"):
             cli.parse_layers(bad)
 
 
@@ -135,6 +145,9 @@ def test_validation_rules_reject_bad_values():
         ["plates", "--gap", "1", "--points", "10002"],
         ["levitate", "--gap", "1", "--n", "1", "--area", "0", "--points", "10002"],
         ["schottky", "--material", "GaAs", "--gap", "1", "--points", "1000000000000"],
+        # a sweep or layer list too long to build
+        ["plates", "--gap", "1:2:100000000000"],
+        ["film", "--material", "sAr", "--layers", "0:100000000000"],
     ]
     for argv in bad_invocations:
         with pytest.raises(cli.UsageError):
@@ -326,6 +339,20 @@ def test_plates_solve_grids_up_to_the_interface_guard(capsys):
     assert cli.main(["plates", "--gap", "0.9", "--points", "10002"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--points: must be in [50, 10001]" in captured.err
+
+
+def test_wide_gap_double_wells_solve_at_any_state_count(capsys):
+    # the two wells decouple below float resolution at these gaps, which left
+    # the lone ground state or the third state with the wrong node count
+    for argv in (["plates", "--gap", "14", "--states", "1"],
+                 ["plates", "--gap", "20", "--states", "3"]):
+        assert cli.main(argv) == 0
+        header, rows = read_csv(capsys.readouterr().out)
+        assert len(rows) == 1 and "NaN" not in rows[0]
+    assert cli.main(["eigen", "--gap", "15", "--states", "4"]) == 0
+    header, rows = read_csv(capsys.readouterr().out)
+    assert [row[2:4] for row in rows] == [["0", "even"], ["1", "odd"], ["2", "even"],
+                                          ["3", "odd"]]
 
 
 def test_module_entry_point_matches_in_process(capsys):

@@ -1,8 +1,9 @@
 """Property tests for the two reflection-sum routes of the slab potential,
 for the node count that brackets the shooting solver's eigenvalues (against
-LAPACK ``dstebz``'s Sturm count as the reference), for the one-pass mismatch
-on mirror-symmetric intervals, for the 1/m scaling of box levels by both
-eigensolvers, for hard-wall entries of a profile being dead input to both
+LAPACK ``dstebz``'s Sturm count as the reference), for the sector counts of
+mirror-symmetric intervals adding up to the whole count, for the exact
+discrete levels of boxes of a few points, for the 1/m scaling of box levels
+by both eigensolvers, for hard-wall entries of a profile being dead input to both
 eigensolvers, and for the CLI's sweep and layer strings ending either as a
 usage error or in one row per requested point.
 
@@ -139,9 +140,8 @@ def test_node_count_equals_state_index(prof, fracs):
 def mirrored_wells(draw):
     """An interval double well equal to its mirror float for float, on an odd
     or even number of points: cosine modes plus a square barrier over the
-    middle 60 % of up to 0.9 of 6/h^2, tall and wide enough that passes
-    through it rescale, and an energy between the well's bottom and top, so
-    every 1 - h^2/12 2m (u - E) stays above 0.1."""
+    middle 60 % of up to 0.9 of 6/h^2, and an energy between the well's
+    bottom and top, so every 1 - h^2/12 2m (u - E) stays above 0.1."""
     n_points = draw(st.integers(151, 401))
     length = draw(st.floats(5.0, 20.0))
     grid = np.linspace(0.0, length, n_points)
@@ -155,13 +155,32 @@ def mirrored_wells(draw):
     return u, h, e
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(mirrored_wells())
-def test_mirror_mismatch_is_bitwise_the_two_passes(well):
+def test_sector_counts_add_up_to_the_whole_count(well):
+    # the whole matrix's eigenvalues alternate between the even and the odd
+    # sector, lowest first, so below any E the even sector holds as many as
+    # the odd one or one more
     u, h, e = well
-    m = (u.size - 1) // 2
-    one = sc._mismatch(u, h, 2.0, e, m, False, True)
-    assert np.isfinite(one) and one == sc._mismatch(u, h, 2.0, e, m, False)
+    even, odd = (sc._count_nodes(v, h, 2.0, e, end) for v, end, _ in sc._sectors(u))
+    assert even + odd == sc._count_nodes(u, h, 2.0, e) and even - odd in (0, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 12), st.floats(0.5, 50.0), st.floats(0.05, 20.0))
+@example(4, 1.0, 1.0)
+@example(5, 1.0, 1.0)
+def test_tiny_boxes_give_the_exact_discrete_levels(n_points, length, m_eff):
+    # Numerov's box levels on n points: E_j = 12 (1 - cos theta_j) /
+    # (2m h^2 (5 + cos theta_j)), theta_j = j pi / (n - 1); 4 and 5 points
+    # leave a sector of 3
+    grid = np.linspace(0.0, length, n_points)
+    box = sc.PotentialProfile(grid, np.zeros(n_points), sc.DomainKind.INTERVAL)
+    levels = [s.energy_h for s in sc.solve_eigenstates(box, m_eff, n_points - 2)]
+    theta = np.arange(1, n_points - 1) * np.pi / (n_points - 1)
+    h = box.step_bohr
+    exact = 12.0 * (1.0 - np.cos(theta)) / (2.0 * m_eff * h * h * (5.0 + np.cos(theta)))
+    assert levels == pytest.approx(exact.tolist(), rel=1e-12, abs=0.0)
 
 
 def dstebz_count(u, h, two_m, e):
@@ -335,14 +354,16 @@ z0_end = st.floats(-2.0, 3.0) | st.floats(0.0, 1.0)
 @example(0.9, -5.0, 3, False)
 @example(0.9, 0.1, 3, False)
 @example(1.0e-4, 0.9999, 2, True)
+@example(0.1, 0.9, 100000000000, False)
 def test_cli_z0_sweep_is_a_usage_error_or_count_rows(start, stop, count, log):
     # a charge closer than MIN_OFFSET_FRAC of the slab to an interface has no
     # potential, so a sweep with an end there, descending ones included, is
-    # refused before any work; every other sweep yields all its rows
+    # refused before any work, as is one of more points than the cap; every
+    # other sweep yields all its rows
     spec = f"{start!r}:{stop!r}:{count}" + (":log" if log else "")
     status, rows = run_cli(POTENTIAL + [f"--z0={spec}"])
     inside = all(end >= 1.0e-4 and 1.0 - end >= 1.0e-4 for end in (start, stop))
-    if count < 1 or not inside:
+    if not 1 <= count <= cli._MAX_ROWS or not inside:
         assert (status, rows) == (2, [])
     else:
         assert status == 0 and len(rows) == count
@@ -350,6 +371,7 @@ def test_cli_z0_sweep_is_a_usage_error_or_count_rows(start, stop, count, log):
 
 @given(st.integers(-3, 8), st.integers(-3, 8), st.integers(-1, 3),
        st.sampled_from(["{0}", "{0}:{1}", "{0}:{1}:{2}", "{0}:{1}:{2}:{2}", "{0}:x"]))
+@example(0, 100000000000, 1, "{0}:{1}")
 def test_cli_layers_are_a_usage_error_or_one_row_each(start, stop, step, form):
     layers = form.format(start, stop, step)
     status, rows = run_cli(["film", "--material", "sAr", "--dmax", "25", "--points", "201",
@@ -362,8 +384,8 @@ def test_cli_layers_are_a_usage_error_or_one_row_each(start, stop, step, form):
         want = [start]
     else:
         by = step if len(fields) == 3 else 1
-        want = list(range(start, stop + 1, by)) if by > 0 and stop >= start else None
-    if want is None or want[0] < 0:
+        want = range(start, stop + 1, by) if by > 0 and stop >= start else None
+    if want is None or want[0] < 0 or len(want) > cli._MAX_ROWS:
         assert (status, rows) == (2, [])
     else:
-        assert [int(row.split(",")[0]) for row in rows] == want
+        assert [int(row.split(",")[0]) for row in rows] == list(want)

@@ -292,6 +292,19 @@ def test_two_plate_splitting_shrinks_with_gap():
     assert abs(far.states[0].energy_ev + 0.8504) < 0.002
 
 
+def test_two_plate_levels_do_not_depend_on_the_state_count():
+    # past about 8 nm each pair's splitting falls below float resolution; the
+    # mirror sectors keep one level of every pair each, so each count solves,
+    # and the first k levels are the same floats whatever the count asked for
+    for gap in (0.8, 1.6, 4.0, 8.0, 14.0, 20.0):
+        solved = [sn.two_plate_spectrum(gap, k).states for k in (1, 2, 3, 4)]
+        levels = [s.energy_h for s in solved[-1]]
+        for states in solved:
+            assert [s.energy_h for s in states] == levels[: len(states)]
+        assert [(s.nodes, s.parity) for s in solved[-1]] == [
+            (0, sc.Parity.EVEN), (1, sc.Parity.ODD), (2, sc.Parity.EVEN), (3, sc.Parity.ODD)]
+
+
 def test_averaged_plate_plate_even_above_odd():
     for gap in (1.6, 4.0):
         spec = sn.two_plate_spectrum(gap, 2)
@@ -528,28 +541,35 @@ def test_sweep_row_replace_keeps_shape():
 
 
 def test_two_state_solve_work(monkeypatch):
-    counts = {"_mismatch": 0, "_count_nodes": 0}
+    mismatches, rows = [0], []
+    count_nodes, mismatch = sc._count_nodes, sc._mismatch
 
-    def counted(name):
-        real = getattr(sc, name)
+    def counted(u, *args):
+        rows.append(u.size - 2)
+        return count_nodes(u, *args)
 
-        def wrapper(*args):
-            counts[name] += 1
-            return real(*args)
+    def evaluated(*args):
+        mismatches[0] += 1
+        return mismatch(*args)
 
-        return wrapper
-
-    for name in counts:
-        monkeypatch.setattr(sc, name, counted(name))
+    monkeypatch.setattr(sc, "_count_nodes", counted)
+    monkeypatch.setattr(sc, "_mismatch", evaluated)
     sn.two_plate_spectrum(1.6, 1)
-    single_passes = counts["_count_nodes"]
-    counts.update(_mismatch=0, _count_nodes=0)
+    one = sum(rows)
+    rows.clear()
+    mismatches[0] = 0
     sn.two_plate_spectrum(1.6, 2)
+    two = sum(rows)
     # false position from the node-count bracket, including its two ends
-    assert counts["_mismatch"] <= 2 * 14
-    # without reuse of the first state's node counts this would be the window
-    # pass plus two full bisections, 2 * single_passes - 1
-    assert counts["_count_nodes"] < 2 * single_passes - 1
+    assert mismatches[0] <= 2 * 14
+    # past the window's count of the whole 3999-row matrix, every count runs
+    # over one half of the 4001-point mirror: at most 2000 rows
+    assert rows[0] == 3999 and max(rows[1:]) <= 2000
+    rows.clear()
+    sn.two_plate_spectrum(1.6, 3)
+    # state 2 is the even sector's level 1, which reuses state 0's counts, so
+    # it costs fewer rows than state 1's fresh bisection of the odd sector
+    assert sum(rows) - two < two - one
 
 
 # Energies (eV) recorded before the mismatch polish moved from bisection to

@@ -259,9 +259,9 @@ def test_shooting_needs_four_points(monkeypatch):
             sc.solve_eigenstates(sc.PotentialProfile(np.arange(3.0), np.zeros(3), kind))
 
 
-def two_sided_wronskian(u, h, two_m, e, m, open_right):
+def two_sided_wronskian(u, h, two_m, e, m, end):
     """The mismatch from kept passes: L_m (R_{m+1} - R_{m-1}) - R_m (L_{m+1} - L_{m-1})."""
-    (*_, left), (*_, right) = sc._passes(u, h, two_m, e, m, open_right, True)
+    (*_, left), (*_, right) = sc._passes(u, h, two_m, e, m, end, True)
     right = right[::-1]
     return left[m] * (right[2] - right[0]) - right[1] * (left[m + 1] - left[m - 1])
 
@@ -271,54 +271,16 @@ def test_scalar_mismatch_has_the_two_sided_sign():
     x = (grid - 5.0) / 2.5
     well = sc.PotentialProfile(grid, 0.8 * ((x * x - 1.0) ** 2 - 1.0) + 0.02 * x,
                                sc.DomainKind.INTERVAL)
-    for prof, open_right, m in ((well, False, 1000), (metal_wall_profile(2, 2001), True, 300)):
+    for prof, end, m in ((well, sc._WALL, 1000), (metal_wall_profile(2, 2001), None, 300)):
         u, h = prof.u_hartree, prof.step_bohr
         roots = [s.energy_h for s in sc.solve_eigenstates(prof, n_states=2)]
         gap = roots[1] - roots[0]
         signs = set()
         for e in roots[0] + gap * np.array([-0.6, -0.3, -0.05, 0.05, 0.3, 0.6, 1.05, 1.3]):
-            w = sc._mismatch(u, h, 2.0, e, m, open_right)
+            w = sc._mismatch(u, h, 2.0, e, m, end)
             signs.add(w > 0.0)
-            assert np.sign(w) == np.sign(two_sided_wronskian(u, h, 2.0, e, m, open_right))
+            assert np.sign(w) == np.sign(two_sided_wronskian(u, h, 2.0, e, m, end))
         assert signs == {True, False}
-
-
-def mirrored_barrier(height, n_points=801):
-    """Two wells split by a Gaussian barrier, exactly equal to its mirror.  At
-    height 2968.75 the ground state's left pass first rescales on step m + 1,
-    the step the one-pass mismatch continues past the right pass's stop."""
-    grid = np.linspace(0.0, 20.0, n_points)
-    x = (grid - 10.0) / 4.0
-    u = height * np.exp(-x * x)
-    return sc.PotentialProfile(grid, 0.5 * (u + u[::-1]), sc.DomainKind.INTERVAL)
-
-
-def test_mirror_one_pass_is_bitwise_the_two_passes():
-    grid = np.linspace(0.0, 12.0, 4001)
-    x = (grid - 6.0) / 2.0
-    w = 2.5 * ((x * x - 1.0) ** 2 - 1.0)
-    double_well = sc.PotentialProfile(grid, 0.5 * (w + w[::-1]), sc.DomainKind.INTERVAL)
-    rescaled = mirrored_barrier(2968.75)
-    cases = (
-        sn.interval_profile(1.6), sn.interval_profile(4.0, q=0.5, n_points=4000),
-        box_profile(30.0, 1001), box_profile(30.0, 1000), double_well, rescaled,
-    )
-    for prof in cases:
-        u, h, n = prof.u_hartree, prof.step_bohr, prof.u_hartree.size
-        m = (n - 1) // 2
-        assert np.array_equal(u, u[::-1])
-        roots = np.array([s.energy_h for s in sc.solve_eigenstates(prof, n_states=2)])
-        energies = np.concatenate([roots * (1.0 + d) for d in (-1e-6, -1e-9, 0.0, 1e-9, 1e-6)])
-        for e in energies:
-            one = sc._mismatch(u, h, 2.0, e, m, False, True)
-            assert one == sc._mismatch(u, h, 2.0, e, m, False) and math.isfinite(one)
-            kept = sc._assemble(u, h, 2.0, e, m, False, True)
-            assert np.array_equal(kept, sc._assemble(u, h, 2.0, e, m, False))
-    # the barrier's premise: no rescale up to psi[m], one on the continued step
-    u, h = rescaled.u_hartree, rescaled.step_bohr
-    t = h * h / 12.0 * 2.0 * (u - sc.solve_eigenstates(rescaled)[0].energy_h)
-    assert 1e140 < sc._numerov(t, 0.0, 1.0, 400, False)[2] <= sc._RESCALE
-    assert sc._numerov(t, 0.0, 1.0, 401, False)[2] == 1.0
 
 
 def record_numerov_calls(monkeypatch):
@@ -326,27 +288,12 @@ def record_numerov_calls(monkeypatch):
     calls = []
     real = sc._numerov
 
-    def recorded(t, psi0, psi1, stop, keep, peak=0.0):
+    def recorded(t, psi0, psi1, stop, keep):
         calls.append((len(t), stop))
-        return real(t, psi0, psi1, stop, keep, peak)
+        return real(t, psi0, psi1, stop, keep)
 
     monkeypatch.setattr(sc, "_numerov", recorded)
     return calls
-
-
-def test_mirror_solve_runs_half_the_numerov_steps(monkeypatch):
-    calls = record_numerov_calls(monkeypatch)
-    mirror = sn.interval_profile(1.6)
-    sc.solve_eigenstates(mirror, n_states=2)
-    one_pass = sum(stop - 1 for _, stop in calls)
-    calls.clear()
-    # one ulp off the mirror at one point: two passes per mismatch
-    u = mirror.u_hartree.copy()
-    u[-2] = np.nextafter(u[-2], 0.0)
-    broken = sc.PotentialProfile(mirror.grid_bohr, u, sc.DomainKind.INTERVAL)
-    sc.solve_eigenstates(broken, n_states=2)
-    two_pass = sum(stop - 1 for _, stop in calls)
-    assert 0.45 < one_pass / two_pass < 0.55
 
 
 def test_asymmetric_interval_keeps_two_passes(monkeypatch):
