@@ -2,14 +2,15 @@
 
 Two independent solvers:
 
-* ``solve_eigenstates`` -- two-sided fixed-step 4th-order (Numerov) shooting.
-  Node counts bracket each eigenvalue: the Sturm count of Numerov's recurrence
-  as a symmetric tridiagonal matrix (Barth, Martin & Wilkinson 1967), exact
-  where every interior 1 - h^2/12 2m (u - E) > 0, taken from one LDL^T sweep
-  (LAPACK ``dpttrf``, restarted past each non-positive pivot).  Illinois
-  false position on the Casoratian of the two passes at an interior match
-  point then refines it to 1e-13 relative; where that mismatch keeps its
-  sign across the bracket, node-count bisection runs to the end instead.
+* ``solve_eigenstates`` -- fixed-step 4th-order (Numerov) shooting on the
+  tridiagonal matrix T(E) of Numerov's recurrence, its right end closed by a
+  wall, a mirror's centre or an open end's decaying tail.  T(E)'s Sturm count
+  (Barth, Martin & Wilkinson 1967), exact where every interior 1 - h^2/12 2m
+  (u - E) > 0, from LDL^T sweeps (LAPACK ``dpttrf``) isolates each
+  eigenvalue; Illinois false position on det T(E), one summed-form pass from
+  the left wall (BLAS ``dtbsv``), refines it to 1e-13 relative, or, where
+  that keeps its sign across the bracket, node-count bisection runs to the
+  end.  The eigenvector is one inverse iteration (LAPACK ``dstein``).
   An interval whose potential equals its mirror float for float (every
   two-plate profile) is solved as its even and odd halves, each closed at
   the centre by the mirror condition: state k is level k // 2 of half k % 2.
@@ -34,15 +35,14 @@ from enum import Enum
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dpttrf, dstein
 
 from .constants import BOHR_RADIUS_NM, HARTREE_EV, HBAR_JS, STANDARD_GRAVITY_MS2
 from .errors import DomainError, EigenSearchError, GridError
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
-# Every pass rescales above this, so psi and the Casoratian's products stay finite.
-_RESCALE = 1.0e150
 _WALL = (1.0, 0.0)  # a closed end (see _count_nodes): psi = 0 past the last row
 
 
@@ -125,36 +125,7 @@ class Eigenstate:
 
 
 # ---------------------------------------------------------------------------
-# Numerov integration kernel (shooting route only)
-
-
-def _numerov(t, psi0, psi1, stop, keep):
-    """March psi[0..stop] from the seeds psi0, psi1 over the factor array ``t``.
-
-    Returns the last two values, the peak |psi| on their scale and, when
-    ``keep`` is set, the psi list (else None).  A pass over ``t[::-1]``
-    integrates from the far end."""
-    prev, cur = psi0, psi1
-    psi = [prev, cur] if keep else None
-    peak = max(abs(prev), abs(cur))
-    # the step's coefficients 2 + 10 t_i and 1 - t_i, over the marched slice
-    a = (2.0 + 10.0 * t[1:stop]).tolist()
-    w = (1.0 - t[: stop + 1]).tolist()
-    for a_i, w_prev, w_next in zip(a, w, w[2:]):
-        nxt = (a_i * cur - w_prev * prev) / w_next
-        prev, cur = cur, nxt
-        if keep:
-            psi.append(nxt)
-        mag = abs(nxt)
-        if mag > peak:
-            peak = mag
-        if mag > _RESCALE:
-            prev /= mag
-            cur /= mag
-            peak /= mag
-            if keep:
-                psi = [p / mag for p in psi]
-    return prev, cur, peak, psi
+# Numerov's z-form matrix T(E): node count, residual and eigenvector
 
 
 def _count_nodes(u, h, two_m, e, end=_WALL):
@@ -242,45 +213,74 @@ def _false_position(f, lo, hi, f_lo, f_hi, rtol):
     return lo, hi
 
 
-def _passes(u, h, two_m, e, m_idx, end, keep):
-    """Left pass over psi[0..m_idx+1] and right pass from the far end to psi[m_idx],
-    or to psi[m_idx-1] when ``keep`` is set, so kept passes share three points.
-
-    The right pass starts from (psi[-1], psi[-2]): (1, e^(kappa h)) for a
-    decaying tail at an open end (``end`` None), (0, 1) there once E reaches
-    u[-1]; at a closed end (s, c), psi[-2] = 1 and the psi[-1] that makes the
-    step at the last row read z_{-3} = (s a + c) z_{-2} (0 at a wall)."""
-    t = h * h / 12.0 * two_m * (u - e)  # Numerov factors
-    l_stop = m_idx + 1
-    r_stop = t.size - m_idx if keep else t.size - m_idx - 1
-    if end is None:
-        gap = two_m * (u[-1] - e)
-        seeds = (1.0, math.exp(min(math.sqrt(gap) * h, 600.0))) if gap > 0.0 else (0.0, 1.0)
-    else:
-        t_r, t_out = t[-2:].tolist()
-        seeds = (((1.0 - end[0]) * (2.0 + 10.0 * t_r) - end[1] * (1.0 - t_r)) / (1.0 - t_out), 1.0)
-    return _numerov(t, 0.0, 1.0, l_stop, keep), _numerov(t[::-1], *seeds, r_stop, keep)
+def _steps(v, h, two_m, e):
+    """1 - t_i and delta_i = 12 t_i/(1 - t_i), free of the cancellation in
+    a_i - 2 = 12/(1 - t_i) - 12, on the interior rows of ``v``."""
+    t = h * h / 12.0 * two_m * (v[1:-1] - e)
+    w = 1.0 - t
+    return w, 12.0 * t / w
 
 
-def _mismatch(u, h, two_m, e, m_idx, end):
-    """Casoratian C_m = L_m R_{m+1} - L_{m+1} R_m at the match point, each pass
-    scaled by its peak |psi|.  Numerov keeps (1 - t_i)(1 - t_{i+1}) C_i equal
-    at every i, so C_m has the sign of the two-sided mismatch
-    L_m (R_{m+1} - R_{m-1}) - R_m (L_{m+1} - L_{m-1}) = C_m + C_{m-1}."""
-    left, right = _passes(u, h, two_m, e, m_idx, end, False)
-    (l_m, l_next, l_peak, _), (r_next, r_m, r_peak, _) = left, right
-    return (l_m * r_next - l_next * r_m) / (l_peak * r_peak)
+def _residual(v, h, two_m, e, end):
+    """r(E) = D_{L-1} + s delta_L z_L + (2s - 1 + c) z_L, Numerov's summed form
+    D_i = D_{i-1} + delta_i z_i, z_{i+1} = z_i + D_i (Henrici 1962) run from
+    z_0 = 0, z_1 = 1 at the left wall and closed at row L by ``end`` (s, c):
+    the last LDL^T pivot of T(E) (see _count_nodes) times z_L, i.e. det T(E),
+    whose sign changes exactly where the count steps.  In the unknowns (z_1,
+    D_1, ..., z_L, D_{L-1} + s delta_L z_L) it is one unit lower triangular
+    band solve (BLAS ``dtbsv``); one that overflows is redone in blocks from
+    (z_j, D_{j-1}) scaled by powers of two: the same pass, scaled exactly."""
+    delta = _steps(v, h, two_m, e)[1]
+    delta[-1] *= end[0]
+    ab = np.full((3, 2 * delta.size), -1.0, order="F")  # row 0, the unit diagonal, is never read
+    ab[1, 0::2] = -delta
+    rhs = np.zeros(ab.shape[1])
+    rhs[:2] = 1.0  # (z_1, D_0)
+    z, d = dtbsv(2, ab, rhs, lower=1, diag=1)[-2:].tolist()
+    if not (math.isfinite(z) and math.isfinite(d)):
+        # a row grows max(|z|, |D|) at most 2 + |delta|-fold: blocks of up to 2^1000
+        bits = np.cumsum(np.log2(2.0 + np.abs(delta)))
+        z, d, start, done = 0.0, 1.0, 0, 0.0  # (z_0, D_0)
+        while start < delta.size:
+            stop = max(int(np.searchsorted(bits, done + 1000.0, side="right")), start + 1)
+            scale = math.ldexp(1.0, -math.frexp(max(abs(z + d), abs(d)))[1])
+            rhs = np.zeros(2 * (stop - start))
+            rhs[:2] = (z + d) * scale, d * scale
+            z, d = dtbsv(2, ab[:, 2 * start : 2 * stop], rhs, lower=1, diag=1)[-2:].tolist()
+            start, done = stop, float(bits[stop - 1])
+    return d + (2.0 * end[0] - 1.0 + end[1]) * z
 
 
-def _assemble(u, h, two_m, e, m_idx, end):
-    (*_, l_peak, left), (*_, r_peak, right) = _passes(u, h, two_m, e, m_idx, end, True)
-    left = np.array(left) / l_peak
-    right = np.array(right[::-1]) / r_peak
-    j = int(np.argmax(np.abs(right[:3])))
-    if right[j] == 0.0:
-        j = 1
-    ratio = left[m_idx - 1 + j] / (right[j] or 1.0)
-    return np.concatenate((left[:m_idx], ratio * right[1:]))
+def _right_end(v, h, two_m, e, end):
+    """(closure, psi[-1]/psi[-2]) of the right end at E: a closed ``end`` as
+    given; at an open one (None) the decaying tail psi[-1] = e^(-kappa h)
+    psi[-2], kappa = sqrt(2m (v[-1] - E)): the closure (1, -(1 - t[-1])/(1 -
+    t[-2]) e^(-kappa h)), or a wall once E reaches v[-1]."""
+    if end:
+        return end, 0.0
+    gap = two_m * (v[-1] - e)
+    if not gap > 0.0:
+        return _WALL, 0.0
+    decay = math.exp(-math.sqrt(gap) * h)
+    t_r, t_out = (h * h / 12.0 * two_m * (v[-2:] - e)).tolist()
+    return (1.0, -(1.0 - t_out) / (1.0 - t_r) * decay), decay
+
+
+def _eigenvector(v, h, two_m, e, end):
+    """psi on ``v`` at the eigenvalue e, psi[0] = psi[-1] = 0: inverse
+    iteration (LAPACK ``dstein``) for the eigenvalue 0 of the closed T(E),
+    whose eigenvector is z_i = (1 - t_i) psi_i."""
+    w, delta = _steps(v, h, two_m, e)
+    diag = 2.0 + delta
+    diag[-1] = end[0] * diag[-1] + end[1]
+    size = diag.size
+    off = np.full(max(size - 1, 1), -1.0)  # the wrapper wants one entry even at size 1
+    z, info = dstein(diag, off, [0.0], np.ones(size, np.int32), np.full(size, size, np.int32))
+    if info != 0:
+        raise EigenSearchError(f"inverse iteration failed (LAPACK dstein info {info})")
+    psi = np.zeros(v.size)
+    psi[1:-1] = z[:, 0] / w
+    return psi
 
 
 def _sectors(u):
@@ -337,26 +337,29 @@ def _finalize(energy_h: float, psi: np.ndarray, profile: PotentialProfile,
 def solve_eigenstates(
     profile: PotentialProfile, m_eff: float = 1.0, n_states: int = 1
 ) -> list[Eigenstate]:
-    """Lowest ``n_states`` eigenstates by two-sided Numerov shooting.
+    """Lowest ``n_states`` eigenstates by Numerov shooting.
 
     Each eigenvalue is first isolated by bisection on the node count (to 1e-6
-    relative): the Sturm count of tridiag(-1, a, -1), where a_i = 12/(1 - t_i)
-    - 10 and t_i = h^2/12 2m (u_i - E), which is Numerov's recurrence for
-    z_i = (1 - t_i) psi_i (Barth, Martin & Wilkinson, Numer. Math. 9, 386
-    (1967)), counted as the non-positive pivots of its LDL^T factorisation
-    (LAPACK ``dpttrf``, restarted past each one).  It needs every interior
-    1 - t_i > 0; a grid too coarse for that raises ``GridError``.
-    Illinois false position on the peak-scaled Casoratian at the match point
-    (outermost classical turning point, or the midpoint of an interval that
-    is not a mirror) then polishes it to 1e-13 relative, below which rounding
-    noise sets the mismatch's sign.  An interval whose potential equals its
-    mirror exactly is solved as its even and odd halves (``_sectors``), whose
-    levels stay apart however deep the double well.  When the mismatch has
-    the same sign at both bracket ends -- a half-line state whose
-    decaying-tail root lies outside the bracket -- node-count bisection
-    continues to machine precision, and the state then carries a hard wall
-    at the truncation radius instead.  Degenerate pairs of a profile
-    symmetric only to rounding are re-symmetrized into even/odd combinations.
+    relative): the Sturm count of T(E) = tridiag(-1, a, -1), a_i = 12/(1 -
+    t_i) - 10 with t_i = h^2/12 2m (u_i - E), Numerov's recurrence for z_i =
+    (1 - t_i) psi_i (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)),
+    counted as the non-positive pivots of its LDL^T factorisation (LAPACK
+    ``dpttrf``, restarted past each one).  It needs every interior 1 - t_i >
+    0; a grid too coarse for that raises ``GridError``.  Illinois false
+    position then polishes it to 1e-13 relative on det T(E), the residual of
+    one summed-form pass from the left wall (``_residual``).  T(E) is closed
+    by a wall at an interval's end, and at an open half-line end by the
+    decaying tail psi[-1] = e^(-kappa h) psi[-2], kappa set by the potential
+    there (``_right_end``).  An interval whose potential equals its mirror exactly
+    is solved as its even and odd halves (``_sectors``), whose levels stay
+    apart however deep the double well.  When the residual has the same sign
+    at both bracket ends -- a half-line state whose decaying-tail root lies
+    outside the bracket -- node-count bisection continues to machine
+    precision, and the state then carries a hard wall at the truncation
+    radius instead.  The eigenvector is one inverse iteration (LAPACK
+    ``dstein``) for the eigenvalue 0 of the same closed T(E).  Degenerate
+    pairs of a profile symmetric only to rounding are re-symmetrized into
+    even/odd combinations.
     A grid of fewer than 4 points, or a step h with h^2 or h^2/12 2m not a
     normal float, raises ``GridError``.
     """
@@ -370,21 +373,21 @@ def solve_eigenstates(
     h = profile.step_bohr
     two_m = 2.0 * m_eff
     open_right = profile.kind is not DomainKind.INTERVAL
-    # psi = 0 at a hard wall, so the passes take its entry from the neighbour
+    # psi = 0 at a hard wall, so the kernels take its entry from the neighbour
     inner = u[1:] if open_right else u[1:-1]
     u = np.pad(inner, (1, 0 if open_right else 1), mode="edge")
     mirrored = not open_right and np.array_equal(u, u[::-1])
     # (u, right end, sign of the mirror image) of the domain, or of each half
     problems = _sectors(u) if mirrored else [(u, None if open_right else _WALL, 0.0)]
 
-    if n < 4:  # the match point needs an interior neighbour on each side
+    if n < 4:  # a mirror of 3 points leaves its odd half no row
         raise GridError(f"shooting needs at least 4 grid points, got {n}")
     # Numerov's factors h^2/12 2m (u - E) lose digits once h^2 or their
     # coefficient leaves the normal floats, and the 1/span^2 energy scale
     # overflows soon after (about a 1e-152 nm gap on 4001 points)
     if h * h < sys.float_info.min:
         raise GridError(f"grid step {h:.3g} Bohr too fine: h^2 is not a normal float")
-    coefficient = h * h / 12.0 * two_m  # as every count and pass forms it
+    coefficient = h * h / 12.0 * two_m  # as every kernel forms it
     if coefficient < sys.float_info.min:
         raise GridError(f"h^2/12 2m = {coefficient:.3g} is not a normal float: "
                         "step or mass too small")
@@ -419,28 +422,24 @@ def solve_eigenstates(
             seen.append((e, c))
             return c - level - 0.5
 
+        def residual(e):
+            return _residual(v, h, two_m, e, _right_end(v, h, two_m, e, end)[0])
+
         # phase 1: node-count bisection isolates the eigenvalue
         e_lo, e_hi = _bisect(above, lo, hi, 1.0e-6)
-        # match point from the bracket midpoint
-        e_mid = 0.5 * (e_lo + e_hi)
-        if profile.kind is DomainKind.INTERVAL and not mirrored:
-            m_idx = (n - 1) // 2
-        else:
-            allowed = np.nonzero(v[1:-1] <= e_mid)[0]
-            m_idx = int(allowed[-1]) + 1 if allowed.size else v.size // 2
-        m_idx = min(max(m_idx, 2), max(v.size - 3, 1))
-        # phase 2: false position on the mismatch to 1e-13 relative
-        def mismatch(e):
-            return _mismatch(v, h, two_m, e, m_idx, end)
-        w_lo, w_hi = mismatch(e_lo), mismatch(e_hi)
-        if w_lo * w_hi < 0.0:
-            e_lo, e_hi = _false_position(mismatch, e_lo, e_hi, w_lo, w_hi, 1.0e-13)
+        # phase 2: false position on the residual to 1e-13 relative
+        r_lo, r_hi = residual(e_lo), residual(e_hi)
+        crossed = min(r_lo, r_hi) < 0.0 < max(r_lo, r_hi)
+        if crossed:
+            e_lo, e_hi = _false_position(residual, e_lo, e_hi, r_lo, r_hi, 1.0e-13)
         else:
             # no sign change (the decaying tail's root outside the bracket):
-            # node-count bisection to the end
+            # node-count bisection to the end, and a wall at the truncation end
             e_lo, e_hi = _bisect(above, e_lo, e_hi, 0.0)
         energy = 0.5 * (e_lo + e_hi)
-        psi = _assemble(v, h, two_m, energy, m_idx, end)
+        closure, decay = _right_end(v, h, two_m, energy, end) if crossed else (_WALL, 0.0)
+        psi = _eigenvector(v, h, two_m, energy, closure)
+        psi[-1] = decay * psi[-2]
         if sign:  # the sector and its mirror image
             psi = np.concatenate((psi[: (n + 1) // 2], sign * psi[n // 2 - 1 :: -1]))
         if flipped:

@@ -2,7 +2,7 @@
 for the node count that brackets the shooting solver's eigenvalues (against
 LAPACK ``dstebz``'s Sturm count as the reference), for the sector counts of
 mirror-symmetric intervals adding up to the whole count, for the exact
-discrete levels of boxes of a few points, for the 1/m scaling of box levels
+discrete levels of boxes of a few to 10001 points, for the 1/m scaling of box levels
 by both eigensolvers, for hard-wall entries of a profile being dead input to both
 eigensolvers, and for the CLI's sweep and layer strings ending either as a
 usage error or in one row per requested point.
@@ -166,21 +166,41 @@ def test_sector_counts_add_up_to_the_whole_count(well):
     assert even + odd == sc._count_nodes(u, h, 2.0, e) and even - odd in (0, 1)
 
 
+def exact_box_levels(n_points, h, m_eff, count):
+    """Numerov's levels on an n-point box: E_j = 24 sin^2(theta_j/2) /
+    (2m h^2 (5 + cos theta_j)), theta_j = j pi / (n - 1), the sine form of
+    12 (1 - cos theta_j), which cancels on fine grids."""
+    theta = np.arange(1, count + 1) * np.pi / (n_points - 1)
+    levels = 24.0 * np.sin(0.5 * theta) ** 2 / (2.0 * m_eff * h * h * (5.0 + np.cos(theta)))
+    return levels.tolist()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(4, 12), st.floats(0.5, 50.0), st.floats(0.05, 20.0))
 @example(4, 1.0, 1.0)
 @example(5, 1.0, 1.0)
 def test_tiny_boxes_give_the_exact_discrete_levels(n_points, length, m_eff):
-    # Numerov's box levels on n points: E_j = 12 (1 - cos theta_j) /
-    # (2m h^2 (5 + cos theta_j)), theta_j = j pi / (n - 1); 4 and 5 points
-    # leave a sector of 3
+    # 4 and 5 points leave a sector of 3
     grid = np.linspace(0.0, length, n_points)
     box = sc.PotentialProfile(grid, np.zeros(n_points), sc.DomainKind.INTERVAL)
     levels = [s.energy_h for s in sc.solve_eigenstates(box, m_eff, n_points - 2)]
-    theta = np.arange(1, n_points - 1) * np.pi / (n_points - 1)
-    h = box.step_bohr
-    exact = 12.0 * (1.0 - np.cos(theta)) / (2.0 * m_eff * h * h * (5.0 + np.cos(theta)))
-    assert levels == pytest.approx(exact.tolist(), rel=1e-12, abs=0.0)
+    exact = exact_box_levels(n_points, box.step_bohr, m_eff, n_points - 2)
+    assert levels == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(1001, 10001), st.floats(1.0, 100.0), st.floats(0.05, 20.0))
+@example(1001, 30.0, 1.0)
+@example(4001, 30.0, 1.0)
+@example(4000, 30.0, 1.0)
+@example(10001, 30.0, 1.0)
+def test_shooting_meets_the_exact_discrete_box_levels(n_points, length, m_eff):
+    # the summed-form residual is exact to rounding: no loss that grows with n
+    grid = np.linspace(0.0, length, n_points)
+    box = sc.PotentialProfile(grid, np.zeros(n_points), sc.DomainKind.INTERVAL)
+    levels = [s.energy_h for s in sc.solve_eigenstates(box, m_eff, 4)]
+    exact = exact_box_levels(n_points, box.step_bohr, m_eff, 4)
+    assert levels == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def dstebz_count(u, h, two_m, e):

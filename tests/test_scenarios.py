@@ -541,27 +541,28 @@ def test_sweep_row_replace_keeps_shape():
 
 
 def test_two_state_solve_work(monkeypatch):
-    mismatches, rows = [0], []
-    count_nodes, mismatch = sc._count_nodes, sc._mismatch
+    residuals, rows = [0], []
+    count_nodes, residual = sc._count_nodes, sc._residual
 
     def counted(u, *args):
         rows.append(u.size - 2)
         return count_nodes(u, *args)
 
     def evaluated(*args):
-        mismatches[0] += 1
-        return mismatch(*args)
+        residuals[0] += 1
+        return residual(*args)
 
     monkeypatch.setattr(sc, "_count_nodes", counted)
-    monkeypatch.setattr(sc, "_mismatch", evaluated)
+    monkeypatch.setattr(sc, "_residual", evaluated)
     sn.two_plate_spectrum(1.6, 1)
     one = sum(rows)
     rows.clear()
-    mismatches[0] = 0
+    residuals[0] = 0
     sn.two_plate_spectrum(1.6, 2)
     two = sum(rows)
-    # false position from the node-count bracket, including its two ends
-    assert mismatches[0] <= 2 * 14
+    # false position from the node-count bracket, including its two ends:
+    # the residual is smooth in E (det T(E)), so a few steps reach 1e-13
+    assert residuals[0] <= 2 * 7
     # past the window's count of the whole 3999-row matrix, every count runs
     # over one half of the 4001-point mirror: at most 2000 rows
     assert rows[0] == 3999 and max(rows[1:]) <= 2000
@@ -572,13 +573,15 @@ def test_two_state_solve_work(monkeypatch):
     assert sum(rows) - two < two - one
 
 
-# Energies (eV) recorded before the mismatch polish moved from bisection to
-# false position; they must hold to 1e-12 relative.  An intended numeric
-# change (fourth order at the singular walls, ROADMAP F) re-records them.
+# Energies (eV) recorded from the summed-form residual; each lies within 3e-14
+# relative of a 45-digit Sturm bisection of the same float profile, except
+# GaAs at 5 nm, whose node-count fallback is off by 1.2e-12 (the count's own
+# floor).  They must hold to 1e-12 relative.  An intended numeric change
+# (fourth order at the singular walls, ROADMAP F) re-records them.
 RECORDED_PLATES_EV = {
-    0.8: (-1.2101363807966772, -0.1440411740944543, 2.521508834006751),
-    1.6: (-0.9225124499159884, -0.8326034404704848, -0.0752381134094152),
-    4.0: (-0.8522074435603995, -0.8521987206320585, -0.26111363647328706),
+    0.8: (-1.2101363808005048, -0.14404117410363826, 2.521508834017041),
+    1.6: (-0.9225124499169122, -0.8326034404724524, -0.07523811341061214),
+    4.0: (-0.8522074435608495, -0.8521987206324659, -0.2611136364733779),
 }
 
 
@@ -587,9 +590,9 @@ def test_recorded_energies_hold():
         energies = [s.energy_ev for s in sn.two_plate_spectrum(gap, 3).states]
         assert energies == pytest.approx(recorded, rel=1e-12, abs=0.0)
     box = sn.two_plate_spectrum(1.6, 1, q=0.0).states[0].energy_ev
-    assert box == pytest.approx(0.14688678225408403, rel=1e-12, abs=0.0)
-    # GaAs at a 5 nm gap takes the node-count fallback (ROADMAP G)
+    assert box == pytest.approx(0.1468867822720606, rel=1e-12, abs=0.0)
+    # GaAs at a 5 nm gap takes the node-count fallback (ROADMAP H')
     gaas = sn.schottky_gap_sweep(sn.get_material("GaAs"), sn.Carrier.ELECTRON, [5.0])[0]
     assert gaas.energies_ev[0] == pytest.approx(-8.819349329013618e-05, rel=1e-12, abs=0.0)
     film = sn.noble_film_sweep(sn.get_material("sAr"), [3], d_max_nm=25)[0]
-    assert film.energies_ev[0] == pytest.approx(-0.21039540335340845, rel=1e-12, abs=0.0)
+    assert film.energies_ev[0] == pytest.approx(-0.2103954033533839, rel=1e-12, abs=0.0)

@@ -48,6 +48,7 @@ def test_box_levels_nodes_parity():
         assert s.parity is (sc.Parity.EVEN if n % 2 == 1 else sc.Parity.ODD)
         assert s.kind is sc.StateKind.BOX
         assert s.energy_ev == pytest.approx(s.energy_h * HARTREE_EV, rel=1e-15)
+        assert type(s.energy_h) is float  # a numpy scalar would print True for true
 
 
 def test_box_states_are_orthonormal():
@@ -201,10 +202,18 @@ def test_false_position_stops_at_zero_width_or_float_resolution():
 
 
 def node_pass_sign_changes(u, h, two_m, e):
-    """Sign changes among psi[1..] of a kept Numerov pass with psi(0) = 0."""
-    t = h * h / 12.0 * two_m * (u - e)
-    psi = np.array(sc._numerov(t, 0.0, 1.0, t.size - 1, True)[3][1:])
-    return int(np.count_nonzero(psi[1:] * psi[:-1] < 0.0))
+    """Sign changes among psi[1..] of Numerov's recurrence from psi(0) = 0,
+    marched row by row in plain Python and rescaled as it grows: a reference
+    that shares no code with the solver."""
+    t = (h * h / 12.0 * two_m * (u - e)).tolist()
+    prev, cur, changes = 0.0, 1.0, 0
+    for i in range(1, len(t) - 1):
+        nxt = ((2.0 + 10.0 * t[i]) * cur - (1.0 - t[i - 1]) * prev) / (1.0 - t[i + 1])
+        changes += nxt * cur < 0.0
+        prev, cur = cur, nxt
+        if abs(cur) > 1.0e150:
+            prev, cur = prev / abs(cur), cur / abs(cur)
+    return changes
 
 
 def test_sturm_count_equals_node_pass_sign_changes():
@@ -241,6 +250,9 @@ def test_count_guards_raise_typed_errors(monkeypatch):
     for barrier in (6.0 / (h * h), 1.0e4):  # 1 - t exactly zero, then negative
         with pytest.raises(GridError, match="too coarse"):
             sc._count_nodes(np.full(51, barrier), h, 2.0, 0.0)
+    monkeypatch.setattr(sc, "dstein", lambda d, *args: (np.zeros((d.size, 1)), 1))
+    with pytest.raises(EigenSearchError, match="dstein info 1"):
+        sc.solve_eigenstates(box_profile(30.0, 101))
     monkeypatch.setattr(sc, "dpttrf", lambda d, e, **kw: (d, e, -2))
     with pytest.raises(EigenSearchError, match="dpttrf info -2"):
         sc.solve_eigenstates(box_profile(30.0, 101))
@@ -252,61 +264,56 @@ def test_shooting_needs_four_points(monkeypatch):
     for kind in sc.DomainKind:
         state, = sc.solve_eigenstates(sc.PotentialProfile(np.arange(4.0), np.zeros(4), kind))
         assert state.energy_h == pytest.approx(6.0 / 11.0, rel=1e-12) and state.nodes == 0
-    # 3 points leave the match point no interior neighbour: refused before any count
+    # 3 points leave the odd half of a mirror no row: refused before any count
     monkeypatch.setattr(sc, "_count_nodes", None)
     for kind in sc.DomainKind:
         with pytest.raises(GridError, match="at least 4 grid points, got 3"):
             sc.solve_eigenstates(sc.PotentialProfile(np.arange(3.0), np.zeros(3), kind))
 
 
-def two_sided_wronskian(u, h, two_m, e, m, end):
-    """The mismatch from kept passes: L_m (R_{m+1} - R_{m-1}) - R_m (L_{m+1} - L_{m-1})."""
-    (*_, left), (*_, right) = sc._passes(u, h, two_m, e, m, end, True)
-    right = right[::-1]
-    return left[m] * (right[2] - right[0]) - right[1] * (left[m + 1] - left[m - 1])
-
-
-def test_scalar_mismatch_has_the_two_sided_sign():
+def test_residual_changes_sign_where_the_count_steps():
+    # r(E) is det T(E) of the closed matrix the count factors: its sign is
+    # (-1)^count, so it flips across each count step isolated to 1e-9 (the
+    # count itself rounds to about 1e-11 here).  On an asymmetric interval,
+    # the four closures of mirror halves (odd and even n), and a half line
+    # short enough that its decaying tail moves the levels (by 2e-8 and 4e-3)
     grid = np.linspace(0.0, 10.0, 2001)
     x = (grid - 5.0) / 2.5
-    well = sc.PotentialProfile(grid, 0.8 * ((x * x - 1.0) ** 2 - 1.0) + 0.02 * x,
-                               sc.DomainKind.INTERVAL)
-    for prof, end, m in ((well, sc._WALL, 1000), (metal_wall_profile(2, 2001), None, 300)):
-        u, h = prof.u_hartree, prof.step_bohr
-        roots = [s.energy_h for s in sc.solve_eigenstates(prof, n_states=2)]
-        gap = roots[1] - roots[0]
-        signs = set()
-        for e in roots[0] + gap * np.array([-0.6, -0.3, -0.05, 0.05, 0.3, 0.6, 1.05, 1.3]):
-            w = sc._mismatch(u, h, 2.0, e, m, end)
-            signs.add(w > 0.0)
-            assert np.sign(w) == np.sign(two_sided_wronskian(u, h, 2.0, e, m, end))
-        assert signs == {True, False}
+    well = 0.8 * ((x * x - 1.0) ** 2 - 1.0) + 0.02 * x
+    cases = [(well, grid[1], sc._WALL, 3)]
+    for n_points in (1001, 1000):
+        plates = sn.interval_profile(1.6, n_points=n_points)
+        mirror = np.pad(plates.u_hartree[1:-1], 1, mode="edge")
+        cases += [(v, plates.step_bohr, end, 3) for v, end, _ in sc._sectors(mirror)]
+    d = np.linspace(0.0, 60.0, 2001)
+    d[0] = 0.5 * d[1]
+    cases.append((-1.0 / (4.0 * d), d[1], None, 2))  # two levels below u(60) = -1/240
+    for v, h, right, levels in cases:
+        def closed(e):
+            end = sc._right_end(v, h, 2.0, e, right)[0]
+            return sc._count_nodes(v, h, 2.0, e, end), sc._residual(v, h, 2.0, e, end)
+
+        for k in range(levels):
+            step = sc._bisect(lambda e: closed(e)[0] - k - 0.5, -1.0, 3.0, 1e-9)
+            assert [closed(e)[0] for e in step] == [k, k + 1]
+            assert [closed(e)[1] < 0.0 for e in step] == [k % 2 == 1, k % 2 == 0]
 
 
-def record_numerov_calls(monkeypatch):
-    """(length of t, stop) of every Numerov pass from here on."""
-    calls = []
-    real = sc._numerov
-
-    def recorded(t, psi0, psi1, stop, keep):
-        calls.append((len(t), stop))
-        return real(t, psi0, psi1, stop, keep)
-
-    monkeypatch.setattr(sc, "_numerov", recorded)
-    return calls
-
-
-def test_asymmetric_interval_keeps_two_passes(monkeypatch):
-    calls = record_numerov_calls(monkeypatch)
-    grid = np.linspace(0.0, 10.0, 2001)
-    x = (grid - 5.0) / 2.5
-    prof = sc.PotentialProfile(grid, 0.8 * ((x * x - 1.0) ** 2 - 1.0) + 0.02 * x,
-                               sc.DomainKind.INTERVAL)
-    sc.solve_eigenstates(prof, n_states=2)
-    # every solve pass runs the full grid: left to m + 1, right to m or m - 1
-    assert len(calls) % 2 == 0 and {length for length, _ in calls} == {2001}
-    assert {stop for _, stop in calls[0::2]} == {1001}
-    assert {stop for _, stop in calls[1::2]} <= {1000, 1001}
+def test_fallback_state_ends_at_the_wall_at_the_truncation_end():
+    # GaAs at a 5 nm gap: the decaying-tail root lies outside the node-count
+    # bracket, so the state is the one with a hard wall at d_max
+    gaas = sn.get_material("GaAs")
+    m_eff = sn.carrier_mass(gaas, sn.Carrier.ELECTRON)
+    prof = sn.halfline_profile(gaas.eps, 1.0, 5.0, m_eff=m_eff)
+    u, h = prof.u_hartree, prof.step_bohr
+    state = sc.solve_eigenstates(prof, m_eff)[0]
+    e = state.energy_h
+    lo, hi = e - 1e-10 * abs(e), e + 1e-10 * abs(e)
+    assert [sc._count_nodes(u, h, 2.0 * m_eff, x) for x in (lo, hi)] == [0, 1]
+    tail = [sc._residual(u, h, 2.0 * m_eff, x, sc._right_end(u, h, 2.0 * m_eff, x, None)[0])
+            for x in (lo, hi)]
+    assert tail[0] * tail[1] > 0.0
+    assert state.psi[-1] == 0.0 and state.psi[-2] > 0.0 and state.nodes == 0
 
 
 def test_tiny_span_raises_grid_error():
