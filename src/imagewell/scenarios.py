@@ -38,8 +38,6 @@ from .constants import (
 )
 from .errors import DomainError, GridError, ImagewellError, MaterialNotFoundError, TableRangeError
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 # Bumped whenever a builtin material entry changes.
 REGISTRY_VERSION = 1
 
@@ -410,7 +408,7 @@ def averaged_plate_plate(
     u_pp = el.plate_plate_curve(stack, z_nm, q=q)
     integrand = np.zeros_like(grid)
     integrand[1:-1] = state.psi[1:-1] ** 2 * u_pp
-    return float(_trapezoid(integrand, grid))
+    return float(np.trapezoid(integrand, grid))
 
 
 def casimir_force(area_m2: float, gap_nm: float) -> float:

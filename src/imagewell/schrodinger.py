@@ -11,9 +11,11 @@ Two independent solvers:
   the left wall (BLAS ``dtbsv``), refines it to 1e-13 relative, or, where
   that keeps its sign across the bracket, node-count bisection runs to the
   end.  The eigenvector is one inverse iteration (LAPACK ``dstein``).
-  An interval whose potential equals its mirror float for float (every
-  two-plate profile) is solved as its even and odd halves, each closed at
-  the centre by the mirror condition: state k is level k // 2 of half k % 2.
+  An interval whose potential is its mirror to within 1e-9 of its largest
+  magnitude is solved as the exact mirror 0.5 (u + u[::-1]) (bitwise u for
+  every two-plate profile), as its even and odd halves, each closed at the
+  centre by the mirror condition: state k is level k // 2 of half k % 2.
+  State k has k nodes, certified by the count, and the parity of its half.
 * ``diagonalization_oracle`` -- second-order central-difference Hamiltonian
   diagonalized with a symmetric tridiagonal eigensolver.  Exists to
   cross-check the shooting path and must never share its integration core.
@@ -40,8 +42,6 @@ from scipy.linalg.lapack import dpttrf, dstein
 
 from .constants import BOHR_RADIUS_NM, HARTREE_EV, HBAR_JS, STANDARD_GRAVITY_MS2
 from .errors import DomainError, EigenSearchError, GridError
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 _WALL = (1.0, 0.0)  # a closed end (see _count_nodes): psi = 0 past the last row
 
@@ -112,6 +112,12 @@ class PotentialProfile:
 
 @dataclass(frozen=True, eq=False)
 class Eigenstate:
+    """A normalised state.  From shooting, state k has ``nodes`` = k, the
+    count that isolated it, and the ``parity`` of the mirror half it was
+    solved on (``NONE`` off a mirror); from the oracle, ``nodes`` are psi's
+    sign changes above 1e-8 of its peak and ``parity`` is psi's mirror
+    overlap beyond +-0.99 on a mirror profile."""
+
     energy_h: float
     psi: np.ndarray
     grid_bohr: np.ndarray
@@ -284,8 +290,8 @@ def _eigenvector(v, h, two_m, e, end):
 
 
 def _sectors(u):
-    """(u up to one point past the centre, closed end, sign of the mirror
-    image) of the even and the odd half of an interval equal to its mirror.
+    """(u up to one point past the centre, closed end, parity) of the even
+    and the odd half of an interval equal to its mirror.
     Its Jacobi matrix is persymmetric, so eigenvector k is symmetric or skew
     with k sign changes (Cantoni & Butler, Linear Algebra Appl. 13, 275
     (1976)).  At a centre point M, psi[M+1] = psi[M-1] halves row M (exactly
@@ -293,13 +299,8 @@ def _sectors(u):
     row K - 1 by -+1."""
     n, c = u.size, u.size // 2 + 1
     if n % 2:
-        return [(u[: c + 1], (0.5, 0.0), 1.0), (u[:c], _WALL, -1.0)]
-    return [(u[:c], (1.0, -1.0), 1.0), (u[:c], (1.0, 1.0), -1.0)]
-
-
-def _count_nodes_array(psi: np.ndarray) -> int:
-    sig = psi[np.abs(psi) > 1.0e-8 * np.max(np.abs(psi))]  # empty for psi = 0
-    return int(np.count_nonzero(np.diff(np.sign(sig)) != 0))
+        return [(u[: c + 1], (0.5, 0.0), Parity.EVEN), (u[:c], _WALL, Parity.ODD)]
+    return [(u[:c], (1.0, -1.0), Parity.EVEN), (u[:c], (1.0, 1.0), Parity.ODD)]
 
 
 def _profile_is_symmetric(profile: PotentialProfile) -> bool:
@@ -311,9 +312,12 @@ def _profile_is_symmetric(profile: PotentialProfile) -> bool:
 
 
 def _finalize(energy_h: float, psi: np.ndarray, profile: PotentialProfile,
-              symmetric: bool) -> Eigenstate:
+              labels: tuple[int, Parity] | None = None) -> Eigenstate:
+    """The state of psi normalised, its first lobe above 1e-3 of the peak
+    positive, labelled (nodes, parity) = ``labels``; the oracle's (None) are
+    psi's sign changes above 1e-8 of the peak and its mirror overlap."""
     grid = profile.grid_bohr
-    norm = math.sqrt(float(_trapezoid(psi * psi, grid)))
+    norm = math.sqrt(float(np.trapezoid(psi * psi, grid)))
     if norm == 0.0:
         raise EigenSearchError("degenerate zero eigenvector")
     psi = psi / norm
@@ -321,17 +325,20 @@ def _finalize(energy_h: float, psi: np.ndarray, profile: PotentialProfile,
     lead = np.nonzero(np.abs(psi) > 1.0e-3 * scale)[0][0]
     if psi[lead] < 0.0:
         psi = -psi
-    parity = Parity.NONE
-    if symmetric:
-        overlap = float(_trapezoid(psi * psi[::-1], grid))
-        if overlap > 0.99:
-            parity = Parity.EVEN
-        elif overlap < -0.99:
-            parity = Parity.ODD
+    if labels is None:
+        sig = psi[np.abs(psi) > 1.0e-8 * scale]
+        parity = Parity.NONE
+        if _profile_is_symmetric(profile):
+            overlap = float(np.trapezoid(psi * psi[::-1], grid))
+            if overlap > 0.99:
+                parity = Parity.EVEN
+            elif overlap < -0.99:
+                parity = Parity.ODD
+        labels = int(np.count_nonzero(np.diff(np.sign(sig)) != 0)), parity
     kind = StateKind.BOUND if energy_h < profile.classification_reference() else StateKind.BOX
     psi = np.ascontiguousarray(psi)
     psi.setflags(write=False)
-    return Eigenstate(energy_h, psi, grid, _count_nodes_array(psi), parity, kind)
+    return Eigenstate(energy_h, psi, grid, *labels, kind)
 
 
 def solve_eigenstates(
@@ -350,16 +357,19 @@ def solve_eigenstates(
     one summed-form pass from the left wall (``_residual``).  T(E) is closed
     by a wall at an interval's end, and at an open half-line end by the
     decaying tail psi[-1] = e^(-kappa h) psi[-2], kappa set by the potential
-    there (``_right_end``).  An interval whose potential equals its mirror exactly
-    is solved as its even and odd halves (``_sectors``), whose levels stay
-    apart however deep the double well.  When the residual has the same sign
-    at both bracket ends -- a half-line state whose decaying-tail root lies
-    outside the bracket -- node-count bisection continues to machine
-    precision, and the state then carries a hard wall at the truncation
-    radius instead.  The eigenvector is one inverse iteration (LAPACK
-    ``dstein``) for the eigenvalue 0 of the same closed T(E).  Degenerate
-    pairs of a profile symmetric only to rounding are re-symmetrized into
-    even/odd combinations.
+    there (``_right_end``).  An interval whose potential is its mirror to
+    within 1e-9 of its largest magnitude (``_profile_is_symmetric``) is solved
+    as the exact mirror 0.5 (u + u[::-1]) -- u itself when u is one, and
+    levels moved by about the asymmetry |u - u[::-1]|/2 at most when u is
+    near one -- split into its even and odd halves (``_sectors``), whose
+    levels stay apart however deep the double well.  When the residual has
+    the same sign at both bracket ends -- a half-line state whose
+    decaying-tail root lies outside the bracket -- node-count bisection
+    continues to machine precision, and the state then carries a hard wall
+    at the truncation radius instead.  The eigenvector is one inverse iteration (LAPACK
+    ``dstein``) for the eigenvalue 0 of the same closed T(E).  State k is
+    labelled by the count that isolated it, k nodes, and by its half, even or
+    odd (``NONE`` off a mirror).
     A grid of fewer than 4 points, or a step h with h^2 or h^2/12 2m not a
     normal float, raises ``GridError``.
     """
@@ -376,9 +386,11 @@ def solve_eigenstates(
     # psi = 0 at a hard wall, so the kernels take its entry from the neighbour
     inner = u[1:] if open_right else u[1:-1]
     u = np.pad(inner, (1, 0 if open_right else 1), mode="edge")
-    mirrored = not open_right and np.array_equal(u, u[::-1])
-    # (u, right end, sign of the mirror image) of the domain, or of each half
-    problems = _sectors(u) if mirrored else [(u, None if open_right else _WALL, 0.0)]
+    mirrored = _profile_is_symmetric(profile)
+    if mirrored:  # the exact mirror: u itself when it is one
+        u = 0.5 * (u + u[::-1])
+    # (u, right end, parity) of the domain, or of each half
+    problems = _sectors(u) if mirrored else [(u, None if open_right else _WALL, Parity.NONE)]
 
     if n < 4:  # a mirror of 3 points leaves its odd half no row
         raise GridError(f"shooting needs at least 4 grid points, got {n}")
@@ -405,12 +417,11 @@ def solve_eigenstates(
     else:
         raise EigenSearchError(f"could not bracket {n_states} states after window expansions")
 
-    symmetric = _profile_is_symmetric(profile)
     states: list[Eigenstate] = []
     measured = [[] for _ in problems]  # (energy, node count) each; every count is exact
     for k in range(n_states):
         level, p = divmod(k, len(problems))
-        (v, end, sign), seen = problems[p], measured[p]
+        (v, end, parity), seen = problems[p], measured[p]
 
         def above(e):  # node count level + 1 or more: e lies above that eigenvalue
             # counts grow with energy: level + 1 or more at or below e, or
@@ -440,20 +451,21 @@ def solve_eigenstates(
         closure, decay = _right_end(v, h, two_m, energy, end) if crossed else (_WALL, 0.0)
         psi = _eigenvector(v, h, two_m, energy, closure)
         psi[-1] = decay * psi[-2]
-        if sign:  # the sector and its mirror image
-            psi = np.concatenate((psi[: (n + 1) // 2], sign * psi[n // 2 - 1 :: -1]))
+        if mirrored:  # the half and its mirror image
+            image = psi[n // 2 - 1 :: -1]
+            psi = np.concatenate((psi[: (n + 1) // 2], image if parity is Parity.EVEN else -image))
         if flipped:
             psi = psi[::-1]
-        states.append(_finalize(energy, psi, profile, symmetric))
+        states.append(_finalize(energy, psi, profile, (k, parity)))
 
-    _symmetrize_degenerate_pairs(states, profile, symmetric, m_eff)
-    _validate_ordering(states, m_eff)
+    for a, b in zip(states, states[1:]):  # each level is polished to 1e-13 relative
+        width = 1.0e-13 * (abs(a.energy_h) + abs(b.energy_h))
+        if b.energy_h < a.energy_h - max(1.0e-12 / m_eff, width):
+            raise EigenSearchError("eigenvalues out of order; grid too coarse")
     return states
 
 
-def _symmetrize_degenerate_pairs(states, profile, symmetric, m_eff):
-    if not symmetric:
-        return
+def _symmetrize_degenerate_pairs(states, profile, m_eff):
     for i in range(len(states) - 1):
         a, b = states[i], states[i + 1]
         if abs(b.energy_h - a.energy_h) >= 1.0e-12 / m_eff:
@@ -464,23 +476,8 @@ def _symmetrize_degenerate_pairs(states, profile, symmetric, m_eff):
         odd_raw = a.psi - a.psi[::-1]
         if float(np.max(np.abs(odd_raw))) < 1.0e-6:
             odd_raw = b.psi - b.psi[::-1]
-        states[i] = _finalize(a.energy_h, even_raw, profile, symmetric)
-        states[i + 1] = _finalize(b.energy_h, odd_raw, profile, symmetric)
-
-
-def _validate_ordering(states, m_eff):
-    for i in range(len(states) - 1):
-        if states[i + 1].energy_h < states[i].energy_h - 1.0e-12 / m_eff:
-            raise EigenSearchError("eigenvalues out of order; grid too coarse")
-    for i, s in enumerate(states):
-        if s.nodes == i:
-            continue
-        # near-degenerate pairs can carry mixed node counts; anything else
-        # means the grid cannot resolve the state
-        gap = min((abs(s.energy_h - states[j].energy_h) for j in (i - 1, i + 1)
-                   if 0 <= j < len(states)), default=math.inf)
-        if gap > 1.0e-10 * max(1.0 / m_eff, abs(s.energy_h)):
-            raise GridError(f"state {i} has {s.nodes} nodes; refine the grid")
+        states[i] = _finalize(a.energy_h, even_raw, profile)
+        states[i + 1] = _finalize(b.energy_h, odd_raw, profile)
 
 
 def diagonalization_oracle(
@@ -514,13 +511,13 @@ def diagonalization_oracle(
     off = np.full(n - 3, -0.5 * inv * s)
     w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_states - 1))
     w = w / s
-    symmetric = _profile_is_symmetric(profile)
     states = []
     for j in range(n_states):
         psi = np.zeros(n)
         psi[1:-1] = v[:, j]
-        states.append(_finalize(float(w[j]), psi, profile, symmetric))
-    _symmetrize_degenerate_pairs(states, profile, symmetric, m_eff)
+        states.append(_finalize(float(w[j]), psi, profile))
+    if _profile_is_symmetric(profile):  # degenerate pairs re-symmetrized into even/odd
+        _symmetrize_degenerate_pairs(states, profile, m_eff)
     return states
 
 

@@ -1,7 +1,8 @@
 """Property tests for the two reflection-sum routes of the slab potential,
 for the node count that brackets the shooting solver's eigenvalues (against
 LAPACK ``dstebz``'s Sturm count as the reference), for the sector counts of
-mirror-symmetric intervals adding up to the whole count, for the exact
+mirror-symmetric intervals adding up to the whole count, for the labels and
+levels of near-mirror and exact-mirror double wells, for the exact
 discrete levels of boxes of a few to 10001 points, for the 1/m scaling of box levels
 by both eigensolvers, for hard-wall entries of a profile being dead input to both
 eigensolvers, and for the CLI's sweep and layer strings ending either as a
@@ -164,6 +165,25 @@ def test_sector_counts_add_up_to_the_whole_count(well):
     u, h, e = well
     even, odd = (sc._count_nodes(v, h, 2.0, e, end) for v, end, _ in sc._sectors(u))
     assert even + odd == sc._count_nodes(u, h, 2.0, e) and even - odd in (0, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(10.0, 16.0), st.floats(2.5, 100.0), st.integers(1001, 4001))
+@example(12.0, 100.0, 4001)  # a near mirror whose upper pair splits by 4e-12 Hartree
+@example(12.0, 90.0, 4001)  # an exact mirror's lowest pair: 4.1e-12 Hartree, inside the polish
+def test_near_and_exact_mirror_wells_give_alternating_labels(length, height, n_points):
+    # a quartic double well as np.linspace builds it is a mirror to rounding;
+    # it solves as the exact mirror its average is, whatever the depth
+    grid = np.linspace(0.0, length, n_points)
+    x = (grid - 0.5 * length) / (length / 6.0)
+    u = height * ((x * x - 1.0) ** 2 - 1.0)
+    labels = list(zip(range(4), [sc.Parity.EVEN, sc.Parity.ODD] * 2))
+    levels = []
+    for v in (u, 0.5 * (u + u[::-1])):
+        states = sc.solve_eigenstates(sc.PotentialProfile(grid, v, sc.DomainKind.INTERVAL), 1.0, 4)
+        assert [(s.nodes, s.parity) for s in states] == labels
+        levels.append([s.energy_h for s in states])
+    assert levels[0] == pytest.approx(levels[1], rel=1e-12, abs=0.0)
 
 
 def exact_box_levels(n_points, h, m_eff, count):

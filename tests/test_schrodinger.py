@@ -146,16 +146,42 @@ def test_double_well_routes_agree():
         assert np.max(np.abs(aligned - o.psi)) < 1e-4
 
 
-def test_symmetric_double_well_parity_pair():
-    length = 12.0
-    grid = np.linspace(0.0, length, 4001)
-    x = (grid - length / 2.0) / (length / 6.0)
-    u = 2.5 * ((x * x - 1.0) ** 2 - 1.0)
+def quartic_well(height, n_points=4001, tilt=0.0):
+    """u = height ((x^2 - 1)^2 - 1) + tilt x, x = (z - 6)/2, on 12 Bohr: two
+    wells at z = 4 and 8 Bohr, symmetric to rounding when untilted."""
+    grid = np.linspace(0.0, 12.0, n_points)
+    x = (grid - 6.0) / 2.0
+    return grid, height * ((x * x - 1.0) ** 2 - 1.0) + tilt * x
+
+
+def test_tilted_double_well_routes_agree():
+    # each state sits in one well; state 1's lobe in the far one is 9.2e-9
+    # of its peak, under a 1e-8 psi cut: its one node is the count's
+    grid, u = quartic_well(50.0, n_points=10001, tilt=0.01)
     prof = sc.PotentialProfile(grid, u, sc.DomainKind.INTERVAL)
-    states = sc.solve_eigenstates(prof, n_states=2)
+    shot = sc.solve_eigenstates(prof, n_states=4)
+    orc = sc.diagonalization_oracle(prof, n_states=4)
+    assert [s.nodes for s in shot] == [0, 1, 2, 3]
+    assert all(s.parity is sc.Parity.NONE for s in shot)
+    for s, o in zip(shot, orc):
+        assert abs(s.energy_h - o.energy_h) / abs(o.energy_h) < 1e-6
+
+
+def test_symmetric_double_well_parity_pair():
+    labels = list(zip(range(4), [sc.Parity.EVEN, sc.Parity.ODD] * 2))
+    grid, u = quartic_well(2.5)
+    states = sc.solve_eigenstates(sc.PotentialProfile(grid, u, sc.DomainKind.INTERVAL), n_states=2)
     assert states[0].energy_h < states[1].energy_h
-    assert states[0].parity is sc.Parity.EVEN
-    assert states[1].parity is sc.Parity.ODD
+    assert [(s.nodes, s.parity) for s in states] == labels[:2]
+    # deep wells: at H = 100 symmetric to 6.4e-12 Hartree but not float for
+    # float, so solved as its exact mirror; at H = 90 an exact mirror whose
+    # lowest pair is 4.1e-12 Hartree (5e-14 relative) apart, inside the
+    # 1e-13 polish, so its odd level may round below the even one
+    u90 = quartic_well(90.0)[1]
+    for v in (quartic_well(100.0)[1], 0.5 * (u90 + u90[::-1])):
+        prof = sc.PotentialProfile(grid, v, sc.DomainKind.INTERVAL)
+        states = sc.solve_eigenstates(prof, n_states=4)
+        assert [(s.nodes, s.parity) for s in states] == labels
 
 
 def test_oracle_grid_convergence_is_second_order():
