@@ -22,7 +22,9 @@ image populations on opposite sides of the slab.
 Every grouped series runs through one engine that sums all points of an
 array at once.  Each scalar function is its curve (``slab_potential_curve``,
 ``halfplane_potential_curve``, ``plate_plate_curve``) at one point; only the
-images route brings its own groups, from the mirror recursion.
+images route brings its own groups, block by block from the mirror recursion
+run as array sums and products (``_mirror_chains``, which ``generate_images``
+shares).
 
 Lengths at the API are nanometers; potentials are volts per elementary
 charge and energies electron-volts.  Internal sums run in Hartree atomic
@@ -34,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 
 import numpy as np
 from scipy.special import digamma
@@ -179,27 +180,21 @@ def generate_images(
     first mirror) contributes one image per reflection count up to
     ``max_order``.  Positions are built by the mirror recursion
     z -> 2*z_interface - z with the magnitude picking up the corresponding
-    reflection coefficient at each step.
+    reflection coefficient at each step (``_mirror_chains``).
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     _require_source(stack, np.asarray([z0_nm]), q)
     bset = beta_coefficients(stack.k1, stack.k2, stack.k3)
-    a, b = stack.a_nm, stack.b_nm
+    s, m = _mirror_chains(-float(z0_nm), float(q), stack.a_nm, stack.b_nm, bset,
+                          (max_order + 1) // 2)
+    pos = (s * _ALTERNATE).reshape(2, -1)[:, :max_order].tolist()
+    mag = m.reshape(2, -1)[:, :max_order].tolist()
     images: list[ImageCharge] = []
-    # chain A reflects first across a, chain B first across b
-    pos_a, mag_a = 2.0 * a - z0_nm, bset.beta_21 * q
-    pos_b, mag_b = 2.0 * b - z0_nm, bset.beta_23 * q
-    for order in range(1, max_order + 1):
-        side_a = Side.LEFT if order % 2 == 1 else Side.RIGHT
-        images.append(ImageCharge(pos_a, mag_a, side_a, order))
-        images.append(ImageCharge(pos_b, mag_b, Side.RIGHT if side_a is Side.LEFT else Side.LEFT, order))
-        if order % 2 == 1:  # next mirror: A crosses b, B crosses a
-            pos_a, mag_a = 2.0 * b - pos_a, mag_a * bset.beta_23
-            pos_b, mag_b = 2.0 * a - pos_b, mag_b * bset.beta_21
-        else:
-            pos_a, mag_a = 2.0 * a - pos_a, mag_a * bset.beta_21
-            pos_b, mag_b = 2.0 * b - pos_b, mag_b * bset.beta_23
+    for k in range(max_order):  # chain A's odd orders lie left of a, chain B's right of b
+        side_a, side_b = (Side.LEFT, Side.RIGHT) if k % 2 == 0 else (Side.RIGHT, Side.LEFT)
+        images.append(ImageCharge(pos[0][k], mag[0][k], side_a, k + 1))
+        images.append(ImageCharge(pos[1][k], mag[1][k], side_b, k + 1))
     return images
 
 
@@ -253,15 +248,20 @@ def _sum_grouped(block_fn, bound_fn, exact_tail_fn, tol: float, to_api):
 
 
 def _slab_geometry_au(stack: DielectricStack, z0_nm):
+    """(z0, a, b, c, coefficients) in atomic units, for a stack inside every
+    slab route's domain: a reflection product short of the cutoff, or two
+    metals, whose series end in closed form."""
     z0 = nm_to_bohr(z0_nm)
     a = nm_to_bohr(stack.a_nm)
     b = nm_to_bohr(stack.b_nm)
     bset = beta_coefficients(stack.k1, stack.k2, stack.k3)
+    if not (bset.beta_21 == -1.0 and bset.beta_23 == -1.0):
+        _check_ratio(bset.ratio)
     return (z0, a, b, b - a, bset)
 
 
 def _check_ratio(ratio: float) -> None:
-    if abs(ratio) > 1.0 - 1.0e-12:
+    if abs(ratio) >= 1.0 - 1.0e-12:
         raise ConvergenceError(
             f"reflection product {ratio} too close to unit magnitude; "
             "use METAL for conducting half-spaces"
@@ -292,20 +292,60 @@ def _ladder(da, db, c, rho, beta_a, beta_b, direct):
     return block, bound
 
 
+_ALTERNATE = np.array([1.0, -1.0])  # (-1)^k over an odd-even pair of orders
+
+
+def _mirror_chains(s, m, a, b, bset: BetaSet, pairs: int):
+    """Signed positions and magnitudes of the next ``pairs`` odd-even pairs
+    of orders of the two image chains, A (first mirror at a) and B (at b),
+    each continued from the signed position ``s`` and magnitude ``m`` of its
+    last even-order image (the source itself is order 0: s = -z0, m = q).
+
+    A chain mirrors p -> 2w - p, w alternating between its two interfaces.
+    Carried with sign, s_k = (-1)^k p_k at order k + 1, each mirror is one
+    addition, s_k = s_{k-1} + 2a or - 2b on chain A, + 2b or - 2a on chain B,
+    so the sequential running sum gives the recursion's positions float for
+    float (fl(x - y) = -fl(y - x)).  The magnitudes are the sequential running
+    product of the alternating coefficients.  Both return as (chain, pair,
+    order in the pair) arrays; the positions are ``s * _ALTERNATE``."""
+    steps = np.empty((2, 2 * pairs + 1))
+    steps[:, 0] = s
+    steps[0, 1::2], steps[0, 2::2] = 2.0 * a, -2.0 * b
+    steps[1, 1::2], steps[1, 2::2] = 2.0 * b, -2.0 * a
+    factors = np.empty_like(steps)
+    factors[:, 0] = m
+    factors[0, 1::2], factors[0, 2::2] = bset.beta_21, bset.beta_23
+    factors[1, 1::2], factors[1, 2::2] = bset.beta_23, bset.beta_21
+    s = np.cumsum(steps, axis=1)[:, 1:].reshape(2, pairs, 2)
+    m = np.cumprod(factors, axis=1)[:, 1:].reshape(2, pairs, 2)
+    return s, m
+
+
+# Groups per pass of the images route's recursion: a whole block of up to
+# _BLOCK_MAX groups at once would hold about a dozen arrays of that size
+_SUB_BLOCK = 4096
+
+
 def _image_groups(z0: float, a: float, b: float, bset: BetaSet):
-    """Yield the groups of explicit image charges for one source at z0, built
-    by the alternating-reflection recursion.  The loop runs on Python floats,
-    which keeps it about a third faster than on numpy scalars."""
-    b21, b23 = bset.beta_21, bset.beta_23
-    pa, ma, pb, mb = 2.0 * a - z0, b21, 2.0 * b - z0, b23
-    while True:
-        # chain A: odd order (left of a), then even order (right of b)
-        acc = ma / abs(z0 - pa) + mb / abs(pb - z0)
-        pa, ma = 2.0 * b - pa, ma * b23
-        pb, mb = 2.0 * a - pb, mb * b21
-        yield acc + (ma / abs(pa - z0) + mb / abs(z0 - pb))
-        pa, ma = 2.0 * a - pa, ma * b21
-        pb, mb = 2.0 * b - pb, mb * b23
+    """Block function of explicit image charges for one source at z0: groups
+    n0..n1-1, group n being chains A and B at orders 2n + 1 and 2n + 2,
+    summed as ma/|z0 - pa| + mb/|pb - z0| + (ma'/|pa' - z0| + mb'/|z0 - pb'|).
+    Each call continues both chains from where the last one stopped, built
+    by ``_mirror_chains`` ``_SUB_BLOCK`` groups at a time."""
+    s, m = -z0, 1.0
+
+    def block(n0, n1):
+        nonlocal s, m
+        out = np.empty(n1 - n0)
+        for i in range(0, n1 - n0, _SUB_BLOCK):
+            pairs = min(_SUB_BLOCK, n1 - n0 - i)
+            signed, mag = _mirror_chains(s, m, a, b, bset, pairs)
+            s, m = signed[:, -1, 1], mag[:, -1, 1]
+            t = mag / np.abs(z0 - signed * _ALTERNATE)
+            out[i : i + pairs] = (t[0, :, 0] + t[1, :, 0]) + (t[0, :, 1] + t[1, :, 1])
+        return out
+
+    return block
 
 
 def _slab_sum(stack: DielectricStack, z0_nm, q: float, tol: float, images: bool = False):
@@ -316,13 +356,10 @@ def _slab_sum(stack: DielectricStack, z0_nm, q: float, tol: float, images: bool 
     z0, a, b, c, bset = _slab_geometry_au(stack, z0_nm)
     da, db = z0 - a, b - z0  # distances to the two interfaces
     rho = bset.ratio
-    metal = bset.beta_21 == -1.0 and bset.beta_23 == -1.0
-    if not metal:  # between two metals the exact remainder below takes over
-        _check_ratio(rho)
+    metal = bset.beta_21 == -1.0 and bset.beta_23 == -1.0  # the exact remainder below
     block, bound = _ladder(da, db, c, rho, bset.beta_21, bset.beta_23, rho)
     if images:
-        groups = _image_groups(float(z0), a, b, bset)
-        block = lambda n0, n1: np.fromiter(islice(groups, n1 - n0), float, n1 - n0)  # noqa: E731
+        block = _image_groups(float(z0), a, b, bset)
 
     def metal_tail(n):  # exact remainder past n groups when both coefficients are -1
         return (0.5 * digamma(n + da / c) + 0.5 * digamma(n + db / c) - digamma(n + 1.0)) / c
@@ -477,7 +514,9 @@ def potential_kernel_quadrature(
     integration of the wavenumber-space boundary-value solution.
 
     This route never forms reflection coefficients or image positions, so
-    it cross-checks the two reflection-based routes independently.
+    it cross-checks the two reflection-based routes independently.  It
+    shares their domain: a stack at or past their reflection-product cutoff
+    raises the same ``ConvergenceError``.
     """
     _require_source(stack, np.asarray([z0_nm]), q)
     z0, a, b, c, _ = _slab_geometry_au(stack, z0_nm)
@@ -549,7 +588,6 @@ def _plate_sum(stack: DielectricStack, z0_nm, q: float, tol: float):
         v = da / c
         s = 0.5 * v * digamma(1.0 + v) - 0.5 * digamma(2.0) + 0.5 * (1.0 - v) * digamma(2.0 - v)
         return to_ev(-s / c)
-    _check_ratio(rho)
 
     def block(t0, t1):
         t = _group_index(t0, t1, np.ndim(da))

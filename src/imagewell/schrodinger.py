@@ -228,14 +228,15 @@ def _steps(v, h, two_m, e):
 
 
 def _residual(v, h, two_m, e, end):
-    """r(E) = D_{L-1} + s delta_L z_L + (2s - 1 + c) z_L, Numerov's summed form
-    D_i = D_{i-1} + delta_i z_i, z_{i+1} = z_i + D_i (Henrici 1962) run from
-    z_0 = 0, z_1 = 1 at the left wall and closed at row L by ``end`` (s, c):
-    the last LDL^T pivot of T(E) (see _count_nodes) times z_L, i.e. det T(E),
-    whose sign changes exactly where the count steps.  In the unknowns (z_1,
-    D_1, ..., z_L, D_{L-1} + s delta_L z_L) it is one unit lower triangular
-    band solve (BLAS ``dtbsv``); one that overflows is redone in blocks from
-    (z_j, D_{j-1}) scaled by powers of two: the same pass, scaled exactly."""
+    """(r, k) with r 2^k = D_{L-1} + s delta_L z_L + (2s - 1 + c) z_L, Numerov's
+    summed form D_i = D_{i-1} + delta_i z_i, z_{i+1} = z_i + D_i (Henrici 1962)
+    run from z_0 = 0, z_1 = 1 at the left wall and closed at row L by ``end``
+    (s, c): the last LDL^T pivot of T(E) (see _count_nodes) times z_L, i.e.
+    det T(E), whose sign changes exactly where the count steps.  In the
+    unknowns (z_1, D_1, ..., z_L, D_{L-1} + s delta_L z_L) it is one unit lower
+    triangular band solve (BLAS ``dtbsv``), k = 0.  One that overflows is
+    redone in blocks from (z_j, D_{j-1}) scaled by powers of two, whose
+    exponents k adds up: the same pass, scaled exactly, with r in [0.5, 1)."""
     delta = _steps(v, h, two_m, e)[1]
     delta[-1] *= end[0]
     ab = np.full((3, 2 * delta.size), -1.0, order="F")  # row 0, the unit diagonal, is never read
@@ -243,18 +244,20 @@ def _residual(v, h, two_m, e, end):
     rhs = np.zeros(ab.shape[1])
     rhs[:2] = 1.0  # (z_1, D_0)
     z, d = dtbsv(2, ab, rhs, lower=1, diag=1)[-2:].tolist()
-    if not (math.isfinite(z) and math.isfinite(d)):
-        # a row grows max(|z|, |D|) at most 2 + |delta|-fold: blocks of up to 2^1000
-        bits = np.cumsum(np.log2(2.0 + np.abs(delta)))
-        z, d, start, done = 0.0, 1.0, 0, 0.0  # (z_0, D_0)
-        while start < delta.size:
-            stop = max(int(np.searchsorted(bits, done + 1000.0, side="right")), start + 1)
-            scale = math.ldexp(1.0, -math.frexp(max(abs(z + d), abs(d)))[1])
-            rhs = np.zeros(2 * (stop - start))
-            rhs[:2] = (z + d) * scale, d * scale
-            z, d = dtbsv(2, ab[:, 2 * start : 2 * stop], rhs, lower=1, diag=1)[-2:].tolist()
-            start, done = stop, float(bits[stop - 1])
-    return d + (2.0 * end[0] - 1.0 + end[1]) * z
+    if math.isfinite(z) and math.isfinite(d):
+        return d + (2.0 * end[0] - 1.0 + end[1]) * z, 0
+    # a row grows max(|z|, |D|) at most 2 + |delta|-fold: blocks of up to 2^1000
+    bits = np.cumsum(np.log2(2.0 + np.abs(delta)))
+    z, d, start, done, k = 0.0, 1.0, 0, 0.0, 0  # (z_0, D_0)
+    while start < delta.size:
+        stop = max(int(np.searchsorted(bits, done + 1000.0, side="right")), start + 1)
+        shift = math.frexp(max(abs(z + d), abs(d)))[1]
+        rhs = np.zeros(2 * (stop - start))
+        rhs[:2] = math.ldexp(z + d, -shift), math.ldexp(d, -shift)
+        z, d = dtbsv(2, ab[:, 2 * start : 2 * stop], rhs, lower=1, diag=1)[-2:].tolist()
+        start, done, k = stop, float(bits[stop - 1]), k + shift
+    r, shift = math.frexp(d + (2.0 * end[0] - 1.0 + end[1]) * z)
+    return r, k + shift
 
 
 def _right_end(v, h, two_m, e, end):
@@ -433,13 +436,21 @@ def solve_eigenstates(
             seen.append((e, c))
             return c - level - 0.5
 
-        def residual(e):
+        def det(e):  # det T(E) = r 2^k
             return _residual(v, h, two_m, e, _right_end(v, h, two_m, e, end)[0])
 
         # phase 1: node-count bisection isolates the eigenvalue
         e_lo, e_hi = _bisect(above, lo, hi, 1.0e-6)
-        # phase 2: false position on the residual to 1e-13 relative
-        r_lo, r_hi = residual(e_lo), residual(e_hi)
+        # phase 2: false position on det T(E) to 1e-13 relative, over the
+        # bracket ends' larger power of two: 2^0 unless a pass overflowed
+        ends = det(e_lo), det(e_hi)
+        top = max(k for _, k in ends)
+
+        def residual(e):
+            r, k = det(e)
+            return math.ldexp(r, k - top)
+
+        r_lo, r_hi = (math.ldexp(r, k - top) for r, k in ends)
         crossed = min(r_lo, r_hi) < 0.0 < max(r_lo, r_hi)
         if crossed:
             e_lo, e_hi = _false_position(residual, e_lo, e_hi, r_lo, r_hi, 1.0e-13)

@@ -6,10 +6,13 @@ Independent oracles used here:
   * a brute-force cross-pair sum over explicitly generated image charges for
     the plate-plate interaction.
 Both are written from scratch in this file so they share no summation or
-grouping code with the library routes they check.
+grouping code with the library routes they check.  The scalar mirror
+recursion kept here is the reference the images route's array recursion
+must equal float for float.
 """
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -147,6 +150,73 @@ def test_image_sides_and_round_trip_ratio():
             )
     with pytest.raises(ValueError):
         el.generate_images(st, 0.1, max_order=0)
+
+
+def scalar_image_groups(z0, a, b, bset):
+    """Reference for the images route: its groups one at a time from the
+    alternating-reflection recursion on Python floats."""
+    b21, b23 = bset.beta_21, bset.beta_23
+    pa, ma, pb, mb = 2.0 * a - z0, b21, 2.0 * b - z0, b23
+    while True:
+        # chain A: odd order (left of a), then even order (right of b)
+        acc = ma / abs(z0 - pa) + mb / abs(pb - z0)
+        pa, ma = 2.0 * b - pa, ma * b23
+        pb, mb = 2.0 * a - pb, mb * b21
+        yield acc + (ma / abs(pa - z0) + mb / abs(z0 - pb))
+        pa, ma = 2.0 * a - pa, ma * b21
+        pb, mb = 2.0 * b - pb, mb * b23
+
+
+def scalar_block(z0, a, b, bset):
+    """``_image_groups``' block function, served from the reference."""
+    groups = scalar_image_groups(z0, a, b, bset)
+    return lambda n0, n1: np.fromiter(islice(groups, n1 - n0), float, n1 - n0)
+
+
+# dielectric-dielectric, metal-dielectric, and a contrast of 2e4 against a
+# metal that needs 262,080 groups at 1e-10
+BITWISE_STACKS = [
+    el.DielectricStack(1.5, 8.0, 1.2, -0.3, 2.7),
+    el.DielectricStack(el.METAL, 2.0, 7.5, 0.0, 0.3),
+    el.DielectricStack(el.METAL, 1.0, 2.0e4, 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("stack", BITWISE_STACKS, ids=["dielectric", "metal", "high_contrast"])
+def test_image_groups_equal_the_scalar_recursion(stack, monkeypatch):
+    z0_nm = stack.a_nm + 0.4 * stack.c_nm
+    z0, a, b, _, bset = el._slab_geometry_au(stack, z0_nm)
+    # blocks as _sum_grouped draws them, to 32,704 groups: past both the
+    # 4,096-group passes and the doubling block boundaries
+    block, n, size, got = el._image_groups(float(z0), a, b, bset), 0, el._BLOCK0, []
+    while n < 20_000:
+        got.append(block(n, n + size))
+        n, size = n + size, min(2 * size, el._BLOCK_MAX)
+    assert max(map(len, got)) > el._SUB_BLOCK
+    expected = np.fromiter(islice(scalar_image_groups(float(z0), a, b, bset), n), float, n)
+    assert np.array_equal(np.concatenate(got), expected)
+    # and the whole route: the same sum, group count and bound
+    fast = el.potential_slab_images(stack, z0_nm)
+    monkeypatch.setattr(el, "_image_groups", scalar_block)
+    assert el.potential_slab_images(stack, z0_nm) == fast
+
+
+def test_generate_images_equals_the_scalar_recursion():
+    st = el.DielectricStack(3.0, 1.5, el.METAL, -0.25, 0.55)
+    z0, q = 0.1, -0.7
+    bset = el.beta_coefficients(st.k1, st.k2, st.k3)
+    b21, b23 = bset.beta_21, bset.beta_23
+    a, b = st.a_nm, st.b_nm
+    pos_a, mag_a, pos_b, mag_b = 2.0 * a - z0, b21 * q, 2.0 * b - z0, b23 * q
+    expected = []
+    for order in range(1, 42):
+        left = order % 2 == 1
+        expected += [(pos_a, mag_a, el.Side.LEFT if left else el.Side.RIGHT, order),
+                     (pos_b, mag_b, el.Side.RIGHT if left else el.Side.LEFT, order)]
+        wa, wb, fa, fb = (b, a, b23, b21) if left else (a, b, b21, b23)
+        pos_a, mag_a, pos_b, mag_b = 2.0 * wa - pos_a, mag_a * fa, 2.0 * wb - pos_b, mag_b * fb
+    got = el.generate_images(st, z0, q=q, max_order=41)
+    assert [(i.z_nm, i.q, i.side, i.order) for i in got] == expected
 
 
 # ---------------------------------------------------------------------------

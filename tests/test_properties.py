@@ -1,6 +1,8 @@
 """Property tests for the two reflection-sum routes of the slab potential,
-for the node count that brackets the shooting solver's eigenvalues (against
-LAPACK ``dstebz``'s Sturm count as the reference), for the sector counts of
+for all three routes agreeing at the offset guard and on slowly converging
+stacks and failing alike at the reflection-product cutoff, for the node
+count that brackets the shooting solver's eigenvalues (against LAPACK
+``dstebz``'s Sturm count as the reference), for the sector counts of
 mirror-symmetric intervals adding up to the whole count, for the labels and
 levels of near-mirror and exact-mirror double wells, for the exact
 discrete levels of boxes of a few to 10001 points, for the 1/m scaling of box levels
@@ -32,7 +34,7 @@ from imagewell import cli  # noqa: E402
 from imagewell import electrostatics as el  # noqa: E402
 from imagewell import schrodinger as sc  # noqa: E402
 from imagewell.constants import HARTREE_EV, nm_to_bohr  # noqa: E402
-from imagewell.errors import GridError, ImagewellError  # noqa: E402
+from imagewell.errors import ConvergenceError, GridError, ImagewellError  # noqa: E402
 
 ROUNDING = 16.0 * np.finfo(float).eps
 ROUTES = [el.potential_slab_series, el.potential_slab_images]
@@ -106,6 +108,99 @@ def test_permittivity_scaling(fn, case, lam):
 def test_matched_stack_is_zero(fn, case):
     s, z0 = case
     assert fn(el.DielectricStack(s.k2, s.k2, s.k2, s.a_nm, s.b_nm), z0).v == 0.0
+
+
+THREE_ROUTES = ROUTES + [el.potential_kernel_quadrature]
+
+
+def assert_three_routes_agree(stack, z0):
+    """Criterion 01's tolerances, relative to the largest of the three:
+    series and images within 1e-10, any two routes within 1e-6."""
+    vs, vi, vq = (fn(stack, z0).v for fn in THREE_ROUTES)
+    scale = max(abs(vs), abs(vi), abs(vq))
+    assert abs(vs - vi) <= 1e-10 * scale
+    assert max(abs(vs - vq), abs(vi - vq)) <= 1e-6 * scale
+
+
+@st.composite
+def guarded_charges(draw):
+    """A charge on the MIN_OFFSET_FRAC guard at either interface: the float
+    nearest the guard that the guard admits.  The stack reflects: a matched
+    one gives exactly 0 by reflection and rounding noise by quadrature
+    (``test_uniform_stack_gives_zero``)."""
+    k1, k2, k3 = draw(side), draw(dielectric), draw(side)
+    bset = el.beta_coefficients(k1, k2, k3)
+    assume(max(abs(bset.beta_21), abs(bset.beta_23)) >= 1e-6)
+    a, c = draw(st.floats(-5.0, 5.0)), draw(st.floats(0.05, 100.0))
+    stack = el.DielectricStack(k1, k2, k3, a, a + c)
+    guard = el.MIN_OFFSET_FRAC * stack.c_nm
+    z0, inward = (a + guard, np.inf) if draw(st.booleans()) else (stack.b_nm - guard, -np.inf)
+    while not (z0 - stack.a_nm >= guard and stack.b_nm - z0 >= guard):
+        z0 = float(np.nextafter(z0, inward))
+    return stack, z0
+
+
+@settings(max_examples=50)
+@given(guarded_charges())
+def test_three_routes_agree_at_the_offset_guard(case):
+    assert_three_routes_agree(*case)
+
+
+@st.composite
+def slow_stacks(draw):
+    """A charge in a stack whose reflection product has magnitude about
+    1 - t, t from 3e-5 to 2e-3: a metal facing one contrast, or two
+    dielectric contrasts, each reflecting with either sign."""
+    t = float(np.exp(draw(st.floats(np.log(3.0e-5), np.log(2.0e-3)))))
+    k2 = draw(st.floats(1.0, 10.0))
+    metal = draw(st.booleans())
+    beta = 1.0 - t if metal else np.sqrt(1.0 - t)
+
+    def facing(sign):  # the permittivity reflecting sign * beta back into the slab
+        return k2 * (1.0 - sign * beta) / (1.0 + sign * beta)
+
+    signs = st.sampled_from([-1.0, 1.0])
+    k1, k3 = el.METAL if metal else facing(draw(signs)), facing(draw(signs))
+    if draw(st.booleans()):
+        k1, k3 = k3, k1
+    c = draw(st.floats(0.1, 100.0))
+    return el.DielectricStack(k1, k2, k3, 0.0, c), draw(st.floats(0.001, 0.999)) * c
+
+
+@settings(max_examples=25)
+@given(slow_stacks())
+def test_three_routes_agree_on_slowly_converging_stacks(case):
+    assert 1e4 <= el.potential_slab_series(*case).terms_used <= 1e6
+    assert_three_routes_agree(*case)
+
+
+@st.composite
+def cutoff_stacks(draw):
+    """A charge in a stack whose reflection product reaches the cutoff,
+    |ratio| >= 1 - 1e-12, with no pair of metals to sum in closed form:
+    contrasts of 10^12.7 to 10^30 on one side facing a metal, or on both."""
+    k2 = draw(dielectric)
+
+    def contrast():
+        return k2 * 10.0 ** (draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(12.7, 30.0)))
+
+    k1, k3 = (el.METAL if draw(st.booleans()) else contrast()), contrast()
+    if draw(st.booleans()):
+        k1, k3 = k3, k1
+    return el.DielectricStack(k1, k2, k3, 0.0, 1.0), draw(st.floats(0.001, 0.999))
+
+
+@settings(max_examples=40)
+@given(cutoff_stacks())
+@example((el.DielectricStack(el.METAL, 1.0, 1999999999250.0, 0.0, 1.0), 0.4))  # at: 1 - 1e-12
+@example((el.DielectricStack(1.0, 1.0e17, 1.0, 0.0, 1.0), 0.4))  # past: both coefficients +1
+def test_every_slab_route_raises_at_the_ratio_cutoff(case):
+    bset = el.beta_coefficients(case[0].k1, case[0].k2, case[0].k3)
+    assume(not (bset.beta_21 == -1.0 and bset.beta_23 == -1.0))
+    assert abs(bset.ratio) >= 1.0 - 1e-12
+    for fn in THREE_ROUTES:
+        with pytest.raises(ConvergenceError, match="too close to unit magnitude"):
+            fn(*case)
 
 
 @st.composite

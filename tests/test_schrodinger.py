@@ -113,17 +113,27 @@ def test_wall_side_mirror_symmetry():
     [(sc.DomainKind.HALF_LINE_WALL_LEFT, 10.0), (sc.DomainKind.HALF_LINE_WALL_RIGHT, 50.0)],
     ids=["wall_left", "wall_right"],
 )
-def test_harmonic_well_through_rescaled_passes(kind, center):
+def test_harmonic_well_through_rescaled_passes(kind, center, monkeypatch):
     # the tail of u = (x - 10)^2 / 2 spans about e^1250 between the well and
     # the open end at 60 bohr, so the kept pass from that end rescales
     grid = np.linspace(0.0, 60.0, 6001)
     prof = sc.PotentialProfile(grid, 0.5 * (grid - center) ** 2, kind)
+    passes, residual = [0], sc._residual
+
+    def counted(*args):
+        passes[0] += 1
+        return residual(*args)
+
+    monkeypatch.setattr(sc, "_residual", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         states = sc.solve_eigenstates(prof, n_states=3)
     for n, s in enumerate(states):
         assert abs(s.energy_h - (n + 0.5)) < 1e-8
         assert s.nodes == n
+    # the rescaled passes carry their powers of two, so false position sees
+    # det T(E) itself and converges as fast as on an unscaled pass
+    assert passes[0] <= 8 * len(states)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +327,7 @@ def test_residual_changes_sign_where_the_count_steps():
     for v, h, right, levels in cases:
         def closed(e):
             end = sc._right_end(v, h, 2.0, e, right)[0]
-            return sc._count_nodes(v, h, 2.0, e, end), sc._residual(v, h, 2.0, e, end)
+            return sc._count_nodes(v, h, 2.0, e, end), sc._residual(v, h, 2.0, e, end)[0]
 
         for k in range(levels):
             step = sc._bisect(lambda e: closed(e)[0] - k - 0.5, -1.0, 3.0, 1e-9)
@@ -336,7 +346,7 @@ def test_fallback_state_ends_at_the_wall_at_the_truncation_end():
     e = state.energy_h
     lo, hi = e - 1e-10 * abs(e), e + 1e-10 * abs(e)
     assert [sc._count_nodes(u, h, 2.0 * m_eff, x) for x in (lo, hi)] == [0, 1]
-    tail = [sc._residual(u, h, 2.0 * m_eff, x, sc._right_end(u, h, 2.0 * m_eff, x, None)[0])
+    tail = [sc._residual(u, h, 2.0 * m_eff, x, sc._right_end(u, h, 2.0 * m_eff, x, None)[0])[0]
             for x in (lo, hi)]
     assert tail[0] * tail[1] > 0.0
     assert state.psi[-1] == 0.0 and state.psi[-2] > 0.0 and state.nodes == 0
