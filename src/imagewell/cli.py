@@ -12,7 +12,8 @@ Subcommands map one-to-one onto the library's study functions:
 * ``levitate``  -- force budget and levitated mass across a gap sweep.
 
 Sweeps use the grammar ``start:stop:count`` or ``start:stop:count:log``
-(a bare number is a single point); layer lists use ``start:stop[:step]``.
+(a bare number is a single point; a log sweep's ends are nonzero and of one
+sign); layer lists use ``start:stop[:step]``.
 A config file (ini-style ``key = value`` under a ``[command]`` section,
 path from ``--config`` or the ``IMAGEWELL_CONFIG`` environment variable)
 supplies defaults; command-line flags override it.  Output is CSV (RFC-4180
@@ -30,10 +31,12 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -87,6 +90,8 @@ def parse_sweep(text: str) -> SweepSpec:
         raise ValueError(f"count must be >= 1 and <= {_MAX_ROWS}")
     if not (math.isfinite(spec.start) and math.isfinite(spec.stop)):
         raise ValueError("start and stop must be finite")
+    if spec.log and not (min(spec.start, spec.stop) > 0.0 or max(spec.start, spec.stop) < 0.0):
+        raise ValueError("a log sweep needs nonzero ends of one sign")
     return spec
 
 
@@ -174,8 +179,7 @@ _SCHEMAS: dict[str, dict] = {
     "schottky": {
         "material": (str, _REQUIRED, "semiconductor registry name"),
         "carrier": (_carrier, sn.Carrier.ELECTRON, "electron or hole"),
-        "gap": (_checked(_GAPS, lambda s: s.start > 0.0 or (s.start == 0.0 and not s.log),
-                         ">= 0, and > 0 to start a log sweep"), _REQUIRED,
+        "gap": (_checked(_GAPS, lambda s: s.start >= 0.0, ">= 0"), _REQUIRED,
                 "vacuum gap sweep (nm), 0 allowed as the contact limit"),
         "states": (_STATES, 1, "number of states"),
         "points": (_POINTS, 4001, "grid points"),
@@ -237,6 +241,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
+# argparse takes a token that starts with "-" but is no plain negative
+# number, such as the sweep -0.29:0.9:3 or the charge -1e-3, for an option
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+_VALUE_FLAGS = {"--config", *(f"--{name}" for schema in (*_SCHEMAS.values(), _GLOBAL_SCHEMA)
+                               for name in schema)}
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``argv`` with each value flag followed by a token that starts with "-"
+    and a digit or "." rejoined as ``--flag=value``."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in _VALUE_FLAGS and _NEGATIVE_VALUE.match(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def _read_config_section(path: str, command: str) -> dict[str, str]:
     cp = configparser.ConfigParser()
     read = cp.read(path)
@@ -251,7 +279,8 @@ def parse_args(argv=None) -> RunConfig:
     """Parse flags (and optional config-file defaults) into a validated
     RunConfig; a UsageError lists every violated constraint at once (a
     rule spanning flags only once the flags it reads are valid)."""
-    ns = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    ns = _parser().parse_args(_join_negative_values(argv))
     command = ns.command
     schema = {**_SCHEMAS[command], **_GLOBAL_SCHEMA}
 
@@ -381,13 +410,18 @@ def _run_schottky(p):
     return header, rows, failed, meta
 
 
+@functools.cache
+def _default_effective_epsilon_table() -> sn.EffectiveEpsilonTable:
+    return sn.effective_epsilon_curve()
+
+
 def _run_film(p):
     mat = sn.get_material(p["material"])
     sweep = sn.noble_film_sweep(
         mat, p["layers"], n_states=p["states"], n_points=p["points"],
         d_max_nm=p["dmax"],
     )
-    table = sn.effective_epsilon_curve()
+    table = _default_effective_epsilon_table()
     effs = []
     for r in sweep:
         if r.layers == 0:

@@ -24,7 +24,10 @@ array at once.  Each scalar function is its curve (``slab_potential_curve``,
 ``halfplane_potential_curve``, ``plate_plate_curve``) at one point; only the
 images route brings its own groups, block by block from the mirror recursion
 run as array sums and products (``_mirror_chains``, which ``generate_images``
-shares).
+shares).  The engine owns the memory of every sum: a block function writes
+groups into two buffers of about ``_CHUNK`` elements, made once per sum, and
+the engine folds chunk after chunk into the block's sum in group order, to
+the same floats as one sum over the whole (groups, points) block.
 
 Lengths at the API are nanometers; potentials are volts per elementary
 charge and energies electron-volts.  Internal sums run in Hartree atomic
@@ -51,6 +54,9 @@ MIN_OFFSET_FRAC = 1.0e-4
 _TERM_CAP = 1_000_000
 _BLOCK0 = 64
 _BLOCK_MAX = 65536
+# Elements per chunk a block is drawn in: a sum's two chunk buffers (1 MiB)
+# stay in cache, where whole (groups, points) blocks reach hundreds of MiB
+_CHUNK = 65536
 _TINY = 1.0e-300
 
 
@@ -216,22 +222,40 @@ def _group_index(n0: int, n1: int, ndim: int) -> np.ndarray:
     return np.arange(n0, n1, dtype=float).reshape((-1,) + (1,) * ndim)
 
 
-def _sum_grouped(block_fn, bound_fn, exact_tail_fn, tol: float, to_api):
-    """Sum a grouped series at all points at once.
+def _sum_grouped(block_fn, bound_fn, exact_tail_fn, tol: float, to_api, shape: tuple):
+    """Sum a grouped series at all points of ``shape`` at once.
 
-    ``block_fn(n0, n1)`` gives groups n0..n1-1 as a ``(groups, points)`` array;
-    all points share the group count.  Blocks are added until at every point
+    Groups come in blocks of 64, 128, ... up to ``_BLOCK_MAX``; all points
+    share the group count.  After each block the sum stops once at every point
     the certified majorant ``bound_fn(n)`` of the remainder and the last group
     are within ``tol`` of the sum, or an exact remainder (group ratio 1) is
     added after the first block.  Returns ``(to_api(sum), groups, rel. bound)``.
+
+    A block is drawn in chunks of ``_CHUNK // points`` groups:
+    ``block_fn(n0, n1, out, tmp)`` writes groups n0..n1-1 into ``out``, shape
+    ``(n1 - n0,) + shape``, using ``tmp`` of the same shape as scratch.  Both
+    are views of two buffers made once per sum (while one chunk holds a whole
+    block, they grow with it).  The block's running sum rides in row 0 of each
+    later chunk, so one ``sum(axis=0)`` per chunk continues the sequential fold
+    numpy makes of a whole (groups, points) block; at one point a block is one
+    chunk, summed pairwise as a whole.
     """
+    rows = max(2, _CHUNK // max(1, math.prod(shape)))
+    buf = tmp = np.empty((0,) + shape)
+    acc = np.empty(shape)
     total = 0.0
     n = 0
     block = _BLOCK0
     while True:
-        g = block_fn(n, n + block)
-        total, last = total + g.sum(axis=0), np.abs(g[-1])
-        del g  # free this block before the next one is built
+        k = min(rows, block)  # rows of the buffers in use
+        if len(buf) < k:
+            buf, tmp = np.empty((k,) + shape), np.empty((k,) + shape)
+        block_fn(n, n + k, buf[:k], tmp[:k])
+        for m in range(n + k, n + block, rows - 1):  # the block's later chunks
+            buf[0] = buf[:k].sum(axis=0, out=acc)
+            k = 1 + min(rows - 1, n + block - m)
+            block_fn(m, m + k - 1, buf[1:k], tmp[1:k])
+        total, last = total + buf[:k].sum(axis=0, out=acc), np.abs(buf[k - 1])
         n += block
         if exact_tail_fn is not None:
             return to_api(total + exact_tail_fn(n)), n, 5.0e-16
@@ -273,13 +297,14 @@ def _ladder(da, db, c, rho, beta_a, beta_b, direct):
     rho^n [direct/((n+1)c) + beta_b/(2nc + 2db) + beta_a/(2nc + 2da)]
     seen at distances da, db from the two interfaces (atomic units)."""
 
-    def block(n0, n1):
+    def block(n0, n1, out, tmp):
         n = _group_index(n0, n1, np.ndim(da))
-        # fixed order (direct + beta_b) + beta_a, in place to spare temporaries
-        g = beta_b / (2.0 * n * c + 2.0 * db)
-        g += direct / ((n + 1.0) * c)
-        g += beta_a / (2.0 * n * c + 2.0 * da)
-        return np.power(rho, n) * g
+        two_nc = 2.0 * n * c
+        # fixed order (beta_b + direct) + beta_a
+        np.divide(beta_b, np.add(two_nc, 2.0 * db, out=out), out=out)
+        out += direct / ((n + 1.0) * c)
+        out += np.divide(beta_a, np.add(two_nc, 2.0 * da, out=tmp), out=tmp)
+        out *= np.power(rho, n)
 
     def bound(n):
         h = (
@@ -334,16 +359,14 @@ def _image_groups(z0: float, a: float, b: float, bset: BetaSet):
     by ``_mirror_chains`` ``_SUB_BLOCK`` groups at a time."""
     s, m = -z0, 1.0
 
-    def block(n0, n1):
+    def block(n0, n1, out, _tmp):
         nonlocal s, m
-        out = np.empty(n1 - n0)
         for i in range(0, n1 - n0, _SUB_BLOCK):
             pairs = min(_SUB_BLOCK, n1 - n0 - i)
             signed, mag = _mirror_chains(s, m, a, b, bset, pairs)
             s, m = signed[:, -1, 1], mag[:, -1, 1]
             t = mag / np.abs(z0 - signed * _ALTERNATE)
             out[i : i + pairs] = (t[0, :, 0] + t[1, :, 0]) + (t[0, :, 1] + t[1, :, 1])
-        return out
 
     return block
 
@@ -365,7 +388,8 @@ def _slab_sum(stack: DielectricStack, z0_nm, q: float, tol: float, images: bool 
         return (0.5 * digamma(n + da / c) + 0.5 * digamma(n + db / c) - digamma(n + 1.0)) / c
 
     tail = metal_tail if metal else None
-    return _sum_grouped(block, bound, tail, tol, lambda s: q * s / stack.k2 * HARTREE_EV)
+    return _sum_grouped(block, bound, tail, tol, lambda s: q * s / stack.k2 * HARTREE_EV,
+                        z0_nm.shape)
 
 
 def potential_slab_series(
@@ -416,7 +440,8 @@ def _halfplane_sum(stack: DielectricStack, dist_a_nm, q: float, tol: float):
     c = nm_to_bohr(stack.c_nm)
     # the slab ladder seen from region 1: no direct round trip term
     block, bound = _ladder(da, da + c, c, bset.ratio, b12, bset.beta_23, 0.0)
-    return _sum_grouped(block, bound, None, tol, lambda s: q * s / stack.k1 * HARTREE_EV)
+    return _sum_grouped(block, bound, None, tol, lambda s: q * s / stack.k1 * HARTREE_EV,
+                        dist_a_nm.shape)
 
 
 def potential_left_halfplane(
@@ -568,7 +593,7 @@ def potential_kernel_quadrature(
         )
     total = vals.sum()
     rel = errs.sum() / max(abs(total), _TINY)
-    return PotentialValue(q * total / stack.k2 * HARTREE_EV, n_eval, rel)
+    return PotentialValue(float(q * total / stack.k2 * HARTREE_EV), n_eval, float(rel))
 
 
 # ---------------------------------------------------------------------------
@@ -589,19 +614,21 @@ def _plate_sum(stack: DielectricStack, z0_nm, q: float, tol: float):
         s = 0.5 * v * digamma(1.0 + v) - 0.5 * digamma(2.0) + 0.5 * (1.0 - v) * digamma(2.0 - v)
         return to_ev(-s / c)
 
-    def block(t0, t1):
+    def block(t0, t1, out, tmp):
         t = _group_index(t0, t1, np.ndim(da))
-        return (t + 1.0) * np.power(rho, t + 1.0) * (
-            b21 / (2.0 * da + 2.0 * (t + 1.0) * c)
-            + 1.0 / (2.0 * (t + 1.0) * c)
-            + rho / (2.0 * (t + 2.0) * c)
-            + b23 / (2.0 * db + 2.0 * (t + 1.0) * c)
-        )
+        two_c = 2.0 * (t + 1.0) * c
+        # (t + 1) rho^(t + 1) [((b21 / (2da + two_c) + 1 / two_c) + rho / (2(t + 2)c))
+        #                      + b23 / (2db + two_c)], summed in that order
+        np.divide(b21, np.add(2.0 * da, two_c, out=out), out=out)
+        out += 1.0 / two_c
+        out += rho / (2.0 * (t + 2.0) * c)
+        out += np.divide(b23, np.add(2.0 * db, two_c, out=tmp), out=tmp)
+        out *= (t + 1.0) * np.power(rho, t + 1.0)
 
     def bound(t):
         return 2.0 * abs(rho) ** (t + 1.0) / (c * (1.0 - abs(rho)))
 
-    return _sum_grouped(block, bound, None, tol, to_ev)[0]
+    return _sum_grouped(block, bound, None, tol, to_ev, z0_nm.shape)[0]
 
 
 def plate_plate_energy(

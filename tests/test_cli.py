@@ -51,6 +51,12 @@ def test_parse_sweep_grammar():
     for bad in ("inf", "nan", "0:inf:3", "-inf:1:2", "1:nan:2:log"):
         with pytest.raises(ValueError, match="must be finite"):
             cli.parse_sweep(bad)
+    # geometric points need ends of one sign
+    negative = cli.parse_sweep("-5:-0.1:3:log").values()
+    assert negative.tolist() == pytest.approx([-5.0, -0.7071, -0.1], rel=1e-4)
+    for bad in ("-0.5:0.5:3:log", "0:1:3:log", "1:0:3:log", "0:0:1:log"):
+        with pytest.raises(ValueError, match="nonzero ends of one sign"):
+            cli.parse_sweep(bad)
     # the count is capped before any point is built
     assert cli.parse_sweep(f"1:2:{cli._MAX_ROWS}").count == cli._MAX_ROWS
     for bad in (f"1:2:{cli._MAX_ROWS + 1}", "1:2:100000000000", "1:2:100000000000:log"):
@@ -98,6 +104,15 @@ def test_parse_args_defaults():
     assert cfg.params["k3"] == 5.0
     metal = cli.parse_args(POTENTIAL_ARGS[:6] + ["metal"] + POTENTIAL_ARGS[7:])
     assert metal.params["k3"] == math.inf
+
+
+def test_negative_values_may_follow_their_flag():
+    # argparse alone reads "-0.29:0.9:3" and "-1e-3" as unknown options
+    cfg = cli.parse_args(["potential", "--k1", "2", "--k2", "1", "--k3", "5", "--a", "-0.3",
+                          "--b", "1", "--z0", "-0.29:0.9:3", "--q", "-1e-3"])
+    assert cfg.params["z0"] == cli.SweepSpec(-0.29, 0.9, 3)
+    assert (cfg.params["a"], cfg.params["q"]) == (-0.3, -1.0e-3)
+    assert cli.parse_args(["plates", "--gap", "1", "--q", "-.5"]).params["q"] == -0.5
 
 
 def test_parse_args_collects_every_problem_at_once():

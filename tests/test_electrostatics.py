@@ -12,6 +12,7 @@ must equal float for float.
 """
 
 import math
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -170,7 +171,11 @@ def scalar_image_groups(z0, a, b, bset):
 def scalar_block(z0, a, b, bset):
     """``_image_groups``' block function, served from the reference."""
     groups = scalar_image_groups(z0, a, b, bset)
-    return lambda n0, n1: np.fromiter(islice(groups, n1 - n0), float, n1 - n0)
+
+    def block(n0, n1, out, _tmp):
+        out[:] = np.fromiter(islice(groups, n1 - n0), float, n1 - n0)
+
+    return block
 
 
 # dielectric-dielectric, metal-dielectric, and a contrast of 2e4 against a
@@ -190,7 +195,8 @@ def test_image_groups_equal_the_scalar_recursion(stack, monkeypatch):
     # 4,096-group passes and the doubling block boundaries
     block, n, size, got = el._image_groups(float(z0), a, b, bset), 0, el._BLOCK0, []
     while n < 20_000:
-        got.append(block(n, n + size))
+        got.append(np.empty(size))
+        block(n, n + size, got[-1], None)
         n, size = n + size, min(2 * size, el._BLOCK_MAX)
     assert max(map(len, got)) > el._SUB_BLOCK
     expected = np.fromiter(islice(scalar_image_groups(float(z0), a, b, bset), n), float, n)
@@ -352,6 +358,14 @@ def test_nan_position_raises_at_once(fn):
 
 
 CHARGE_CALLS = NAN_CALLS + [el.potential_left_halfplane, el.halfplane_potential_curve]
+
+
+def test_three_routes_return_the_same_types():
+    st = el.DielectricStack(2.0, 1.0, 5.0, 0.0, 1.0)
+    for fn in (el.potential_slab_series, el.potential_slab_images, el.potential_kernel_quadrature):
+        got = fn(st, 0.4)
+        assert [type(x) for x in (got.v, got.terms_used, got.truncation_error_bound)] == [
+            float, int, float], fn.__name__
 
 
 @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
@@ -529,3 +543,83 @@ def test_slab_curve_matches_scalar():
         curve = el.slab_potential_curve(st, z)
         for i, z0 in enumerate(z):
             assert rel(curve[i], el.potential_slab_series(st, float(z0)).v) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The grouped-series engine
+
+
+def whole_block_sum_grouped(block_fn, bound_fn, exact_tail_fn, tol, to_api, shape):
+    """Reference for ``_sum_grouped``: the same blocks, stop test and
+    remainder, but each block drawn and summed as one (groups, points) array."""
+    total, n, block = 0.0, 0, el._BLOCK0
+    while True:
+        g = np.empty((block,) + shape)
+        block_fn(n, n + block, g, np.empty_like(g))
+        total, last = total + g.sum(axis=0), np.abs(g[-1])
+        n += block
+        if exact_tail_fn is not None:
+            return to_api(total + exact_tail_fn(n)), n, 5.0e-16
+        scale = np.maximum(np.abs(total), el._TINY)
+        bound = bound_fn(n)
+        if ((bound <= tol * scale) & (last <= tol * scale)).all():
+            return to_api(total), n, bound / scale
+        assert n < el._TERM_CAP
+        block = min(2 * block, el._BLOCK_MAX)
+
+
+GAAS_GAP = el.DielectricStack(12.9, 1.0, el.METAL, 0.0, 1.0)  # the Schottky profile's stack
+HIGH_CONTRAST = el.DielectricStack(el.METAL, 1.0, 2.0e4, 0.0, 1.0)  # 262,080 groups
+CURVE_FAMILIES = {
+    "slab_dielectric": (el.slab_potential_curve, el.DielectricStack(1.5, 8.0, 1.2, -0.3, 2.7)),
+    "slab_two_metal": (el.slab_potential_curve, el.DielectricStack.double_metal(0.75)),
+    "halfplane_gaas": (el.halfplane_potential_curve, GAAS_GAP),
+    "plate_finite": (el.plate_plate_curve, el.DielectricStack(7.0, 1.5, 3.0, 0.0, 0.75)),
+}
+
+
+def curve_points(fn, stack, points):
+    if fn is el.halfplane_potential_curve:
+        return np.linspace(0.0, 60.0, points + 1)[1:]
+    return stack.a_nm + np.linspace(0.01, 0.99, points) * stack.c_nm
+
+
+@pytest.mark.parametrize("points", [0, 1, 2, 3, 17, 2000, 4000])
+@pytest.mark.parametrize("family", sorted(CURVE_FAMILIES))
+def test_curves_equal_the_whole_block_engine(family, points, monkeypatch):
+    # a block of 64 groups spans 5 chunks at 4000 points and one at up to
+    # 1024 points; one point sums each block pairwise, more points in order
+    fn, stack = CURVE_FAMILIES[family]
+    z = curve_points(fn, stack, points)
+    chunked = fn(stack, z)
+    monkeypatch.setattr(el, "_sum_grouped", whole_block_sum_grouped)
+    assert np.array_equal(chunked, fn(stack, z))
+
+
+def test_chunked_blocks_past_the_chunk_size_equal_the_whole_block_engine(monkeypatch):
+    # at 2 points a chunk holds 32,768 groups, half the largest block
+    z = np.array([0.3, 0.4])
+    chunked = el._slab_sum(HIGH_CONTRAST, z, 1.0, 1.0e-10)
+    assert chunked[1] > el._BLOCK_MAX
+    monkeypatch.setattr(el, "_sum_grouped", whole_block_sum_grouped)
+    reference = el._slab_sum(HIGH_CONTRAST, z, 1.0, 1.0e-10)
+    assert [np.array_equal(x, y) for x, y in zip(chunked, reference)] == [True] * 3
+
+
+def traced_peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_curve_memory_stays_at_the_chunk_buffers():
+    # two buffers of 65,536 floats are 1 MiB; a whole block of 64 groups x
+    # 4000 points is 2 MiB, and the high-contrast ladder's blocks reach
+    # 65,536 groups, 50 MiB at 100 points
+    assert traced_peak_mib(el.halfplane_potential_curve, GAAS_GAP,
+                           np.linspace(0.0, 60.0, 4001)[1:]) <= 2.0
+    assert traced_peak_mib(el.slab_potential_curve, HIGH_CONTRAST,
+                           np.linspace(0.05, 0.95, 100)) <= 4.0

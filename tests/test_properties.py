@@ -481,24 +481,28 @@ def run_cli(argv):
     return status, out.getvalue().splitlines()[1:]
 
 
-POTENTIAL = ["potential", "--k1", "2", "--k2", "1", "--k3", "5", "--a", "0", "--b", "1"]
-z0_end = st.floats(-2.0, 3.0) | st.floats(0.0, 1.0)
+POTENTIAL = ["potential", "--k1", "2", "--k2", "1", "--k3", "5", "--a", "-1", "--b", "1"]
+z0_end = st.floats(-3.0, 3.0) | st.floats(-1.0, 1.0)
 
 
-@given(z0_end, z0_end, st.integers(0, 4), st.booleans())
-@example(0.9, -5.0, 3, False)
-@example(0.9, 0.1, 3, False)
-@example(1.0e-4, 0.9999, 2, True)
-@example(0.1, 0.9, 100000000000, False)
-def test_cli_z0_sweep_is_a_usage_error_or_count_rows(start, stop, count, log):
+@given(z0_end, z0_end, st.integers(0, 4), st.booleans(), st.booleans())
+@example(0.9, -5.0, 3, False, False)
+@example(0.9, 0.1, 3, False, False)
+@example(-0.29, 0.9, 3, False, True)  # a negative start as its own token
+@example(-0.9998, -1.0e-3, 2, True, True)  # a log sweep at the left guard
+@example(-0.5, 0.5, 3, True, True)  # a log sweep through zero
+@example(0.1, 0.9, 100000000000, False, False)
+def test_cli_z0_sweep_is_a_usage_error_or_count_rows(start, stop, count, log, separate):
     # a charge closer than MIN_OFFSET_FRAC of the slab to an interface has no
     # potential, so a sweep with an end there, descending ones included, is
-    # refused before any work, as is one of more points than the cap; every
-    # other sweep yields all its rows
+    # refused before any work, as is one of more points than the cap or a log
+    # sweep whose ends are not of one sign; every other sweep yields all its
+    # rows, whether its spec follows the flag as its own token or after "="
     spec = f"{start!r}:{stop!r}:{count}" + (":log" if log else "")
-    status, rows = run_cli(POTENTIAL + [f"--z0={spec}"])
-    inside = all(end >= 1.0e-4 and 1.0 - end >= 1.0e-4 for end in (start, stop))
-    if not 1 <= count <= cli._MAX_ROWS or not inside:
+    status, rows = run_cli(POTENTIAL + (["--z0", spec] if separate else [f"--z0={spec}"]))
+    inside = all(end + 1.0 >= 2.0e-4 and 1.0 - end >= 2.0e-4 for end in (start, stop))
+    one_sign = min(start, stop) > 0.0 or max(start, stop) < 0.0
+    if not 1 <= count <= cli._MAX_ROWS or not inside or (log and not one_sign):
         assert (status, rows) == (2, [])
     else:
         assert status == 0 and len(rows) == count
