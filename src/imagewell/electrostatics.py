@@ -13,7 +13,10 @@ are provided and are expected to agree:
 * ``potential_slab_images``  -- explicit image charges built by recursive
   alternating reflection, summed in the same grouping;
 * ``potential_kernel_quadrature`` -- wavenumber-space boundary-value solve
-  integrated over k, sharing no reflection coefficients with the other two.
+  integrated over k, sharing no reflection coefficients with the other two;
+  the 4x4 interface systems of all quadrature nodes are solved together by
+  one Gaussian elimination without pivoting, its rows ordered so that every
+  pivot is positive.
 
 ``potential_left_halfplane`` gives the induced potential on a charge in
 region 1, and ``plate_plate_energy`` the interaction energy between the
@@ -300,9 +303,11 @@ def _ladder(da, db, c, rho, beta_a, beta_b, direct):
     def block(n0, n1, out, tmp):
         n = _group_index(n0, n1, np.ndim(da))
         two_nc = 2.0 * n * c
-        # fixed order (beta_b + direct) + beta_a
+        # fixed order (beta_b + direct) + beta_a; the half-plane ladder has no
+        # direct term, and adding +0.0 to groups that are never -0.0 is a no-op
         np.divide(beta_b, np.add(two_nc, 2.0 * db, out=out), out=out)
-        out += direct / ((n + 1.0) * c)
+        if direct != 0.0:
+            out += direct / ((n + 1.0) * c)
         out += np.divide(beta_a, np.add(two_nc, 2.0 * da, out=tmp), out=tmp)
         out *= np.power(rho, n)
 
@@ -479,44 +484,65 @@ def halfplane_potential_curve(
 # Wavenumber-space route
 
 
-def _kernel_integrand(stack: DielectricStack, da: float, db: float, k: np.ndarray) -> np.ndarray:
-    """Induced-potential integrand at wavenumbers k (atomic units).
+def _kernel_system(stack: DielectricStack, da: float, db: float, k: np.ndarray):
+    """The interface systems at wavenumbers k (atomic units), column-wise.
 
-    Per k, solve for the Fourier amplitudes (phi, psi, theta, omega) of the
-    correction potential in the three regions.  Rows enforce continuity of
-    potential and normal displacement at each interface; a metal half-space
-    instead pins the adjacent surface to zero potential and kills its
-    outgoing amplitude.  Amplitudes are scaled by their value at the charge
-    so every matrix entry stays bounded: ea = exp(-2k da), eb = exp(-2k db).
+    Returns ``(s, ea, eb)`` with ``s`` of shape (4 rows, 4 columns + right-hand
+    side, nodes): the system of node i is ``s[:, :4, i] x = s[:, 4, i]`` for
+    the Fourier amplitudes x = (phi, psi, theta, omega) of the correction
+    potential in the three regions.  Rows 0-1 belong to the left interface,
+    rows 2-3 to the right one; each enforces continuity of potential and of
+    normal displacement, or, at a metal, zero potential on its surface and
+    no outgoing amplitude (the pin row).  Amplitudes are scaled by their
+    value at the charge so every entry stays bounded: ea = exp(-2k da),
+    eb = exp(-2k db).  The row order is what ``_kernel_integrand``'s
+    elimination relies on.
     """
     k = np.asarray(k, dtype=float)
     ea = np.exp(-2.0 * k * da)
     eb = np.exp(-2.0 * k * db)
-    m = k.shape[0]
-    A = np.zeros((m, 4, 4))
-    rhs = np.zeros((m, 4))
+    s = np.zeros((4, 5, k.shape[0]))
     k1, k2, k3 = stack.k1, stack.k2, stack.k3
     if k1 == METAL:
-        A[:, 0, 0] = 1.0
-        A[:, 1, 1] = 1.0
-        A[:, 1, 2] = eb
-        rhs[:, 1] = -1.0
+        s[0, 0] = 1.0
+        s[1, 1], s[1, 2], s[1, 4] = 1.0, eb, -1.0
     else:
-        A[:, 0, 0], A[:, 0, 1], A[:, 0, 2] = 1.0, -1.0, -eb
-        rhs[:, 0] = 1.0
-        A[:, 1, 0], A[:, 1, 1], A[:, 1, 2] = k1, k2, -k2 * eb
-        rhs[:, 1] = k2
+        s[0, 0], s[0, 1], s[0, 2], s[0, 4] = 1.0, -1.0, -eb, 1.0
+        s[1, 0], s[1, 1], s[1, 2], s[1, 4] = k1, k2, -k2 * eb, k2
     if k3 == METAL:
-        A[:, 2, 3] = 1.0
-        A[:, 3, 1], A[:, 3, 2] = ea, 1.0
-        rhs[:, 3] = -1.0
+        s[2, 1], s[2, 2], s[2, 4] = ea, 1.0, -1.0
+        s[3, 3] = 1.0
     else:
-        A[:, 2, 1], A[:, 2, 2], A[:, 2, 3] = ea, 1.0, -1.0
-        rhs[:, 2] = -1.0
-        A[:, 3, 1], A[:, 3, 2], A[:, 3, 3] = -k2 * ea, k2, k3
-        rhs[:, 3] = k2
-    x = np.linalg.solve(A, rhs[..., None])[..., 0]
-    return ea * x[:, 1] + eb * x[:, 2]
+        s[2, 1], s[2, 2], s[2, 3], s[2, 4] = ea, 1.0, -1.0, -1.0
+        s[3, 1], s[3, 2], s[3, 3], s[3, 4] = -k2 * ea, k2, k3, k2
+    return s, ea, eb
+
+
+def _kernel_integrand(stack: DielectricStack, da: float, db: float, k: np.ndarray) -> np.ndarray:
+    """Induced-potential integrand at wavenumbers k > 0 (atomic units).
+
+    Solves the systems of ``_kernel_system`` for all nodes at once: Gaussian
+    elimination without pivoting, each step one array operation across the
+    nodes, then back substitution.  No pivoting is needed: the row order
+    keeps every pivot positive for k > 0, where ea, eb lie in [0, 1) and
+    r = (k1 - k2)/(k1 + k2) in (-1, 1), or r = 1 with metal on the left.
+
+    * The left interface's rows give the pivots 1 and k1 + k2 (metal: 1, 1).
+    * The right interface's potential row, [0, ea, 1, -1 | -1] or with metal
+      [0, ea, 1, 0 | -1], is left with the pivot 1 - ea eb r > 0.
+    * The last pivot is k3 + k2 (1 + ea eb r)/(1 - ea eb r) >= k3 from the
+      displacement row, or 1 from the metal's pin row [0, 0, 0, 1 | 0],
+      which is why the pin row comes after the potential row.
+    """
+    s, ea, eb = _kernel_system(stack, da, db, k)
+    for j in range(3):
+        f = s[j + 1:, j] / s[j, j]
+        s[j + 1:, j + 1:] -= f[:, None] * s[j, None, j + 1:]
+    x = s[:, 4]
+    for j in range(3, -1, -1):
+        x[j] /= s[j, j]
+        x[:j] -= s[:j, j] * x[j]
+    return ea * x[1] + eb * x[2]
 
 
 _GAUSS_LO = np.polynomial.legendre.leggauss(12)
@@ -542,6 +568,11 @@ def potential_kernel_quadrature(
     it cross-checks the two reflection-based routes independently.  It
     shares their domain: a stack at or past their reflection-product cutoff
     raises the same ``ConvergenceError``.
+
+    Each pass evaluates the 12- and 24-point Gauss rules of its panels in one
+    ``_kernel_integrand`` call, which solves every node's interface system in
+    one column-wise elimination; the row order keeps every pivot positive
+    (see there), so no pivoting is needed.  ``terms_used`` counts the nodes.
     """
     _require_source(stack, np.asarray([z0_nm]), q)
     z0, a, b, c, _ = _slab_geometry_au(stack, z0_nm)
@@ -554,8 +585,8 @@ def potential_kernel_quadrature(
     def eval_panels(p):
         lo_n, lo_w = _panel_nodes(p[:, 0], p[:, 1], _GAUSS_LO)
         hi_n, hi_w = _panel_nodes(p[:, 0], p[:, 1], _GAUSS_HI)
-        f_lo = _kernel_integrand(stack, da, db, lo_n.ravel()).reshape(lo_n.shape)
-        f_hi = _kernel_integrand(stack, da, db, hi_n.ravel()).reshape(hi_n.shape)
+        f = _kernel_integrand(stack, da, db, np.concatenate((lo_n.ravel(), hi_n.ravel())))
+        f_lo, f_hi = f[:lo_n.size].reshape(lo_n.shape), f[lo_n.size:].reshape(hi_n.shape)
         vals = (f_hi * hi_w).sum(axis=1)
         errs = np.abs(vals - (f_lo * lo_w).sum(axis=1))
         return vals, errs, lo_n.size + hi_n.size

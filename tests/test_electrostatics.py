@@ -8,7 +8,8 @@ Independent oracles used here:
 Both are written from scratch in this file so they share no summation or
 grouping code with the library routes they check.  The scalar mirror
 recursion kept here is the reference the images route's array recursion
-must equal float for float.
+must equal float for float, and the slab ladder's block formula, with its
+direct term always added, is the reference for the ladder's blocks.
 """
 
 import math
@@ -623,3 +624,40 @@ def test_curve_memory_stays_at_the_chunk_buffers():
                            np.linspace(0.0, 60.0, 4001)[1:]) <= 2.0
     assert traced_peak_mib(el.slab_potential_curve, HIGH_CONTRAST,
                            np.linspace(0.05, 0.95, 100)) <= 4.0
+
+
+def direct_term_ladder_block(da, db, c, rho, beta_a, beta_b, direct):
+    """Reference for ``_ladder``'s block: its formula with the direct term
+    added to every group, whether or not it is 0.0."""
+
+    def block(n0, n1, out, _tmp):
+        n = np.arange(n0, n1, dtype=float).reshape((-1,) + (1,) * np.ndim(da))
+        out[...] = (beta_b / (2.0 * n * c + 2.0 * db) + direct / ((n + 1.0) * c)
+                    + beta_a / (2.0 * n * c + 2.0 * da)) * np.power(rho, n)
+
+    return block
+
+
+@pytest.mark.parametrize("family", ["halfplane_gaas", "slab_dielectric"])
+def test_ladder_blocks_equal_the_direct_term_formula(family, monkeypatch):
+    # the half-plane ladder's direct term is 0.0, the slab ladder's is rho
+    fn, stack = CURVE_FAMILIES[family]
+    z = curve_points(fn, stack, 4000)
+    ladder, chunks = el._ladder, []
+
+    def checked_ladder(*args):
+        block, bound = ladder(*args)
+        reference = direct_term_ladder_block(*args)
+
+        def both(n0, n1, out, tmp):
+            block(n0, n1, out, tmp)
+            expected = np.empty_like(out)
+            reference(n0, n1, expected, None)
+            chunks.append(np.array_equal(out, expected))
+
+        return both, bound
+
+    curve = fn(stack, z)
+    monkeypatch.setattr(el, "_ladder", checked_ladder)
+    assert np.array_equal(curve, fn(stack, z))
+    assert len(chunks) > 1 and all(chunks)
