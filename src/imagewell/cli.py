@@ -21,9 +21,12 @@ quoting, units in every numeric column header) or JSON (rows plus a
 metadata object); reruns with the same config are byte-identical, so
 wall-clock timing is reported on stderr only.  Every flag is checked
 before any work: each converter rejects the values its flag cannot take, and
-rules that span flags come from the library objects that own them.  Exit
-status: 0 when no row failed, 1 when any row carries a failure flag, 2 for
-usage errors.
+rules that span flags come from the library objects that own them.  A
+failed point keeps its row, as NaN and empty labels, with its message on
+stderr and in the JSON metadata.  One rule writes every cell: 12 significant
+digits, NaN, inf, -inf, true, false, integers as integers; JSON reads that
+text back, NaN as null and the infinities as strings.  Exit status: 0 when no
+row failed, 1 when any row carries a failure flag, 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -224,6 +227,7 @@ class RunConfig:
     params: dict = field(default_factory=dict)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="imagewell",
@@ -239,11 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
             extra = "" if default in (None, _REQUIRED) else f" [default: {shown}]"
             p.add_argument(f"--{name}", default=None, help=help_text + extra)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
 
 
 # argparse takes a token that starts with "-" but is no plain negative
@@ -280,7 +279,7 @@ def parse_args(argv=None) -> RunConfig:
     RunConfig; a UsageError lists every violated constraint at once (a
     rule spanning flags only once the flags it reads are valid)."""
     argv = sys.argv[1:] if argv is None else argv
-    ns = _parser().parse_args(_join_negative_values(argv))
+    ns = build_parser().parse_args(_join_negative_values(argv))
     command = ns.command
     schema = {**_SCHEMAS[command], **_GLOBAL_SCHEMA}
 
@@ -314,20 +313,18 @@ def parse_args(argv=None) -> RunConfig:
 def _cross_flag_problems(command: str, v: dict) -> list[str]:
     """Rules that span flags, each stated by the library object that owns
     it.  A rule is skipped when a flag it reads failed its own check."""
+    flag = ""
     try:
         if command == "potential":
             stack = el.DielectricStack(v["k1"], v["k2"], v["k3"], v["a"], v["b"])
-            guard = el.MIN_OFFSET_FRAC * stack.c_nm
-            ends = (v["z0"].start, v["z0"].stop)
-            if not (min(ends) - stack.a_nm >= guard and stack.b_nm - max(ends) >= guard):
-                return [f"--z0: both sweep ends must lie at least {guard:g} nm inside "
-                        f"({stack.a_nm:g}, {stack.b_nm:g}) nm, away from the interfaces"]
+            flag = "--z0: "  # a sweep lies inside the slab when both its ends do
+            el._require_source(stack, np.asarray([v["z0"].start, v["z0"].stop]), v["q"])
         elif command == "schottky":
             sn.carrier_mass(sn.get_material(v["material"]), v["carrier"])
         elif command == "film" and sn.get_material(v["material"]).layer_thickness_nm is None:
             return [f"--material: {v['material']} has no layer thickness"]
     except ImagewellError as exc:  # MaterialNotFoundError too, before KeyError
-        return [str(exc)]
+        return [flag + str(exc)]
     except KeyError:  # a flag the rule reads failed its own check
         pass
     return []
@@ -337,27 +334,37 @@ def _cross_flag_problems(command: str, v: dict) -> list[str]:
 # Run
 
 
-def _nanrow(n):
-    return [math.nan] * n
+def _solve_each(points, solve, fill):
+    """One row per point: ``solve(point)``, or the point and ``fill`` when
+    that raises an ImagewellError, the row then flagged with its message."""
+    rows, failed = [], []
+    for x in map(float, points):
+        try:
+            rows.append(solve(x))
+        except ImagewellError as exc:
+            failed.append((len(rows), str(exc)))
+            rows.append([x, *fill])
+    return rows, failed
+
+
+def _flagged(records):
+    """(index, message) of each row the library flagged as failed."""
+    return [(i, r.message) for i, r in enumerate(records) if r.failed]
 
 
 def _run_potential(p):
     stack = el.DielectricStack(p["k1"], p["k2"], p["k3"], p["a"], p["b"])
     header = ["z0(nm)", "v_series(V)", "v_images(V)", "v_quadrature(V)",
               "energy(eV)", "terms(count)"]
-    rows, failed = [], []
-    max_terms = 0
-    for z0 in p["z0"].values():
-        try:
-            se = el.potential_slab_series(stack, float(z0), q=p["q"], tol=p["tol"])
-            im = el.potential_slab_images(stack, float(z0), q=p["q"], tol=p["tol"])
-            qd = el.potential_kernel_quadrature(stack, float(z0), q=p["q"])
-            rows.append([float(z0), se.v, im.v, qd.v, se.energy_ev(p["q"]), se.terms_used])
-            max_terms = max(max_terms, se.terms_used)
-        except ImagewellError as exc:
-            failed.append((len(rows), str(exc)))
-            rows.append([float(z0)] + _nanrow(4) + [0])
-    meta = {"tolerance": p["tol"], "max_series_terms": max_terms}
+
+    def solve(z0):
+        se = el.potential_slab_series(stack, z0, q=p["q"], tol=p["tol"])
+        im = el.potential_slab_images(stack, z0, q=p["q"], tol=p["tol"])
+        qd = el.potential_kernel_quadrature(stack, z0, q=p["q"])
+        return [z0, se.v, im.v, qd.v, se.energy_ev(p["q"]), se.terms_used]
+
+    rows, failed = _solve_each(p["z0"].values(), solve, [math.nan] * 4 + [0])
+    meta = {"tolerance": p["tol"], "max_series_terms": max(row[-1] for row in rows)}
     return header, rows, failed, meta
 
 
@@ -373,28 +380,13 @@ def _run_eigen(p):
     return header, rows, [], meta
 
 
-def _sweep_rows_to_table(sweep, n_states, extra_front=(), effs=None):
-    header = list(extra_front) + ["gap(nm)"]
-    header += [f"e{i}(eV)" for i in range(n_states)]
-    header += ["bohr(nm)"]
-    if effs is not None:
-        header += ["eff_eps(1)"]
-    header += [f"kind{i}" for i in range(n_states)]
-    rows, failed = [], []
-    for idx, r in enumerate(sweep):
-        row = [r.layers] if extra_front else []
-        row.append(r.gap_nm)
-        row += [r.energies_ev[i] if i < len(r.energies_ev) else math.nan
-                for i in range(n_states)]
-        row.append(r.bohr_nm[0] if r.bohr_nm else math.nan)
-        if effs is not None:
-            row.append(effs[idx])
-        kinds = [k.value for k in r.kinds]
-        row += [kinds[i] if i < len(kinds) else "" for i in range(n_states)]
-        rows.append(row)
-        if r.failed:
-            failed.append((idx, r.message))
-    return header, rows, failed
+def _sweep_rows_to_table(sweep, n_states):
+    header = ["gap(nm)", *(f"e{i}(eV)" for i in range(n_states)), "bohr(nm)",
+              *(f"kind{i}" for i in range(n_states))]
+    # a failed row holds n_states NaN energies and radii, but no kinds
+    rows = [[r.gap_nm, *r.energies_ev, r.bohr_nm[0],
+             *([k.value for k in r.kinds] or [""] * n_states)] for r in sweep]
+    return header, rows, _flagged(sweep)
 
 
 def _run_schottky(p):
@@ -422,38 +414,31 @@ def _run_film(p):
         d_max_nm=p["dmax"],
     )
     table = _default_effective_epsilon_table()
-    effs = []
-    for r in sweep:
-        if r.layers == 0:
-            effs.append(math.inf)
-            continue
-        try:
-            effs.append(sn.effective_epsilon(r.bohr_nm[0], table) if r.bohr_nm else math.nan)
+    header, rows, failed = _sweep_rows_to_table(sweep, p["states"])
+    k = p["states"] + 2  # the readout follows the gap, the energies and bohr
+    header[:k] = ["layers(count)", *header[:k], "eff_eps(1)"]
+    for r, row in zip(sweep, rows):
+        try:  # inf with no film, NaN where the table reads out no radius
+            eff = math.inf if r.layers == 0 else sn.effective_epsilon(r.bohr_nm[0], table)
         except ImagewellError:
-            effs.append(math.nan)
-    header, rows, failed = _sweep_rows_to_table(
-        sweep, p["states"], extra_front=["layers(count)"], effs=effs
-    )
+            eff = math.nan
+        row[:k] = [r.layers, *row[:k], eff]
     meta = {"material": mat.name, "eps": mat.eps,
             "layer_thickness_nm": mat.layer_thickness_nm, "n_points": p["points"]}
     return header, rows, failed, meta
 
 
 def _run_plates(p):
-    header = ["gap(nm)"] + [f"e{i}(eV)" for i in range(p["states"])]
-    header += ["u_max(eV)"] + [f"kind{i}" for i in range(p["states"])]
-    rows, failed = [], []
-    for gap in p["gap"].values():
-        try:
-            spec = sn.two_plate_spectrum(float(gap), p["states"], q=p["q"],
-                                         m_eff=p["mass"], n_points=p["points"])
-            rows.append(
-                [float(gap)] + [s.energy_ev for s in spec.states]
-                + [spec.u_max_ev] + [s.kind.value for s in spec.states]
-            )
-        except ImagewellError as exc:
-            failed.append((len(rows), str(exc)))
-            rows.append([float(gap)] + _nanrow(p["states"] + 1) + [""] * p["states"])
+    n = p["states"]
+    header = ["gap(nm)"] + [f"e{i}(eV)" for i in range(n)]
+    header += ["u_max(eV)"] + [f"kind{i}" for i in range(n)]
+
+    def solve(gap):
+        spec = sn.two_plate_spectrum(gap, n, q=p["q"], m_eff=p["mass"], n_points=p["points"])
+        return ([gap] + [s.energy_ev for s in spec.states]
+                + [spec.u_max_ev] + [s.kind.value for s in spec.states])
+
+    rows, failed = _solve_each(p["gap"].values(), solve, [math.nan] * (n + 1) + [""] * n)
     meta = {"n_points": p["points"], "m_eff": p["mass"], "q": p["q"]}
     return header, rows, failed, meta
 
@@ -467,17 +452,15 @@ def _run_levitate(p):
         state_index=p["state"], q=p["q"], m_eff=p["mass"],
         n_points=p["points"], delta_frac=p["delta"],
     )
-    rows, failed = [], []
-    for idx, r in enumerate(curve):
+    rows = []
+    for r in curve:
         b = r.breakdown
         rows.append([r.gap_nm, r.mass_kg, b.f_total_n, b.f_plate_plate_n,
                      b.f_binding_n, b.f_casimir_n, b.f_vdw_n, b.e_binding_ev,
                      b.u_plate_plate_ev, r.repulsive, r.stable])
-        if r.failed:
-            failed.append((idx, r.message))
     meta = {"n_electrons": p["n"], "area_m2": p["area"], "hamaker_j": p["hamaker"],
             "state_index": p["state"], "n_points": p["points"]}
-    return header, rows, failed, meta
+    return header, rows, _flagged(curve), meta
 
 
 _RUNNERS = {
@@ -496,28 +479,18 @@ def _format_cell(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isnan(x):
-            return "NaN"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x + 0.0, ".12g")
+        return "NaN" if math.isnan(x) else format(float(x) + 0.0, ".12g")
     return str(x)
 
 
 def _json_cell(x):
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isnan(x):
-            return None
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return float(format(x + 0.0, ".12g"))
-    return x
+    """A cell's JSON value: its CSV text read back by the one cell rule."""
+    text = _format_cell(x)
+    if isinstance(x, str) or text in ("inf", "-inf"):
+        return text
+    if text in ("true", "false", "NaN"):
+        return None if text == "NaN" else text == "true"
+    return int(text) if isinstance(x, (int, np.integer)) else float(text)
 
 
 def render(cfg: RunConfig, header, rows, failed, meta) -> str:

@@ -215,8 +215,8 @@ def _require_source(stack: DielectricStack, z0_nm: np.ndarray, q: float) -> None
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise SingularityError(
-            f"charge position {z0_nm.flat[idx]} nm is within {guard} nm of an "
-            f"interface of [{stack.a_nm}, {stack.b_nm}] nm"
+            f"charge position {z0_nm.flat[idx]} nm is not at least {guard} nm "
+            f"inside [{stack.a_nm}, {stack.b_nm}] nm"
         )
 
 

@@ -114,9 +114,10 @@ class PotentialProfile:
 class Eigenstate:
     """A normalised state.  From shooting, state k has ``nodes`` = k, the
     count that isolated it, and the ``parity`` of the mirror half it was
-    solved on (``NONE`` off a mirror); from the oracle, ``nodes`` are psi's
-    sign changes above 1e-8 of its peak and ``parity`` is psi's mirror
-    overlap beyond +-0.99 on a mirror profile."""
+    solved on (``NONE`` off a mirror); from the oracle, state j has
+    ``nodes`` = j, as the oscillation theorem gives for its Jacobi matrix,
+    and ``parity`` is psi's mirror overlap beyond +-0.99 on a mirror
+    profile."""
 
     energy_h: float
     psi: np.ndarray
@@ -315,10 +316,10 @@ def _profile_is_symmetric(profile: PotentialProfile) -> bool:
 
 
 def _finalize(energy_h: float, psi: np.ndarray, profile: PotentialProfile,
-              labels: tuple[int, Parity] | None = None) -> Eigenstate:
+              nodes: int, parity: Parity | None = None) -> Eigenstate:
     """The state of psi normalised, its first lobe above 1e-3 of the peak
-    positive, labelled (nodes, parity) = ``labels``; the oracle's (None) are
-    psi's sign changes above 1e-8 of the peak and its mirror overlap."""
+    positive, labelled ``nodes`` and ``parity``; the oracle's parity (None)
+    is psi's mirror overlap."""
     grid = profile.grid_bohr
     norm = math.sqrt(float(np.trapezoid(psi * psi, grid)))
     if norm == 0.0:
@@ -328,8 +329,7 @@ def _finalize(energy_h: float, psi: np.ndarray, profile: PotentialProfile,
     lead = np.nonzero(np.abs(psi) > 1.0e-3 * scale)[0][0]
     if psi[lead] < 0.0:
         psi = -psi
-    if labels is None:
-        sig = psi[np.abs(psi) > 1.0e-8 * scale]
+    if parity is None:
         parity = Parity.NONE
         if _profile_is_symmetric(profile):
             overlap = float(np.trapezoid(psi * psi[::-1], grid))
@@ -337,11 +337,10 @@ def _finalize(energy_h: float, psi: np.ndarray, profile: PotentialProfile,
                 parity = Parity.EVEN
             elif overlap < -0.99:
                 parity = Parity.ODD
-        labels = int(np.count_nonzero(np.diff(np.sign(sig)) != 0)), parity
     kind = StateKind.BOUND if energy_h < profile.classification_reference() else StateKind.BOX
     psi = np.ascontiguousarray(psi)
     psi.setflags(write=False)
-    return Eigenstate(energy_h, psi, grid, *labels, kind)
+    return Eigenstate(energy_h, psi, grid, nodes, parity, kind)
 
 
 def solve_eigenstates(
@@ -467,7 +466,7 @@ def solve_eigenstates(
             psi = np.concatenate((psi[: (n + 1) // 2], image if parity is Parity.EVEN else -image))
         if flipped:
             psi = psi[::-1]
-        states.append(_finalize(energy, psi, profile, (k, parity)))
+        states.append(_finalize(energy, psi, profile, k, parity))
 
     for a, b in zip(states, states[1:]):  # each level is polished to 1e-13 relative
         width = 1.0e-13 * (abs(a.energy_h) + abs(b.energy_h))
@@ -487,8 +486,8 @@ def _symmetrize_degenerate_pairs(states, profile, m_eff):
         odd_raw = a.psi - a.psi[::-1]
         if float(np.max(np.abs(odd_raw))) < 1.0e-6:
             odd_raw = b.psi - b.psi[::-1]
-        states[i] = _finalize(a.energy_h, even_raw, profile)
-        states[i + 1] = _finalize(b.energy_h, odd_raw, profile)
+        states[i] = _finalize(a.energy_h, even_raw, profile, i)
+        states[i + 1] = _finalize(b.energy_h, odd_raw, profile, i + 1)
 
 
 def diagonalization_oracle(
@@ -499,7 +498,10 @@ def diagonalization_oracle(
     Dirichlet conditions at both grid ends (for open half-lines the decaying
     tail is approximated by the hard truncation, adequate whenever the
     profile extends far past the state).  Requires at least 50 grid points,
-    and m h^2 a normal float.
+    and m h^2 a normal float.  State j has j nodes: the matrix is an
+    unreduced Jacobi matrix with a negative off-diagonal, whose j-th
+    eigenvector changes sign exactly j times (Gantmacher & Krein,
+    *Oscillation Matrices and Kernels*, ch. II).
     """
     if n_states < 1:
         raise DomainError("n_states must be >= 1")
@@ -526,7 +528,7 @@ def diagonalization_oracle(
     for j in range(n_states):
         psi = np.zeros(n)
         psi[1:-1] = v[:, j]
-        states.append(_finalize(float(w[j]), psi, profile))
+        states.append(_finalize(float(w[j]), psi, profile, j))
     if _profile_is_symmetric(profile):  # degenerate pairs re-symmetrized into even/odd
         _symmetrize_degenerate_pairs(states, profile, m_eff)
     return states

@@ -407,6 +407,43 @@ def test_readme_commands_match_recorded_reference(capsys):
                 assert same or (math.isnan(a) and math.isnan(b)), (command, cell, ref)
 
 
+def csv_cell_value(column, text):
+    """A CSV cell read back by the one cell rule: NaN is null, inf and -inf
+    stay text, true and false are booleans, (count) and (index) columns are
+    integers, other numbers floats, and any other text stays text."""
+    if text in ("NaN", "true", "false"):
+        return {"NaN": None, "true": True, "false": False}[text]
+    if column.endswith(("(count)", "(index)")):
+        return int(text)
+    try:
+        return text if text in ("inf", "-inf") else float(text)
+    except ValueError:
+        return text
+
+
+def test_json_cells_are_the_csv_cells_read_back(capsys):
+    # the README commands, a failed row, and a film row with no film (an
+    # inf readout): every JSON cell is its CSV cell read back, of the same type
+    recorded = json.loads(REFERENCE.read_text(encoding="utf-8"))["stdout"]
+    extra = ["plates --gap 1e-300:1:2", "film --material sAr --layers 0:1 --dmax 25 --points 201"]
+    seen = set()
+    for command in [*recorded, *extra]:
+        argv = command.split()
+        status = cli.main(argv)
+        header, rows = read_csv(capsys.readouterr().out)
+        assert cli.main(argv + ["--format", "json"]) == status, command
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["columns"] == header and len(doc["rows"]) == len(rows), command
+        for row, cells in zip(rows, doc["rows"]):
+            assert list(cells) == sorted(header), command
+            for column, text in zip(header, row):
+                want = csv_cell_value(column, text)
+                assert cells[column] == want and type(cells[column]) is type(want), (
+                    command, column, text, cells[column])
+                seen.add(text if text in ("NaN", "inf", "true") else type(want).__name__)
+    assert {"NaN", "inf", "true", "int", "float", "str"} <= seen
+
+
 def test_usage_errors_exit_two(capsys):
     assert cli.main(["eigen", "--gap", "0"]) == 2
     assert cli.main(["eigen", "--gap", "1:2"]) == 2

@@ -177,6 +177,17 @@ def test_tilted_double_well_routes_agree():
         assert abs(s.energy_h - o.energy_h) / abs(o.energy_h) < 1e-6
 
 
+def test_oracle_labels_state_j_with_j_nodes():
+    # the oscillation theorem for the oracle's matrix, not a count of psi's
+    # signs: state 1's far lobe (9.2e-9 of its peak) read as no node under
+    # the 1e-8 cut that count used, on either grid
+    for n_points in (4001, 10001):
+        grid, u = quartic_well(50.0, n_points=n_points, tilt=0.01)
+        prof = sc.PotentialProfile(grid, u, sc.DomainKind.INTERVAL)
+        orc = sc.diagonalization_oracle(prof, n_states=4)
+        assert [(o.nodes, o.parity) for o in orc] == [(j, sc.Parity.NONE) for j in range(4)]
+
+
 def test_symmetric_double_well_parity_pair():
     labels = list(zip(range(4), [sc.Parity.EVEN, sc.Parity.ODD] * 2))
     grid, u = quartic_well(2.5)
