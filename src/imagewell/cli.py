@@ -383,9 +383,8 @@ def _run_eigen(p):
 def _sweep_rows_to_table(sweep, n_states):
     header = ["gap(nm)", *(f"e{i}(eV)" for i in range(n_states)), "bohr(nm)",
               *(f"kind{i}" for i in range(n_states))]
-    # a failed row holds n_states NaN energies and radii, but no kinds
-    rows = [[r.gap_nm, *r.energies_ev, r.bohr_nm[0],
-             *([k.value for k in r.kinds] or [""] * n_states)] for r in sweep]
+    rows = [[r.gap_nm, *r.energies_ev, r.bohr_nm[0], *(k.value if k else "" for k in r.kinds)]
+            for r in sweep]
     return header, rows, _flagged(sweep)
 
 

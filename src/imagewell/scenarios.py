@@ -192,14 +192,15 @@ class SweepRow:
     layers: int | None
     energies_ev: tuple[float, ...]
     bohr_nm: tuple[float, ...]
-    kinds: tuple[sc.StateKind, ...]
+    kinds: tuple[sc.StateKind | None, ...]  # None where the row failed
     failed: bool = False
     message: str = ""
 
 
 def _halfline_rows(eps_host, eps_slab, m_eff, q, cases, n_states, n_points, d_max_nm):
     """Solve one half-line row per ``(gap_nm, layers)`` case; a row whose
-    profile or spectrum fails is flagged with NaN values, not dropped."""
+    profile or spectrum fails is flagged with NaN values and None kinds, not
+    dropped."""
     rows = []
     for gap, layers in cases:
         try:
@@ -213,7 +214,8 @@ def _halfline_rows(eps_host, eps_slab, m_eff, q, cases, n_states, n_points, d_ma
             rows.append(SweepRow(gap, layers, energies, radii, tuple(s.kind for s in states)))
         except ImagewellError as exc:
             nan = (math.nan,) * n_states
-            rows.append(SweepRow(gap, layers, nan, nan, (), failed=True, message=str(exc)))
+            rows.append(SweepRow(gap, layers, nan, nan, (None,) * n_states,
+                                 failed=True, message=str(exc)))
     return rows
 
 

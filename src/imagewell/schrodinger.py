@@ -7,10 +7,12 @@ Two independent solvers:
   wall, a mirror's centre or an open end's decaying tail.  T(E)'s Sturm count
   (Barth, Martin & Wilkinson 1967), exact where every interior 1 - h^2/12 2m
   (u - E) > 0, from LDL^T sweeps (LAPACK ``dpttrf``) isolates each
-  eigenvalue; Illinois false position on det T(E), one summed-form pass from
-  the left wall (BLAS ``dtbsv``), refines it to 1e-13 relative, or, where
-  that keeps its sign across the bracket, node-count bisection runs to the
-  end.  The eigenvector is one inverse iteration (LAPACK ``dstein``).
+  eigenvalue: at a closed end only until the bracket ends count k and k + 1,
+  where det T(E) has the sign (-1)^count (Sylvester's law of inertia).
+  Safeguarded Newton on det T(E) polishes it to 1e-13 relative: one
+  summed-form pass from the left wall (BLAS ``dtbsv``) and one more solve
+  with the same band for the derivative.  The eigenvector is one inverse
+  iteration (LAPACK ``dstein``).
   An interval whose potential is its mirror to within 1e-9 of its largest
   magnitude is solved as the exact mirror 0.5 (u + u[::-1]) (bitwise u for
   every two-plate profile), as its even and odd halves, each closed at the
@@ -23,9 +25,10 @@ Two independent solvers:
 Profiles are stored in atomic units (Bohr / Hartree); eigenstate energies
 convert to eV at the accessor.  Walls are hard (psi = 0).  An open half-line
 end imposes a decaying tail with the local decay constant at the truncation
-radius when that root lies inside the node-count bracket; otherwise the
-node-count fallback returns the state with a hard wall at the truncation
-radius, which lies above the decaying-tail root.
+radius; its count still closes it with a wall, so a half line keeps a 1e-6
+count bracket and takes the tail's root only when det T(E) changes sign
+across it.  Otherwise node-count bisection returns the state with a hard
+wall at the truncation radius, which lies above the decaying-tail root.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .constants import BOHR_RADIUS_NM, HARTREE_EV, HBAR_JS, STANDARD_GRAVITY_MS2
 from .errors import DomainError, EigenSearchError, GridError
 
 _WALL = (1.0, 0.0)  # a closed end (see _count_nodes): psi = 0 past the last row
+_POLISH = 1.0e-13  # Newton's last step, relative to the level
 
 
 class DomainKind(Enum):
@@ -149,10 +153,13 @@ def _count_nodes(u, h, two_m, e, end=_WALL):
     included) float for float, so the counts are its counts, except where it
     splits the matrix: a_j a_{j-1} above about 2e31, i.e. 1 - t below about
     3e-15, at the edge of the grid guard."""
-    w = 1.0 - h * h / 12.0 * two_m * (u[1:-1] - e)
-    if not np.all(w > 0.0):
+    d = u[1:-1] - e  # becomes 1 - t, then the diagonal, in place
+    d *= h * h / 12.0 * two_m
+    np.subtract(1.0, d, out=d)
+    if not d.min() > 0.0:
         raise GridError(f"grid too coarse: 1 - h^2/12 2m (u - E) <= 0 at E = {e:.6g} Hartree")
-    d = 12.0 / w - 10.0
+    np.divide(12.0, d, out=d)
+    d -= 10.0
     d[-1] = end[0] * d[-1] + end[1]
     off = np.full(d.size - 1, -1.0)
     count = 0
@@ -190,34 +197,34 @@ def _bisect(side, lo, hi, rtol):
     return lo, hi
 
 
-def _false_position(f, lo, hi, f_lo, f_hi, rtol):
-    """Illinois false position on [lo, hi], where f(lo) = f_lo and f(hi) =
-    f_hi differ in sign.  A trial point keeps rtol/2 |x| inside the bracket,
-    so a converged iterate pulls the far end in.  Stops at relative width
-    ``rtol`` or at adjacent floats; an exact zero at x returns ``(x, x)``."""
-    moved = 0  # +1 when hi moved last, -1 when lo did
+def _newton(f, lo, hi, rising, x, rtol, known=None):
+    """Safeguarded Newton from x for the one root of f in [lo, hi]; f(e) is
+    (value, slope), its value below the root < 0 if ``rising``, else > 0,
+    and ``known`` is f(x) when the caller has it.  Each value moves a bracket
+    end to e; a step that leaves the bracket, or is not under half the step
+    before, bisects instead (Press et al., *Numerical Recipes*, ``rtsafe``).
+    Returns the stepped point once a step is within ``rtol`` of x or no
+    longer moves it, the midpoint once the bracket is that narrow, or x at
+    an exact zero."""
+    last = math.inf
     for _ in range(240):
-        if hi - lo <= rtol * max(abs(lo), abs(hi)):
-            break
-        x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        margin = 0.5 * rtol * abs(x)
-        x = min(max(x, lo + margin), hi - margin)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if x == lo or x == hi:
-                break
-        fx = f(x)
-        if fx == 0.0:
-            return x, x
-        if (fx > 0.0) == (f_hi > 0.0):
-            if moved > 0:  # the same end twice: halve the stale one
-                f_lo *= 0.5
-            hi, f_hi, moved = x, fx, 1
+        value, slope = known or f(x)
+        known = None
+        if value == 0.0:
+            return x
+        if (value > 0.0) == rising:
+            hi = x
         else:
-            if moved < 0:
-                f_hi *= 0.5
-            lo, f_lo, moved = x, fx, -1
-    return lo, hi
+            lo = x
+        step = value / slope if slope else math.inf
+        if abs(step) <= rtol * abs(x) or x - step == x:
+            return x - step
+        if not (lo < x - step < hi and abs(step) <= 0.5 * abs(last)):
+            step = x - 0.5 * (lo + hi)
+            if hi - lo <= rtol * abs(x) or x - step in (lo, hi):
+                return x - step
+        x, last = x - step, step
+    return x
 
 
 def _steps(v, h, two_m, e):
@@ -228,52 +235,77 @@ def _steps(v, h, two_m, e):
     return w, 12.0 * t / w
 
 
-def _residual(v, h, two_m, e, end):
-    """(r, k) with r 2^k = D_{L-1} + s delta_L z_L + (2s - 1 + c) z_L, Numerov's
-    summed form D_i = D_{i-1} + delta_i z_i, z_{i+1} = z_i + D_i (Henrici 1962)
-    run from z_0 = 0, z_1 = 1 at the left wall and closed at row L by ``end``
-    (s, c): the last LDL^T pivot of T(E) (see _count_nodes) times z_L, i.e.
-    det T(E), whose sign changes exactly where the count steps.  In the
-    unknowns (z_1, D_1, ..., z_L, D_{L-1} + s delta_L z_L) it is one unit lower
-    triangular band solve (BLAS ``dtbsv``), k = 0.  One that overflows is
-    redone in blocks from (z_j, D_{j-1}) scaled by powers of two, whose
-    exponents k adds up: the same pass, scaled exactly, with r in [0.5, 1)."""
-    delta = _steps(v, h, two_m, e)[1]
+def _residual(v, h, two_m, e, end, slope=0.0):
+    """(r, r', k) with (r, r') 2^k = (det T(E), its E-derivative).  det T(E)
+    is D_{L-1} + s delta_L z_L + (2s - 1 + c) z_L, Numerov's summed form D_i =
+    D_{i-1} + delta_i z_i, z_{i+1} = z_i + D_i (Henrici 1962) run from z_0 = 0,
+    z_1 = 1 at the left wall and closed at row L by ``end`` (s, c), whose c
+    moves with E by ``slope``: the last LDL^T pivot of T(E) (see
+    _count_nodes) times z_L, so its sign is (-1)^count.  In the unknowns
+    (z_1, D_1, ..., z_L, D_{L-1} + s delta_L z_L) the pass is one unit lower
+    triangular band solve L x = rhs (BLAS ``dtbsv``), k = 0, and its
+    derivative the same solve of L x' = -L' x, where L' holds only
+    -delta'_i = 12 c_N/(1 - t_i)^2, c_N = h^2/12 2m.  One that overflows is
+    redone in blocks from (z_j, D_{j-1}) and their derivatives scaled by
+    powers of two, whose exponents k adds up: the same passes, scaled
+    exactly, with r in [0.5, 1)."""
+    w, delta = _steps(v, h, two_m, e)
+    rate = np.square(w, out=w)
+    np.divide(-12.0 * (h * h / 12.0 * two_m), rate, out=rate)  # delta'_i
     delta[-1] *= end[0]
+    rate[-1] *= end[0]
+    close = 2.0 * end[0] - 1.0 + end[1]
     ab = np.full((3, 2 * delta.size), -1.0, order="F")  # row 0, the unit diagonal, is never read
-    ab[1, 0::2] = -delta
+    np.negative(delta, out=ab[1, 0::2])
     rhs = np.zeros(ab.shape[1])
     rhs[:2] = 1.0  # (z_1, D_0)
-    z, d = dtbsv(2, ab, rhs, lower=1, diag=1)[-2:].tolist()
-    if math.isfinite(z) and math.isfinite(d):
-        return d + (2.0 * end[0] - 1.0 + end[1]) * z, 0
-    # a row grows max(|z|, |D|) at most 2 + |delta|-fold: blocks of up to 2^1000
+    x = dtbsv(2, ab, rhs, lower=1, diag=1)
+    np.multiply(rate, x[0::2], out=rhs[1::2])
+    rhs[0::2] = 0.0
+    dx = dtbsv(2, ab, rhs, lower=1, diag=1)
+    z, d, dz, dd = x[-2:].tolist() + dx[-2:].tolist()
+    if all(map(math.isfinite, (z, d, dz, dd))):
+        return d + close * z, dd + close * dz + slope * z, 0
+    # a row grows max(|z|, |D|) at most 2 + |delta|-fold, and the derivative
+    # at most 1 + sum |delta'| times more: blocks of up to 2^1000 in all
     bits = np.cumsum(np.log2(2.0 + np.abs(delta)))
-    z, d, start, done, k = 0.0, 1.0, 0, 0.0, 0  # (z_0, D_0)
+    budget = 1000.0 - math.log2(1.0 + float(np.sum(np.abs(rate))))
+    z, d, dz, dd, start, done, k = 0.0, 1.0, 0.0, 0.0, 0, 0.0, 0  # (z_0, D_0) and derivatives
     while start < delta.size:
-        stop = max(int(np.searchsorted(bits, done + 1000.0, side="right")), start + 1)
-        shift = math.frexp(max(abs(z + d), abs(d)))[1]
-        rhs = np.zeros(2 * (stop - start))
+        stop = max(int(np.searchsorted(bits, done + budget, side="right")), start + 1)
+        shift = math.frexp(max(abs(z + d), abs(d), abs(dz + dd), abs(dd)))[1]
+        band = ab[:, 2 * start : 2 * stop]
+        rhs = np.zeros(band.shape[1])
         rhs[:2] = math.ldexp(z + d, -shift), math.ldexp(d, -shift)
-        z, d = dtbsv(2, ab[:, 2 * start : 2 * stop], rhs, lower=1, diag=1)[-2:].tolist()
+        x = dtbsv(2, band, rhs, lower=1, diag=1)
+        rhs = np.zeros(band.shape[1])
+        rhs[1::2] = rate[start:stop] * x[0::2]
+        rhs[:2] += math.ldexp(dz + dd, -shift), math.ldexp(dd, -shift)
+        dx = dtbsv(2, band, rhs, lower=1, diag=1)
+        z, d, dz, dd = x[-2:].tolist() + dx[-2:].tolist()
         start, done, k = stop, float(bits[stop - 1]), k + shift
-    r, shift = math.frexp(d + (2.0 * end[0] - 1.0 + end[1]) * z)
-    return r, k + shift
+    r, shift = math.frexp(d + close * z)
+    return r, math.ldexp(dd + close * dz + slope * z, -shift), k + shift
 
 
 def _right_end(v, h, two_m, e, end):
-    """(closure, psi[-1]/psi[-2]) of the right end at E: a closed ``end`` as
-    given; at an open one (None) the decaying tail psi[-1] = e^(-kappa h)
-    psi[-2], kappa = sqrt(2m (v[-1] - E)): the closure (1, -(1 - t[-1])/(1 -
-    t[-2]) e^(-kappa h)), or a wall once E reaches v[-1]."""
+    """(closure, psi[-1]/psi[-2], d closure[1]/dE) of the right end at E: a
+    closed ``end`` as given; at an open one (None) the decaying tail psi[-1] =
+    e^(-kappa h) psi[-2], kappa = sqrt(2m (v[-1] - E)): the closure (1, -g),
+    g = (1 - t[-1])/(1 - t[-2]) e^(-kappa h), or a wall once E reaches v[-1]."""
     if end:
-        return end, 0.0
+        return end, 0.0, 0.0
     gap = two_m * (v[-1] - e)
     if not gap > 0.0:
-        return _WALL, 0.0
-    decay = math.exp(-math.sqrt(gap) * h)
-    t_r, t_out = (h * h / 12.0 * two_m * (v[-2:] - e)).tolist()
-    return (1.0, -(1.0 - t_out) / (1.0 - t_r) * decay), decay
+        return _WALL, 0.0, 0.0
+    kappa = math.sqrt(gap)
+    decay = math.exp(-kappa * h)
+    coefficient = h * h / 12.0 * two_m
+    t_r, t_out = (coefficient * (v[-2:] - e)).tolist()
+    g = (1.0 - t_out) / (1.0 - t_r) * decay
+    # d ln g/dE: both 1 - t grow by the coefficient, kappa falls by m/kappa
+    rate = coefficient / (1.0 - t_out) - coefficient / (1.0 - t_r) + 0.5 * h * two_m / kappa
+    return (1.0, -g), decay, -g * rate
 
 
 def _eigenvector(v, h, two_m, e, end):
@@ -348,32 +380,43 @@ def solve_eigenstates(
 ) -> list[Eigenstate]:
     """Lowest ``n_states`` eigenstates by Numerov shooting.
 
-    Each eigenvalue is first isolated by bisection on the node count (to 1e-6
-    relative): the Sturm count of T(E) = tridiag(-1, a, -1), a_i = 12/(1 -
-    t_i) - 10 with t_i = h^2/12 2m (u_i - E), Numerov's recurrence for z_i =
-    (1 - t_i) psi_i (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)),
-    counted as the non-positive pivots of its LDL^T factorisation (LAPACK
-    ``dpttrf``, restarted past each one).  It needs every interior 1 - t_i >
-    0; a grid too coarse for that raises ``GridError``.  Illinois false
-    position then polishes it to 1e-13 relative on det T(E), the residual of
-    one summed-form pass from the left wall (``_residual``).  T(E) is closed
-    by a wall at an interval's end, and at an open half-line end by the
-    decaying tail psi[-1] = e^(-kappa h) psi[-2], kappa set by the potential
-    there (``_right_end``).  An interval whose potential is its mirror to
-    within 1e-9 of its largest magnitude (``_profile_is_symmetric``) is solved
-    as the exact mirror 0.5 (u + u[::-1]) -- u itself when u is one, and
-    levels moved by about the asymmetry |u - u[::-1]|/2 at most when u is
-    near one -- split into its even and odd halves (``_sectors``), whose
-    levels stay apart however deep the double well.  When the residual has
-    the same sign at both bracket ends -- a half-line state whose
-    decaying-tail root lies outside the bracket -- node-count bisection
-    continues to machine precision, and the state then carries a hard wall
-    at the truncation radius instead.  The eigenvector is one inverse iteration (LAPACK
+    Each eigenvalue is first isolated by bisection on the node count: the
+    Sturm count of T(E) = tridiag(-1, a, -1), a_i = 12/(1 - t_i) - 10 with
+    t_i = h^2/12 2m (u_i - E), Numerov's recurrence for z_i = (1 - t_i) psi_i
+    (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)), counted as the
+    non-positive pivots of its LDL^T factorisation (LAPACK ``dpttrf``,
+    restarted past each one).  It needs every interior 1 - t_i > 0; a grid
+    too coarse for that raises ``GridError``.  At a closed end -- an
+    interval's wall or a mirror half's centre -- the count stops once the
+    bracket ends count k and k + 1, and needs none at the window's bottom,
+    where every 0 < t_i < 1 makes T(E) diagonally dominant; a mirror's odd
+    half never counts more than its even half, so it starts from the even
+    half's counts of 0.  Safeguarded
+    Newton on det T(E), the residual of one summed-form pass from the left
+    wall, and its derivative, one more solve with the same band
+    (``_residual``), then polishes it to 1e-13 relative (``_newton``); the
+    count is the number of negative eigenvalues of T(E), so det T(E) has the
+    sign (-1)^count at the bracket ends without a pass.  A half line's open
+    end is closed in det T(E) by the decaying tail psi[-1] = e^(-kappa h)
+    psi[-2], kappa set by the potential there (``_right_end``), but by a
+    wall in the count; until the count takes the tail as well, the count
+    brackets it to 1e-6 relative, both ends get a pass, and Newton starts
+    from the end with the shorter step.  When det T(E) has the same sign at
+    both ends -- the decaying-tail root lies outside the bracket --
+    node-count bisection continues to machine precision, and the state then
+    carries a hard wall at the truncation radius instead.  An interval whose
+    potential is its mirror to within 1e-9 of its largest magnitude
+    (``_profile_is_symmetric``) is solved as the exact mirror 0.5 (u +
+    u[::-1]) -- u itself when u is one, and levels moved by about the
+    asymmetry |u - u[::-1]|/2 at most when u is near one -- split into its
+    even and odd halves (``_sectors``), whose levels stay apart however deep
+    the double well.  The eigenvector is one inverse iteration (LAPACK
     ``dstein``) for the eigenvalue 0 of the same closed T(E).  State k is
     labelled by the count that isolated it, k nodes, and by its half, even or
     odd (``NONE`` off a mirror).
     A grid of fewer than 4 points, or a step h with h^2 or h^2/12 2m not a
-    normal float, raises ``GridError``.
+    normal float, raises ``GridError``; levels that no count separates at
+    float resolution raise ``EigenSearchError``.
     """
     if n_states < 1:
         raise DomainError("n_states must be >= 1")
@@ -414,16 +457,30 @@ def solve_eigenstates(
     u_ref = profile.classification_reference()
     for expansion in range(5):
         hi = u_ref + (2.0**expansion) * 50.0 * max(1.0, n_states * n_states / 16.0) * quantum
-        if _count_nodes(u, h, two_m, hi) >= n_states:
+        total = _count_nodes(u, h, two_m, hi)
+        if total >= n_states:
             break
     else:
         raise EigenSearchError(f"could not bracket {n_states} states after window expansions")
 
     states: list[Eigenstate] = []
-    measured = [[] for _ in problems]  # (energy, node count) each; every count is exact
+    # (energy, count) of each problem, every count exact.  At lo every 0 <
+    # t_i < 1 makes T(lo) diagonally dominant, count 0, without a count
+    # (-1 when lo is not known to be below every level); at hi the window's
+    # count splits between the halves, the even one holding the extra level
+    floor = 0 if coefficient * (float(np.max(u)) - lo) < 1.0 else -1
+    shares = [(total + 1) // 2, total // 2] if mirrored else [total]
+    measured = [[(lo, floor), (hi, share)] for share in shares]
     for k in range(n_states):
         level, p = divmod(k, len(problems))
         (v, end, parity), seen = problems[p], measured[p]
+
+        def count(e):
+            c = _count_nodes(v, h, two_m, e, end or _WALL)
+            seen.append((e, c))
+            if c == 0 and p == 0 and mirrored:  # the odd half counts no more than the even
+                measured[1].append((e, 0))
+            return c
 
         def above(e):  # node count level + 1 or more: e lies above that eigenvalue
             # counts grow with energy: level + 1 or more at or below e, or
@@ -431,34 +488,45 @@ def solve_eigenstates(
             for e_m, c in seen:
                 if (c > level and e_m <= e) or (c <= level and e_m >= e):
                     return c - level - 0.5
-            c = _count_nodes(v, h, two_m, e, end or _WALL)
-            seen.append((e, c))
-            return c - level - 0.5
+            return count(e) - level - 0.5
 
-        def det(e):  # det T(E) = r 2^k
-            return _residual(v, h, two_m, e, _right_end(v, h, two_m, e, end)[0])
+        def det(e):  # (det T(E), its slope), both over the same 2^k
+            closure, _, slope = _right_end(v, h, two_m, e, end)
+            return _residual(v, h, two_m, e, closure, slope)[:2]
 
-        # phase 1: node-count bisection isolates the eigenvalue
-        e_lo, e_hi = _bisect(above, lo, hi, 1.0e-6)
-        # phase 2: false position on det T(E) to 1e-13 relative, over the
-        # bracket ends' larger power of two: 2^0 unless a pass overflowed
-        ends = det(e_lo), det(e_hi)
-        top = max(k for _, k in ends)
-
-        def residual(e):
-            r, k = det(e)
-            return math.ldexp(r, k - top)
-
-        r_lo, r_hi = (math.ldexp(r, k - top) for r, k in ends)
-        crossed = min(r_lo, r_hi) < 0.0 < max(r_lo, r_hi)
-        if crossed:
-            e_lo, e_hi = _false_position(residual, e_lo, e_hi, r_lo, r_hi, 1.0e-13)
+        if end:
+            # a closed end: count only until the bracket ends count level and
+            # level + 1; det T(E) has the sign (-1)^count there
+            e_lo, c_lo = max(m for m in seen if m[1] <= level)
+            e_hi, c_hi = min(m for m in seen if m[1] > level)
+            while c_lo < level or c_hi > level + 1:
+                mid = 0.5 * (e_lo + e_hi)
+                if mid in (e_lo, e_hi):
+                    raise EigenSearchError(f"level {level} not isolated at float resolution")
+                if count(mid) > level:
+                    e_hi, c_hi = seen[-1]
+                else:
+                    e_lo, c_lo = seen[-1]
+            crossed, rising, start, known = True, level % 2 == 1, 0.5 * (e_lo + e_hi), None
+        else:
+            # an open end: the count's 1e-6 bracket, and the decaying tail's
+            # det T(E) at both ends, which need not change sign across it
+            e_lo, e_hi = _bisect(above, lo, hi, 1.0e-6)
+            ends = [det(e) for e in (e_lo, e_hi)]
+            (r_lo, _), (r_hi, _) = ends
+            crossed, rising = min(r_lo, r_hi) < 0.0 < max(r_lo, r_hi), r_lo < 0.0
+            # Newton starts from the end whose own step is the shorter
+            steps = [abs(r / slope) if slope else math.inf for r, slope in ends]
+            near = steps[1] < steps[0]
+            start, known = (e_lo, e_hi)[near], ends[near]
+        if crossed:  # safeguarded Newton on det T(E)
+            energy = _newton(det, e_lo, e_hi, rising, start, _POLISH, known)
         else:
             # no sign change (the decaying tail's root outside the bracket):
             # node-count bisection to the end, and a wall at the truncation end
             e_lo, e_hi = _bisect(above, e_lo, e_hi, 0.0)
-        energy = 0.5 * (e_lo + e_hi)
-        closure, decay = _right_end(v, h, two_m, energy, end) if crossed else (_WALL, 0.0)
+            energy = 0.5 * (e_lo + e_hi)
+        closure, decay, _ = _right_end(v, h, two_m, energy, end) if crossed else (_WALL, 0.0, 0.0)
         psi = _eigenvector(v, h, two_m, energy, closure)
         psi[-1] = decay * psi[-2]
         if mirrored:  # the half and its mirror image

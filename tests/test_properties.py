@@ -7,7 +7,9 @@ for the node count that brackets the shooting solver's eigenvalues (against
 LAPACK ``dstebz``'s Sturm count as the reference), for the sector counts of
 mirror-symmetric intervals adding up to the whole count, for the labels and
 levels of near-mirror and exact-mirror double wells, for shooting meeting
-the oracle's levels to the oracle's own second-order error, for the exact
+the oracle's levels to the oracle's own second-order error, for Newton's
+levels sitting where det T(E) changes sign over the isolation bracket, for
+the lower levels of mirror wells not moving with the state count, for the exact
 discrete levels of boxes of a few to 10001 points, for the 1/m scaling of box levels
 by both eigensolvers, for hard-wall entries of a profile being dead input to both
 eigensolvers, and for the CLI's sweep and layer strings ending either as a
@@ -367,12 +369,13 @@ def test_near_and_exact_mirror_wells_give_alternating_labels(length, height, n_p
 
 
 @st.composite
-def oracle_wells(draw):
+def oracle_wells(draw, shapes=("interval", "mirror", "half_line")):
     """(profile, mass) on 1001 to 4001 points over 5-12 Bohr: three cosine
     modes of amplitude <= 0.5 Hartree as an interval, the same made a mirror
     float for float, or a half line walled on the left whose ramp (a quantum
-    bouncer of length L/40 to L/20) keeps three states far from its open end."""
-    shape = draw(st.sampled_from(["interval", "mirror", "half_line"]))
+    bouncer of length L/40 to L/20) keeps three states far from its open end;
+    ``shapes`` picks among the three."""
+    shape = draw(st.sampled_from(shapes))
     length, m_eff = draw(st.floats(5.0, 12.0)), draw(st.floats(0.2, 5.0))
     grid = np.linspace(0.0, length, draw(st.integers(1001, 4001)))
     u = sum(draw(st.floats(-0.5, 0.5)) * np.cos((j + 1) * np.pi * grid / length)
@@ -403,6 +406,64 @@ def test_shooting_agrees_with_the_oracle_to_its_second_order_error(well):
         weight = o.psi * o.psi
         leading = m_eff * h * h / 6.0 * np.sum(weight * (u - o.energy_h) ** 2) / np.sum(weight)
         assert abs((s.energy_h - o.energy_h) / leading - 1.0) <= 0.1
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_wells(shapes=("interval", "mirror")))
+def test_newton_levels_sit_where_det_changes_sign(well):
+    # each closed-end level is polished by Newton on det T(E) from its
+    # isolation bracket, whose ends det T(E) takes with the signs (-1)^count
+    # without a pass; a bisection on det's sign over the same bracket, run
+    # to adjacent floats, lands within the polish width of it
+    profile, m_eff = well
+    newton, calls = sc._newton, []
+
+    def recorded(f, lo, hi, rising, x, rtol, known=None):
+        def side(e):  # > 0 above the level
+            return f(e)[0] if rising else -f(e)[0]
+
+        root = newton(f, lo, hi, rising, x, rtol, known)
+        calls.append((root, side(lo) < 0.0 < side(hi), sc._bisect(side, lo, hi, 0.0)))
+        return root
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc, "_newton", recorded)
+        states = sc.solve_eigenstates(profile, m_eff, 3)
+    assert [s.energy_h for s in states] == [root for root, *_ in calls]
+    for root, signs, (a, b) in calls:
+        assert signs
+        assert abs(root - 0.5 * (a + b)) <= sc._POLISH * abs(root)
+
+
+@settings(max_examples=15, deadline=None)
+@given(oracle_wells(shapes=("mirror",)))
+def test_state_count_prefixes_agree(well):
+    # asking for more states keeps the lower ones: bitwise while the window
+    # (its top set by the state count from 5 states on) stays the same, and
+    # to the polish width of each level otherwise
+    profile, m_eff = well
+    count_nodes, tops = sc._count_nodes, []
+
+    def recorded(u, h, two_m, e, *end):
+        if u.size == profile.u_hartree.size:  # the window's count of the whole
+            tops.append(e)
+        return count_nodes(u, h, two_m, e, *end)
+
+    solves = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc, "_count_nodes", recorded)
+        for k in range(1, 7):
+            states = sc.solve_eigenstates(profile, m_eff, k)
+            solves[k] = tops[-1], [(s.energy_h, s.nodes, s.parity) for s in states]
+    for j in range(1, 6):
+        for k in range(j + 1, 7):
+            (top_j, low), (top_k, high) = solves[j], solves[k]
+            if top_j == top_k:
+                assert high[:j] == low
+                continue
+            for (e_j, *label_j), (e_k, *label_k) in zip(low, high):
+                assert label_j == label_k
+                assert abs(e_j - e_k) <= 2.0 * sc._POLISH * abs(e_j)
 
 
 def exact_box_levels(n_points, h, m_eff, count):

@@ -118,22 +118,34 @@ def test_harmonic_well_through_rescaled_passes(kind, center, monkeypatch):
     # the open end at 60 bohr, so the kept pass from that end rescales
     grid = np.linspace(0.0, 60.0, 6001)
     prof = sc.PotentialProfile(grid, 0.5 * (grid - center) ** 2, kind)
-    passes, residual = [0], sc._residual
+    counts, passes, exponents = [0], [0], []
+    count_nodes, residual = sc._count_nodes, sc._residual
 
     def counted(*args):
-        passes[0] += 1
-        return residual(*args)
+        counts[0] += 1
+        return count_nodes(*args)
 
-    monkeypatch.setattr(sc, "_residual", counted)
+    def evaluated(*args):
+        passes[0] += 1
+        out = residual(*args)
+        exponents.append(out[2])
+        return out
+
+    monkeypatch.setattr(sc, "_count_nodes", counted)
+    monkeypatch.setattr(sc, "_residual", evaluated)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         states = sc.solve_eigenstates(prof, n_states=3)
     for n, s in enumerate(states):
         assert abs(s.energy_h - (n + 0.5)) < 1e-8
         assert s.nodes == n
-    # the rescaled passes carry their powers of two, so false position sees
-    # det T(E) itself and converges as fast as on an unscaled pass
-    assert passes[0] <= 8 * len(states)
+    assert min(exponents) > 1000  # every pass went through the blocks
+    # the rescaled passes carry det T(E) and its slope by the same power of
+    # two, so Newton takes a step as on an unscaled pass.  Measured: an open
+    # end's 1e-6 count bracket takes 73 counts for the 3 states, and each
+    # state one pass at either end of it and two Newton steps
+    assert counts[0] <= 25 * len(states)
+    assert passes[0] <= 4 * len(states)
 
 
 # ---------------------------------------------------------------------------
@@ -227,25 +239,36 @@ def test_bisect_stops_at_width_zero_or_float_resolution():
     assert sc._bisect(lambda e: e - 0.25, 0.0, 1.0, 0.0) == (0.25, 0.25)
 
 
-def test_false_position_stops_at_zero_width_or_float_resolution():
+def test_newton_stops_at_float_resolution_or_at_a_zero():
     calls = []
 
     def f(e):
         calls.append(e)
-        return e * e - 2.0
+        return e * e - 2.0, 2.0 * e
 
-    lo, hi = sc._false_position(f, 1.0, 2.0, -1.0, 2.0, 1.0e-13)
-    assert lo * lo < 2.0 < hi * hi and hi - lo <= 1.0e-13 * hi
-    assert len(calls) <= 12  # superlinear, where bisection would take 43
-    # concave: plain false position would move only the upper end
+    root = sc._newton(f, 1.0, 2.0, True, 1.5, 1.0e-13)
+    assert abs(root - math.sqrt(2.0)) <= 1.0e-13 * root
+    assert len(calls) <= 5  # quadratic, where bisection would take 43
+    # at rtol 0 it stops only once a step no longer moves the iterate
     calls.clear()
-    lo, hi = sc._false_position(lambda e: f(e) / (e * e), 1.0, 2.0, -1.0, 0.5, 1.0e-13)
-    assert lo * lo < 2.0 < hi * hi and hi - lo <= 1.0e-13 * hi
-    assert len(calls) <= 12
-    lo, hi = sc._false_position(f, 1.0, 2.0, -1.0, 2.0, 0.0)
-    assert lo * lo < 2.0 < hi * hi and np.nextafter(lo, 2.0) == hi
-    # an exact zero ends the search at that point
-    assert sc._false_position(lambda e: e - 0.25, 0.0, 1.0, -0.25, 0.75, 0.0) == (0.25, 0.25)
+    root = sc._newton(f, 1.0, 2.0, True, 1.5, 0.0)
+    assert abs(root - math.sqrt(2.0)) <= math.ulp(root) and len(calls) <= 8
+    # falling, and started from an end whose value is known: Newton's first
+    # step on tan 1 - tan e goes from 0 to 1.56, past the bracket, so it
+    # bisects instead
+    calls.clear()
+
+    def g(e):
+        calls.append(e)
+        return math.tan(1.0) - math.tan(e), -1.0 / math.cos(e) ** 2
+
+    root = sc._newton(g, 0.0, 1.4, False, 0.0, 1.0e-13, known=g(0.0))
+    assert abs(root - 1.0) <= 1.0e-13
+    assert calls[:2] == [0.0, 0.7] and len(calls) <= 8
+    # an exact zero ends the search at that point, at once
+    calls.clear()
+    assert sc._newton(lambda e: (calls.append(e) or e - 0.25, 1.0), 0.0, 1.0, True, 0.25, 0.0) == 0.25
+    assert calls == [0.25]
 
 
 def node_pass_sign_changes(u, h, two_m, e):
@@ -344,6 +367,29 @@ def test_residual_changes_sign_where_the_count_steps():
             step = sc._bisect(lambda e: closed(e)[0] - k - 0.5, -1.0, 3.0, 1e-9)
             assert [closed(e)[0] for e in step] == [k, k + 1]
             assert [closed(e)[1] < 0.0 for e in step] == [k % 2 == 1, k % 2 == 0]
+
+
+def test_residual_slope_is_the_derivative_of_det():
+    # the second band solve gives d det T(E)/dE, with the open end's moving
+    # closure included, on unscaled passes and on passes rescaled in blocks
+    # (the harmonic tail spans about e^1250); against central differences
+    plates = sn.interval_profile(1.6, n_points=1001)
+    mirror = np.pad(plates.u_hartree[1:-1], 1, mode="edge")
+    cases = [(v, plates.step_bohr, end, -0.02) for v, end, _ in sc._sectors(mirror)]
+    d = np.linspace(0.0, 60.0, 2001)
+    d[0] = 0.5 * d[1]
+    cases += [(-1.0 / (4.0 * d), d[1], None, e) for e in (-0.02, -0.005)]
+    grid = np.linspace(0.0, 60.0, 6001)
+    cases += [(0.5 * (grid - 10.0) ** 2, grid[1], end, 1.3) for end in (None, sc._WALL)]
+    for v, h, right, e in cases:
+        def det(x):
+            closure, _, slope = sc._right_end(v, h, 2.0, x, right)
+            return sc._residual(v, h, 2.0, x, closure, slope)
+
+        _, slope, k = det(e)
+        (up, _, k_up), (down, _, k_down) = det(e + 1e-7), det(e - 1e-7)
+        central = (math.ldexp(up, k_up - k) - math.ldexp(down, k_down - k)) / 2e-7
+        assert slope == pytest.approx(central, rel=1e-7)
 
 
 def test_fallback_state_ends_at_the_wall_at_the_truncation_end():
