@@ -110,21 +110,11 @@ def _beta(k_inside: float, k_outside: float) -> float:
 
 @dataclass(frozen=True)
 class BetaSet:
-    """Reflection coefficients of a stack.
-
-    For metal half-spaces the product coefficients are stored in their
-    K -> infinity limits with the diverging permittivity divided out of both
-    numerator and denominator, so ``beta_n / beta_p`` (and likewise
-    ``beta_c / beta_p``, ``beta_d / beta_p``) always equals the finite limit.
-    """
+    """Reflection coefficients of a stack: -1 exactly at a metal side."""
 
     beta_21: float
     beta_23: float
-    beta_n: float
-    beta_p: float
-    beta_c: float
-    beta_d: float
-    ratio: float  # beta_n / beta_p == beta_21 * beta_23
+    ratio: float  # beta_21 * beta_23
 
 
 def beta_coefficients(k1: float, k2: float, k3: float) -> BetaSet:
@@ -133,19 +123,7 @@ def beta_coefficients(k1: float, k2: float, k3: float) -> BetaSet:
     _check_permittivity(k3, "k3", allow_metal=True)
     b21 = _beta(k2, k1)
     b23 = _beta(k2, k3)
-    # Factors entering beta_n = (k2-k1)(k2-k3), beta_p = (k2+k1)(k2+k3),
-    # beta_c = (k3-k2)(k1+k2), beta_d = (k1-k2)(k2+k3), normalized per metal.
-    m1, p1 = ((-1.0, 1.0) if k1 == METAL else (k2 - k1, k2 + k1))
-    m3, p3 = ((-1.0, 1.0) if k3 == METAL else (k2 - k3, k2 + k3))
-    return BetaSet(
-        beta_21=b21,
-        beta_23=b23,
-        beta_n=m1 * m3,
-        beta_p=p1 * p3,
-        beta_c=(-m3) * p1,
-        beta_d=(-m1) * p3,
-        ratio=b21 * b23,
-    )
+    return BetaSet(beta_21=b21, beta_23=b23, ratio=b21 * b23)
 
 
 class Side(Enum):
@@ -440,7 +418,7 @@ def _halfplane_sum(stack: DielectricStack, dist_a_nm, q: float, tol: float):
         raise SingularityError(f"need dist_a_nm > 0, got {np.min(dist_a_nm)}")
     bset = beta_coefficients(stack.k1, stack.k2, stack.k3)
     _check_ratio(bset.ratio)
-    b12 = bset.beta_d / bset.beta_p  # (k1-k2)/(k1+k2)
+    b12 = -bset.beta_21  # (k1-k2)/(k1+k2)
     da = nm_to_bohr(dist_a_nm)
     c = nm_to_bohr(stack.c_nm)
     # the slab ladder seen from region 1: no direct round trip term
@@ -452,7 +430,6 @@ def _halfplane_sum(stack: DielectricStack, dist_a_nm, q: float, tol: float):
 def potential_left_halfplane(
     stack: DielectricStack,
     dist_a_nm: float,
-    dist_b_nm: float | None = None,
     q: float = 1.0,
     tol: float = 1.0e-10,
 ) -> PotentialValue:
@@ -460,15 +437,8 @@ def potential_left_halfplane(
     ``dist_a_nm`` left of the first interface.
 
     The series uses only bounded interface coefficients, so metal region 3
-    is handled without any diverging intermediate.  ``dist_b_nm`` (distance
-    to the far interface) is redundant and, when given, must equal
-    ``dist_a_nm + c``.
+    is handled without any diverging intermediate.
     """
-    c_nm = stack.c_nm
-    if dist_b_nm is not None and abs(dist_b_nm - (dist_a_nm + c_nm)) > 1.0e-9 * c_nm:
-        raise SingularityError(
-            f"dist_b_nm {dist_b_nm} inconsistent with dist_a_nm + c = {dist_a_nm + c_nm}"
-        )
     v, terms, err = _halfplane_sum(stack, dist_a_nm, q, tol)
     return PotentialValue(float(v), terms, float(err))
 

@@ -7,8 +7,8 @@ Two independent solvers:
   wall, a mirror's centre or an open end's decaying tail.  T(E)'s Sturm count
   (Barth, Martin & Wilkinson 1967), exact where every interior 1 - h^2/12 2m
   (u - E) > 0, from LDL^T sweeps (LAPACK ``dpttrf``) isolates each
-  eigenvalue: at a closed end only until the bracket ends count k and k + 1,
-  where det T(E) has the sign (-1)^count (Sylvester's law of inertia).
+  eigenvalue until the bracket ends count k and k + 1, where det T(E) has
+  the sign (-1)^count (Sylvester's law of inertia).
   Safeguarded Newton on det T(E) polishes it to 1e-13 relative: one
   summed-form pass from the left wall (BLAS ``dtbsv``) and one more solve
   with the same band for the derivative.  The eigenvector is one inverse
@@ -25,10 +25,8 @@ Two independent solvers:
 Profiles are stored in atomic units (Bohr / Hartree); eigenstate energies
 convert to eV at the accessor.  Walls are hard (psi = 0).  An open half-line
 end imposes a decaying tail with the local decay constant at the truncation
-radius; its count still closes it with a wall, so a half line keeps a 1e-6
-count bracket and takes the tail's root only when det T(E) changes sign
-across it.  Otherwise node-count bisection returns the state with a hard
-wall at the truncation radius, which lies above the decaying-tail root.
+radius where its root lies in the level's count bracket, and a wall there
+otherwise.
 """
 
 from __future__ import annotations
@@ -197,19 +195,17 @@ def _bisect(side, lo, hi, rtol):
     return lo, hi
 
 
-def _newton(f, lo, hi, rising, x, rtol, known=None):
+def _newton(f, lo, hi, rising, x, rtol):
     """Safeguarded Newton from x for the one root of f in [lo, hi]; f(e) is
-    (value, slope), its value below the root < 0 if ``rising``, else > 0,
-    and ``known`` is f(x) when the caller has it.  Each value moves a bracket
-    end to e; a step that leaves the bracket, or is not under half the step
-    before, bisects instead (Press et al., *Numerical Recipes*, ``rtsafe``).
-    Returns the stepped point once a step is within ``rtol`` of x or no
-    longer moves it, the midpoint once the bracket is that narrow, or x at
-    an exact zero."""
+    (value, slope), its value below the root < 0 if ``rising``, else > 0.
+    Each value moves a bracket end to e; a step that leaves the bracket, or
+    is not under half the step before, bisects instead (Press et al.,
+    *Numerical Recipes*, ``rtsafe``).  Returns the stepped point once a step
+    is within ``rtol`` of x or no longer moves it, the midpoint once the
+    bracket is that narrow, or x at an exact zero."""
     last = math.inf
     for _ in range(240):
-        value, slope = known or f(x)
-        known = None
+        value, slope = f(x)
         if value == 0.0:
             return x
         if (value > 0.0) == rising:
@@ -386,37 +382,33 @@ def solve_eigenstates(
     (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)), counted as the
     non-positive pivots of its LDL^T factorisation (LAPACK ``dpttrf``,
     restarted past each one).  It needs every interior 1 - t_i > 0; a grid
-    too coarse for that raises ``GridError``.  At a closed end -- an
-    interval's wall or a mirror half's centre -- the count stops once the
+    too coarse for that raises ``GridError``.  The count stops once the
     bracket ends count k and k + 1, and needs none at the window's bottom,
     where every 0 < t_i < 1 makes T(E) diagonally dominant; a mirror's odd
     half never counts more than its even half, so it starts from the even
-    half's counts of 0.  Safeguarded
-    Newton on det T(E), the residual of one summed-form pass from the left
-    wall, and its derivative, one more solve with the same band
-    (``_residual``), then polishes it to 1e-13 relative (``_newton``); the
-    count is the number of negative eigenvalues of T(E), so det T(E) has the
-    sign (-1)^count at the bracket ends without a pass.  A half line's open
-    end is closed in det T(E) by the decaying tail psi[-1] = e^(-kappa h)
-    psi[-2], kappa set by the potential there (``_right_end``), but by a
-    wall in the count; until the count takes the tail as well, the count
-    brackets it to 1e-6 relative, both ends get a pass, and Newton starts
-    from the end with the shorter step.  When det T(E) has the same sign at
-    both ends -- the decaying-tail root lies outside the bracket --
-    node-count bisection continues to machine precision, and the state then
-    carries a hard wall at the truncation radius instead.  An interval whose
-    potential is its mirror to within 1e-9 of its largest magnitude
-    (``_profile_is_symmetric``) is solved as the exact mirror 0.5 (u +
-    u[::-1]) -- u itself when u is one, and levels moved by about the
-    asymmetry |u - u[::-1]|/2 at most when u is near one -- split into its
-    even and odd halves (``_sectors``), whose levels stay apart however deep
-    the double well.  The eigenvector is one inverse iteration (LAPACK
-    ``dstein``) for the eigenvalue 0 of the same closed T(E).  State k is
-    labelled by the count that isolated it, k nodes, and by its half, even or
-    odd (``NONE`` off a mirror).
+    half's counts of 0.  Safeguarded Newton on det T(E), the residual of one
+    summed-form pass from the left wall, and its derivative, one more solve
+    with the same band (``_residual``), then polishes it to 1e-13 relative
+    (``_newton``) from the bracket's midpoint; the count is the number of
+    negative eigenvalues of T(E), so det T(E) has the sign (-1)^count at the
+    bracket ends without a pass.  A half line's open end is closed by a wall
+    in the count, which first brackets each level to 1e-6 relative, and in
+    det T(E) by the decaying tail psi[-1] = e^(-kappa h) psi[-2], kappa set
+    by the potential there (``_right_end``), when the tail's det T(E) takes
+    the count's signs at the bracket ends (one pass each); otherwise the
+    same Newton polishes the wall's root.  An interval whose potential is its mirror to within 1e-9
+    of its largest magnitude (``_profile_is_symmetric``) is solved as the
+    exact mirror 0.5 (u + u[::-1]) -- u itself when u is one, and levels
+    moved by about the asymmetry |u - u[::-1]|/2 at most when u is near one
+    -- split into its even and odd halves (``_sectors``), whose levels stay
+    apart however deep the double well.  The eigenvector is one inverse
+    iteration (LAPACK ``dstein``) for the eigenvalue 0 of the same closed
+    T(E).  State k is labelled by the count that isolated it, k nodes, and by
+    its half, even or odd (``NONE`` off a mirror).
     A grid of fewer than 4 points, or a step h with h^2 or h^2/12 2m not a
-    normal float, raises ``GridError``; levels that no count separates at
-    float resolution raise ``EigenSearchError``.
+    normal float, raises ``GridError``; more states than T(E) has rows, or
+    levels that no count separates at float resolution, raise
+    ``EigenSearchError``.
     """
     if n_states < 1:
         raise DomainError("n_states must be >= 1")
@@ -455,13 +447,14 @@ def solve_eigenstates(
     umin = float(np.min(inner))
     lo = 1.5 * umin if umin < 0.0 else -quantum
     u_ref = profile.classification_reference()
-    for expansion in range(5):
-        hi = u_ref + (2.0**expansion) * 50.0 * max(1.0, n_states * n_states / 16.0) * quantum
-        total = _count_nodes(u, h, two_m, hi)
-        if total >= n_states:
-            break
-    else:
-        raise EigenSearchError(f"could not bracket {n_states} states after window expansions")
+    if n_states > n - 2:
+        raise EigenSearchError(f"{n_states} states asked of a matrix of {n - 2} rows")
+    # the window's top doubles its step until it holds n_states levels: T(E)
+    # is negative definite, every row counted, once every t_i < -1/2
+    step = 50.0 * max(1.0, n_states * n_states / 16.0) * quantum
+    while (total := _count_nodes(u, h, two_m, u_ref + step)) < n_states:
+        step *= 2.0
+    hi = u_ref + step
 
     states: list[Eigenstate] = []
     # (energy, count) of each problem, every count exact.  At lo every 0 <
@@ -494,39 +487,28 @@ def solve_eigenstates(
             closure, _, slope = _right_end(v, h, two_m, e, end)
             return _residual(v, h, two_m, e, closure, slope)[:2]
 
-        if end:
-            # a closed end: count only until the bracket ends count level and
-            # level + 1; det T(E) has the sign (-1)^count there
-            e_lo, c_lo = max(m for m in seen if m[1] <= level)
-            e_hi, c_hi = min(m for m in seen if m[1] > level)
-            while c_lo < level or c_hi > level + 1:
-                mid = 0.5 * (e_lo + e_hi)
-                if mid in (e_lo, e_hi):
-                    raise EigenSearchError(f"level {level} not isolated at float resolution")
-                if count(mid) > level:
-                    e_hi, c_hi = seen[-1]
-                else:
-                    e_lo, c_lo = seen[-1]
-            crossed, rising, start, known = True, level % 2 == 1, 0.5 * (e_lo + e_hi), None
-        else:
-            # an open end: the count's 1e-6 bracket, and the decaying tail's
-            # det T(E) at both ends, which need not change sign across it
-            e_lo, e_hi = _bisect(above, lo, hi, 1.0e-6)
-            ends = [det(e) for e in (e_lo, e_hi)]
-            (r_lo, _), (r_hi, _) = ends
-            crossed, rising = min(r_lo, r_hi) < 0.0 < max(r_lo, r_hi), r_lo < 0.0
-            # Newton starts from the end whose own step is the shorter
-            steps = [abs(r / slope) if slope else math.inf for r, slope in ends]
-            near = steps[1] < steps[0]
-            start, known = (e_lo, e_hi)[near], ends[near]
-        if crossed:  # safeguarded Newton on det T(E)
-            energy = _newton(det, e_lo, e_hi, rising, start, _POLISH, known)
-        else:
-            # no sign change (the decaying tail's root outside the bracket):
-            # node-count bisection to the end, and a wall at the truncation end
-            e_lo, e_hi = _bisect(above, e_lo, e_hi, 0.0)
-            energy = 0.5 * (e_lo + e_hi)
-        closure, decay, _ = _right_end(v, h, two_m, energy, end) if crossed else (_WALL, 0.0, 0.0)
+        rising = level % 2 == 1  # det T(E) below the level: (-1)^level
+        if not end:  # an open end: the count (with a wall there) to 1e-6 first
+            _bisect(above, lo, hi, 1.0e-6)
+        # count only until the bracket ends count level and level + 1, where
+        # det T(E) has the sign (-1)^count
+        e_lo, c_lo = max(m for m in seen if m[1] <= level)
+        e_hi, c_hi = min(m for m in seen if m[1] > level)
+        while c_lo < level or c_hi > level + 1:
+            mid = 0.5 * (e_lo + e_hi)
+            if mid in (e_lo, e_hi):
+                raise EigenSearchError(f"level {level} not isolated at float resolution")
+            if count(mid) > level:
+                e_hi, c_hi = seen[-1]
+            else:
+                e_lo, c_lo = seen[-1]
+        # an open end is closed by the decaying tail where its det T(E) takes
+        # the count's signs at the bracket ends too, and by a wall otherwise
+        sign = 1.0 if rising else -1.0
+        if not end and not det(e_lo)[0] * sign < 0.0 < det(e_hi)[0] * sign:
+            end = _WALL
+        energy = _newton(det, e_lo, e_hi, rising, 0.5 * (e_lo + e_hi), _POLISH)
+        closure, decay, _ = _right_end(v, h, two_m, energy, end)
         psi = _eigenvector(v, h, two_m, energy, closure)
         psi[-1] = decay * psi[-2]
         if mirrored:  # the half and its mirror image

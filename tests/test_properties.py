@@ -408,21 +408,33 @@ def test_shooting_agrees_with_the_oracle_to_its_second_order_error(well):
         assert abs((s.energy_h - o.energy_h) / leading - 1.0) <= 0.1
 
 
+def image_tail_well():
+    """A 60 Bohr half line under -1/(4d), short enough that its open end moves
+    level 0 by 2e-8 relative, inside its 1e-6 count bracket, and level 1 by
+    4e-3, outside it: the first is closed by the decaying tail, the second
+    by a wall at the truncation end (the third lies above u(60))."""
+    grid = np.linspace(0.0, 60.0, 2001)
+    d = np.where(grid > 0.0, grid, 0.5 * grid[1])  # the wall's entry is never read
+    return sc.PotentialProfile(grid, -1.0 / (4.0 * d), sc.DomainKind.HALF_LINE_WALL_LEFT), 1.0
+
+
 @settings(max_examples=30, deadline=None)
-@given(oracle_wells(shapes=("interval", "mirror")))
+@given(oracle_wells())
+@example(image_tail_well())
 def test_newton_levels_sit_where_det_changes_sign(well):
-    # each closed-end level is polished by Newton on det T(E) from its
-    # isolation bracket, whose ends det T(E) takes with the signs (-1)^count
-    # without a pass; a bisection on det's sign over the same bracket, run
-    # to adjacent floats, lands within the polish width of it
+    # every level is polished by Newton on det T(E) from its count bracket:
+    # at a closed end det T(E) takes the signs (-1)^count at its ends without
+    # a pass, and an open end is closed by the decaying tail or by a wall;
+    # a bisection on det's sign over the same bracket, run to adjacent
+    # floats, lands within the polish width of it
     profile, m_eff = well
     newton, calls = sc._newton, []
 
-    def recorded(f, lo, hi, rising, x, rtol, known=None):
+    def recorded(f, lo, hi, rising, x, rtol):
         def side(e):  # > 0 above the level
             return f(e)[0] if rising else -f(e)[0]
 
-        root = newton(f, lo, hi, rising, x, rtol, known)
+        root = newton(f, lo, hi, rising, x, rtol)
         calls.append((root, side(lo) < 0.0 < side(hi), sc._bisect(side, lo, hi, 0.0)))
         return root
 

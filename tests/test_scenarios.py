@@ -582,11 +582,40 @@ def test_two_state_solve_work(monkeypatch):
     assert work[2][0] - work[1][0] <= 2 and work[3][0] - work[2][0] <= 2
 
 
+def test_half_line_row_work(monkeypatch):
+    # a Schottky row: the count brackets the level to 1e-6 with a wall at the
+    # truncation end, the decaying tail's det T(E) takes one pass at either
+    # bracket end, and Newton polishes the level on the tail (GaAs at 1 nm)
+    # or on that wall (at 5 nm).  Measured: 24 counts and 4 passes at 5 nm,
+    # 25 and 5 at 1 nm
+    work = [0, 0]
+    count_nodes, residual = sc._count_nodes, sc._residual
+
+    def counted(*args):
+        work[0] += 1
+        return count_nodes(*args)
+
+    def evaluated(*args):
+        work[1] += 1
+        return residual(*args)
+
+    monkeypatch.setattr(sc, "_count_nodes", counted)
+    monkeypatch.setattr(sc, "_residual", evaluated)
+    gaas = sn.get_material("GaAs")
+    m_eff = sn.carrier_mass(gaas, sn.Carrier.ELECTRON)
+    for gap, walled in ((5.0, True), (1.0, False)):
+        work[:] = [0, 0]
+        prof = sn.halfline_profile(gaas.eps, 1.0, gap, m_eff=m_eff)
+        state = sc.solve_eigenstates(prof, m_eff)[0]
+        assert (state.psi[-1] == 0.0) == walled
+        assert work[0] <= 25 and work[1] <= 5
+
+
 # Energies (eV) recorded from the summed-form residual; each lies within 3e-14
-# relative of a 45-digit Sturm bisection of the same float profile, except
-# GaAs at 5 nm, whose node-count fallback is off by 1.2e-12 (the count's own
-# floor).  They must hold to 1e-12 relative.  An intended numeric change
-# (fourth order at the singular walls, ROADMAP F) re-records them.
+# relative of a 45-digit Sturm bisection of the same float profile (GaAs at
+# 5 nm with a wall at its truncation end).  They must hold to 1e-12 relative.
+# An intended numeric change (fourth order at the singular walls, ROADMAP F)
+# re-records them.
 RECORDED_PLATES_EV = {
     0.8: (-1.2101363808005048, -0.14404117410363826, 2.521508834017041),
     1.6: (-0.9225124499169122, -0.8326034404724524, -0.07523811341061214),
@@ -600,8 +629,8 @@ def test_recorded_energies_hold():
         assert energies == pytest.approx(recorded, rel=1e-12, abs=0.0)
     box = sn.two_plate_spectrum(1.6, 1, q=0.0).states[0].energy_ev
     assert box == pytest.approx(0.1468867822720606, rel=1e-12, abs=0.0)
-    # GaAs at a 5 nm gap takes the node-count fallback (ROADMAP H')
+    # GaAs at a 5 nm gap closes its open end with a wall (ROADMAP H')
     gaas = sn.schottky_gap_sweep(sn.get_material("GaAs"), sn.Carrier.ELECTRON, [5.0])[0]
-    assert gaas.energies_ev[0] == pytest.approx(-8.819349329013618e-05, rel=1e-12, abs=0.0)
+    assert gaas.energies_ev[0] == pytest.approx(-8.819349329010305e-05, rel=1e-12, abs=0.0)
     film = sn.noble_film_sweep(sn.get_material("sAr"), [3], d_max_nm=25)[0]
     assert film.energies_ev[0] == pytest.approx(-0.2103954033533839, rel=1e-12, abs=0.0)

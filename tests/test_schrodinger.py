@@ -148,6 +148,22 @@ def test_harmonic_well_through_rescaled_passes(kind, center, monkeypatch):
     assert passes[0] <= 4 * len(states)
 
 
+def test_well_centred_in_an_interval_returns_every_state_asked():
+    # the window's first top, the centre's u = 0 plus 50 quanta of the 60
+    # bohr box, lies below level 0.5 of u = (x - 30)^2 / 2: it doubles until
+    # the count holds every state asked for.  T(E) has no more levels than
+    # rows, and asking for more is an error before any count
+    grid = np.linspace(0.0, 60.0, 6001)
+    prof = sc.PotentialProfile(grid, 0.5 * (grid - 30.0) ** 2, sc.DomainKind.INTERVAL)
+    states = sc.solve_eigenstates(prof, n_states=3)
+    assert [s.energy_h for s in states] == pytest.approx([0.5, 1.5, 2.5], rel=1e-9, abs=0.0)
+    assert [(s.nodes, s.parity) for s in states] == [
+        (0, sc.Parity.EVEN), (1, sc.Parity.ODD), (2, sc.Parity.EVEN)]
+    assert len(sc.solve_eigenstates(box_profile(30.0, 5), n_states=3)) == 3
+    with pytest.raises(EigenSearchError, match="4 states asked of a matrix of 3 rows"):
+        sc.solve_eigenstates(box_profile(30.0, 5), n_states=4)
+
+
 # ---------------------------------------------------------------------------
 # Shooting vs diagonalization on a generic asymmetric double well
 
@@ -253,16 +269,16 @@ def test_newton_stops_at_float_resolution_or_at_a_zero():
     calls.clear()
     root = sc._newton(f, 1.0, 2.0, True, 1.5, 0.0)
     assert abs(root - math.sqrt(2.0)) <= math.ulp(root) and len(calls) <= 8
-    # falling, and started from an end whose value is known: Newton's first
-    # step on tan 1 - tan e goes from 0 to 1.56, past the bracket, so it
-    # bisects instead
+    # falling, and started from a bracket end: Newton's first step on
+    # tan 1 - tan e goes from 0 to 1.56, past the bracket, so it bisects
+    # instead
     calls.clear()
 
     def g(e):
         calls.append(e)
         return math.tan(1.0) - math.tan(e), -1.0 / math.cos(e) ** 2
 
-    root = sc._newton(g, 0.0, 1.4, False, 0.0, 1.0e-13, known=g(0.0))
+    root = sc._newton(g, 0.0, 1.4, False, 0.0, 1.0e-13)
     assert abs(root - 1.0) <= 1.0e-13
     assert calls[:2] == [0.0, 0.7] and len(calls) <= 8
     # an exact zero ends the search at that point, at once
@@ -394,7 +410,8 @@ def test_residual_slope_is_the_derivative_of_det():
 
 def test_fallback_state_ends_at_the_wall_at_the_truncation_end():
     # GaAs at a 5 nm gap: the decaying-tail root lies outside the node-count
-    # bracket, so the state is the one with a hard wall at d_max
+    # bracket, so the state is the one with a hard wall at d_max, polished by
+    # Newton on that wall's det T(E) to 1e-13
     gaas = sn.get_material("GaAs")
     m_eff = sn.carrier_mass(gaas, sn.Carrier.ELECTRON)
     prof = sn.halfline_profile(gaas.eps, 1.0, 5.0, m_eff=m_eff)
@@ -406,6 +423,9 @@ def test_fallback_state_ends_at_the_wall_at_the_truncation_end():
     tail = [sc._residual(u, h, 2.0 * m_eff, x, sc._right_end(u, h, 2.0 * m_eff, x, None)[0])[0]
             for x in (lo, hi)]
     assert tail[0] * tail[1] > 0.0
+    lo, hi = e - 2e-13 * abs(e), e + 2e-13 * abs(e)
+    wall = [sc._residual(u, h, 2.0 * m_eff, x, sc._WALL)[0] for x in (lo, hi)]
+    assert wall[0] * wall[1] < 0.0
     assert state.psi[-1] == 0.0 and state.psi[-2] > 0.0 and state.nodes == 0
 
 
