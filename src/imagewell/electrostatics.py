@@ -147,7 +147,9 @@ class PotentialValue:
 
     ``v`` is in volts; multiplying by the source charge (in elementary
     charges) gives the interaction energy in eV.  ``truncation_error_bound``
-    is a certified relative bound on the truncation/integration error.
+    bounds the relative truncation error only (a series' certified remainder,
+    the quadrature's panel-rule difference); rounding, which on near-matched
+    stacks can exceed it, is not in it.
     """
 
     v: float

@@ -3,16 +3,17 @@
 Two independent solvers:
 
 * ``solve_eigenstates`` -- fixed-step 4th-order (Numerov) shooting on the
-  tridiagonal matrix T(E) of Numerov's recurrence, its right end closed by a
-  wall, a mirror's centre or an open end's decaying tail.  T(E)'s Sturm count
-  (Barth, Martin & Wilkinson 1967), exact where every interior 1 - h^2/12 2m
-  (u - E) > 0, from LDL^T sweeps (LAPACK ``dpttrf``) isolates each
+  tridiagonal matrix T(E) of Numerov's recurrence, from a wall (psi = 0) on
+  the left.  Its right end is closed, by a wall or a mirror's centre, the
+  same at every E; or open, by a half line's decaying tail, which moves with
+  E.  T(E)'s Sturm count (Barth, Martin & Wilkinson 1967) isolates each
   eigenvalue until the bracket ends count k and k + 1, where det T(E) has
-  the sign (-1)^count (Sylvester's law of inertia).
-  Safeguarded Newton on det T(E) polishes it to 1e-13 relative: one
-  summed-form pass from the left wall (BLAS ``dtbsv``) and one more solve
-  with the same band for the derivative.  The eigenvector is one inverse
-  iteration (LAPACK ``dstein``).
+  the sign (-1)^count (Sylvester's law of inertia).  Safeguarded Newton on
+  det T(E) polishes it to 1e-13 relative, and one inverse iteration (LAPACK
+  ``dstein``) gives the eigenvector.  All three take the same end, except
+  that an open end still counts with a wall at the truncation radius; its
+  level takes the tail where the tail's root lies in that count's bracket,
+  and the wall otherwise.
   An interval whose potential is its mirror to within 1e-9 of its largest
   magnitude is solved as the exact mirror 0.5 (u + u[::-1]) (bitwise u for
   every two-plate profile), as its even and odd halves, each closed at the
@@ -23,10 +24,7 @@ Two independent solvers:
   cross-check the shooting path and must never share its integration core.
 
 Profiles are stored in atomic units (Bohr / Hartree); eigenstate energies
-convert to eV at the accessor.  Walls are hard (psi = 0).  An open half-line
-end imposes a decaying tail with the local decay constant at the truncation
-radius where its root lies in the level's count bracket, and a wall there
-otherwise.
+convert to eV at the accessor.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from scipy.linalg.lapack import dpttrf, dstein
 from .constants import BOHR_RADIUS_NM, HARTREE_EV, HBAR_JS, STANDARD_GRAVITY_MS2
 from .errors import DomainError, EigenSearchError, GridError
 
-_WALL = (1.0, 0.0)  # a closed end (see _count_nodes): psi = 0 past the last row
 _POLISH = 1.0e-13  # Newton's last step, relative to the level
 
 
@@ -119,7 +116,8 @@ class Eigenstate:
     solved on (``NONE`` off a mirror); from the oracle, state j has
     ``nodes`` = j, as the oscillation theorem gives for its Jacobi matrix,
     and ``parity`` is psi's mirror overlap beyond +-0.99 on a mirror
-    profile."""
+    profile.  ``domain`` is its profile's kind, whose wall
+    ``bohr_radius_numeric`` measures from."""
 
     energy_h: float
     psi: np.ndarray
@@ -127,6 +125,7 @@ class Eigenstate:
     nodes: int
     parity: Parity
     kind: StateKind
+    domain: DomainKind = DomainKind.INTERVAL
 
     @property
     def energy_ev(self) -> float:
@@ -134,23 +133,52 @@ class Eigenstate:
 
 
 # ---------------------------------------------------------------------------
-# Numerov's z-form matrix T(E): node count, residual and eigenvector
+# Numerov's z-form matrix T(E): node count, residual and eigenvector, each
+# evaluating its right end at its own E.  An end(v, h, two_m, e) is (s, c,
+# dc/dE, psi[-1]/psi[-2]): T(E)'s last diagonal entry a becomes s a + c, and
+# psi past the last row is that ratio times psi on it.
+
+
+def _closed(s, c):
+    """The closed end (s, c) at every E, psi = 0 past the last row."""
+    def end(v, h, two_m, e):
+        return s, c, 0.0, 0.0
+    return end
+
+
+_WALL = _closed(1.0, 0.0)
+
+
+def _tail(v, h, two_m, e):
+    """The open end: the decaying tail psi[-1] = e^(-kappa h) psi[-2], kappa =
+    sqrt(2m (v[-1] - E)), is the closure (1, -g), g = (1 - t[-1])/(1 - t[-2])
+    e^(-kappa h); a wall once E reaches v[-1]."""
+    gap = two_m * (v[-1] - e)
+    if not gap > 0.0:
+        return _WALL(v, h, two_m, e)
+    kappa = math.sqrt(gap)
+    decay = math.exp(-kappa * h)
+    coefficient = h * h / 12.0 * two_m
+    t_r, t_out = (coefficient * (v[-2:] - e)).tolist()
+    g = (1.0 - t_out) / (1.0 - t_r) * decay
+    # d ln g/dE: both 1 - t grow by the coefficient, kappa falls by m/kappa
+    rate = coefficient / (1.0 - t_out) - coefficient / (1.0 - t_r) + 0.5 * h * two_m / kappa
+    return 1.0, -g, -g * rate, decay
 
 
 def _count_nodes(u, h, two_m, e, end=_WALL):
     """Interior sign changes of the pass with psi(0) = 0.  In z_i = (1 - t_i) psi_i
     Numerov reads z_{i+1} + z_{i-1} = (12/(1 - t_i) - 10) z_i, so while every
-    1 - t_i > 0 they are the Sturm count of that tridiagonal matrix, its last
-    diagonal entry a made s a + c by a closed ``end`` (s, c): its eigenvalues
-    below zero (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)), here
-    the non-positive pivots of its LDL^T factorisation.  LAPACK ``dpttrf``
-    factors up to the first such pivot q; the sweep restarts past it with the
-    next diagonal entry less 1/q, taking q = -``sys.float_info.min`` for |q|
-    below that.  With the -1 off-diagonal this is the pivot recurrence of
-    LAPACK's bisection eigensolver (``?stebz`` via ``?laebz``, pivmin
-    included) float for float, so the counts are its counts, except where it
-    splits the matrix: a_j a_{j-1} above about 2e31, i.e. 1 - t below about
-    3e-15, at the edge of the grid guard."""
+    1 - t_i > 0 they are the Sturm count of that tridiagonal matrix, closed
+    by ``end``: its eigenvalues below zero (Barth, Martin & Wilkinson, Numer.
+    Math. 9, 386 (1967)), here the non-positive pivots of its LDL^T
+    factorisation.  LAPACK ``dpttrf`` factors up to the first such pivot q;
+    the sweep restarts past it with the next diagonal entry less 1/q, taking
+    q = -``sys.float_info.min`` for |q| below that.  With the -1 off-diagonal
+    this is the pivot recurrence of LAPACK's bisection eigensolver (``?stebz``
+    via ``?laebz``, pivmin included) float for float, so the counts are its
+    counts, except where it splits the matrix: a_j a_{j-1} above about 2e31,
+    i.e. 1 - t below about 3e-15, at the edge of the grid guard."""
     d = u[1:-1] - e  # becomes 1 - t, then the diagonal, in place
     d *= h * h / 12.0 * two_m
     np.subtract(1.0, d, out=d)
@@ -158,7 +186,8 @@ def _count_nodes(u, h, two_m, e, end=_WALL):
         raise GridError(f"grid too coarse: 1 - h^2/12 2m (u - E) <= 0 at E = {e:.6g} Hartree")
     np.divide(12.0, d, out=d)
     d -= 10.0
-    d[-1] = end[0] * d[-1] + end[1]
+    s, c = end(u, h, two_m, e)[:2]
+    d[-1] = s * d[-1] + c
     off = np.full(d.size - 1, -1.0)
     count = 0
     while d.size > 1:  # the wrapper rejects a single entry
@@ -231,12 +260,12 @@ def _steps(v, h, two_m, e):
     return w, 12.0 * t / w
 
 
-def _residual(v, h, two_m, e, end, slope=0.0):
+def _residual(v, h, two_m, e, end):
     """(r, r', k) with (r, r') 2^k = (det T(E), its E-derivative).  det T(E)
     is D_{L-1} + s delta_L z_L + (2s - 1 + c) z_L, Numerov's summed form D_i =
     D_{i-1} + delta_i z_i, z_{i+1} = z_i + D_i (Henrici 1962) run from z_0 = 0,
-    z_1 = 1 at the left wall and closed at row L by ``end`` (s, c), whose c
-    moves with E by ``slope``: the last LDL^T pivot of T(E) (see
+    z_1 = 1 at the left wall and closed at row L by ``end``'s (s, c) at E, c
+    moving with E by its dc/dE: the last LDL^T pivot of T(E) (see
     _count_nodes) times z_L, so its sign is (-1)^count.  In the unknowns
     (z_1, D_1, ..., z_L, D_{L-1} + s delta_L z_L) the pass is one unit lower
     triangular band solve L x = rhs (BLAS ``dtbsv``), k = 0, and its
@@ -245,12 +274,13 @@ def _residual(v, h, two_m, e, end, slope=0.0):
     redone in blocks from (z_j, D_{j-1}) and their derivatives scaled by
     powers of two, whose exponents k adds up: the same passes, scaled
     exactly, with r in [0.5, 1)."""
+    s, c, slope, _ = end(v, h, two_m, e)
     w, delta = _steps(v, h, two_m, e)
     rate = np.square(w, out=w)
     np.divide(-12.0 * (h * h / 12.0 * two_m), rate, out=rate)  # delta'_i
-    delta[-1] *= end[0]
-    rate[-1] *= end[0]
-    close = 2.0 * end[0] - 1.0 + end[1]
+    delta[-1] *= s
+    rate[-1] *= s
+    close = 2.0 * s - 1.0 + c
     ab = np.full((3, 2 * delta.size), -1.0, order="F")  # row 0, the unit diagonal, is never read
     np.negative(delta, out=ab[1, 0::2])
     rhs = np.zeros(ab.shape[1])
@@ -284,33 +314,14 @@ def _residual(v, h, two_m, e, end, slope=0.0):
     return r, math.ldexp(dd + close * dz + slope * z, -shift), k + shift
 
 
-def _right_end(v, h, two_m, e, end):
-    """(closure, psi[-1]/psi[-2], d closure[1]/dE) of the right end at E: a
-    closed ``end`` as given; at an open one (None) the decaying tail psi[-1] =
-    e^(-kappa h) psi[-2], kappa = sqrt(2m (v[-1] - E)): the closure (1, -g),
-    g = (1 - t[-1])/(1 - t[-2]) e^(-kappa h), or a wall once E reaches v[-1]."""
-    if end:
-        return end, 0.0, 0.0
-    gap = two_m * (v[-1] - e)
-    if not gap > 0.0:
-        return _WALL, 0.0, 0.0
-    kappa = math.sqrt(gap)
-    decay = math.exp(-kappa * h)
-    coefficient = h * h / 12.0 * two_m
-    t_r, t_out = (coefficient * (v[-2:] - e)).tolist()
-    g = (1.0 - t_out) / (1.0 - t_r) * decay
-    # d ln g/dE: both 1 - t grow by the coefficient, kappa falls by m/kappa
-    rate = coefficient / (1.0 - t_out) - coefficient / (1.0 - t_r) + 0.5 * h * two_m / kappa
-    return (1.0, -g), decay, -g * rate
-
-
 def _eigenvector(v, h, two_m, e, end):
-    """psi on ``v`` at the eigenvalue e, psi[0] = psi[-1] = 0: inverse
-    iteration (LAPACK ``dstein``) for the eigenvalue 0 of the closed T(E),
-    whose eigenvector is z_i = (1 - t_i) psi_i."""
+    """psi on ``v`` at the eigenvalue e, psi[0] = 0 and psi[-1] as ``end``
+    gives: inverse iteration (LAPACK ``dstein``) for the eigenvalue 0 of T(E)
+    closed by ``end``, whose eigenvector is z_i = (1 - t_i) psi_i."""
+    s, c, _, decay = end(v, h, two_m, e)
     w, delta = _steps(v, h, two_m, e)
     diag = 2.0 + delta
-    diag[-1] = end[0] * diag[-1] + end[1]
+    diag[-1] = s * diag[-1] + c
     size = diag.size
     off = np.full(max(size - 1, 1), -1.0)  # the wrapper wants one entry even at size 1
     z, info = dstein(diag, off, [0.0], np.ones(size, np.int32), np.full(size, size, np.int32))
@@ -318,6 +329,7 @@ def _eigenvector(v, h, two_m, e, end):
         raise EigenSearchError(f"inverse iteration failed (LAPACK dstein info {info})")
     psi = np.zeros(v.size)
     psi[1:-1] = z[:, 0] / w
+    psi[-1] = decay * psi[-2]
     return psi
 
 
@@ -331,8 +343,8 @@ def _sectors(u):
     row K - 1 by -+1."""
     n, c = u.size, u.size // 2 + 1
     if n % 2:
-        return [(u[: c + 1], (0.5, 0.0), Parity.EVEN), (u[:c], _WALL, Parity.ODD)]
-    return [(u[:c], (1.0, -1.0), Parity.EVEN), (u[:c], (1.0, 1.0), Parity.ODD)]
+        return [(u[: c + 1], _closed(0.5, 0.0), Parity.EVEN), (u[:c], _WALL, Parity.ODD)]
+    return [(u[:c], _closed(1.0, -1.0), Parity.EVEN), (u[:c], _closed(1.0, 1.0), Parity.ODD)]
 
 
 def _profile_is_symmetric(profile: PotentialProfile) -> bool:
@@ -368,7 +380,7 @@ def _finalize(energy_h: float, psi: np.ndarray, profile: PotentialProfile,
     kind = StateKind.BOUND if energy_h < profile.classification_reference() else StateKind.BOX
     psi = np.ascontiguousarray(psi)
     psi.setflags(write=False)
-    return Eigenstate(energy_h, psi, grid, nodes, parity, kind)
+    return Eigenstate(energy_h, psi, grid, nodes, parity, kind, profile.kind)
 
 
 def solve_eigenstates(
@@ -376,35 +388,28 @@ def solve_eigenstates(
 ) -> list[Eigenstate]:
     """Lowest ``n_states`` eigenstates by Numerov shooting.
 
-    Each eigenvalue is first isolated by bisection on the node count: the
-    Sturm count of T(E) = tridiag(-1, a, -1), a_i = 12/(1 - t_i) - 10 with
-    t_i = h^2/12 2m (u_i - E), Numerov's recurrence for z_i = (1 - t_i) psi_i
-    (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)), counted as the
-    non-positive pivots of its LDL^T factorisation (LAPACK ``dpttrf``,
-    restarted past each one).  It needs every interior 1 - t_i > 0; a grid
-    too coarse for that raises ``GridError``.  The count stops once the
-    bracket ends count k and k + 1, and needs none at the window's bottom,
-    where every 0 < t_i < 1 makes T(E) diagonally dominant; a mirror's odd
-    half never counts more than its even half, so it starts from the even
-    half's counts of 0.  Safeguarded Newton on det T(E), the residual of one
-    summed-form pass from the left wall, and its derivative, one more solve
-    with the same band (``_residual``), then polishes it to 1e-13 relative
-    (``_newton``) from the bracket's midpoint; the count is the number of
-    negative eigenvalues of T(E), so det T(E) has the sign (-1)^count at the
-    bracket ends without a pass.  A half line's open end is closed by a wall
-    in the count, which first brackets each level to 1e-6 relative, and in
-    det T(E) by the decaying tail psi[-1] = e^(-kappa h) psi[-2], kappa set
-    by the potential there (``_right_end``), when the tail's det T(E) takes
-    the count's signs at the bracket ends (one pass each); otherwise the
-    same Newton polishes the wall's root.  An interval whose potential is its mirror to within 1e-9
-    of its largest magnitude (``_profile_is_symmetric``) is solved as the
-    exact mirror 0.5 (u + u[::-1]) -- u itself when u is one, and levels
-    moved by about the asymmetry |u - u[::-1]|/2 at most when u is near one
-    -- split into its even and odd halves (``_sectors``), whose levels stay
-    apart however deep the double well.  The eigenvector is one inverse
-    iteration (LAPACK ``dstein``) for the eigenvalue 0 of the same closed
-    T(E).  State k is labelled by the count that isolated it, k nodes, and by
-    its half, even or odd (``NONE`` off a mirror).
+    Each eigenvalue is first isolated by bisection on the Sturm count of
+    T(E) (``_count_nodes``), which needs every interior 1 - t_i > 0, t_i =
+    h^2/12 2m (u_i - E); a grid too coarse for that raises ``GridError``.
+    The count stops once the bracket ends count k and k + 1, and needs none
+    at the window's bottom, where every 0 < t_i < 1 makes T(E) diagonally
+    dominant; a mirror's odd half never counts more than its even half, so
+    it starts from the even half's counts of 0.  Safeguarded Newton
+    (``_newton``) on det T(E) and its derivative (``_residual``) then
+    polishes it to 1e-13 relative from the bracket's midpoint; det T(E) has
+    the sign (-1)^count at the bracket ends without a pass.  An open end
+    (``_tail``) first brackets each level to 1e-6 relative with the count,
+    which closes it with a wall, and is closed by the tail where the tail's
+    det T(E) takes the count's signs at the bracket ends (one pass each), by
+    that wall otherwise.  An interval whose potential is its mirror to
+    within 1e-9 of its largest magnitude (``_profile_is_symmetric``) is
+    solved as the exact mirror 0.5 (u + u[::-1]) -- u itself when u is one,
+    and levels moved by about the asymmetry |u - u[::-1]|/2 at most when u
+    is near one -- split into its even and odd halves (``_sectors``), whose
+    levels stay apart however deep the double well.  The eigenvector
+    (``_eigenvector``) takes the level's end too.  State k is labelled by the
+    count that isolated it, k nodes, and by its half, even or odd (``NONE``
+    off a mirror).
     A grid of fewer than 4 points, or a step h with h^2 or h^2/12 2m not a
     normal float, raises ``GridError``; more states than T(E) has rows, or
     levels that no count separates at float resolution, raise
@@ -427,7 +432,7 @@ def solve_eigenstates(
     if mirrored:  # the exact mirror: u itself when it is one
         u = 0.5 * (u + u[::-1])
     # (u, right end, parity) of the domain, or of each half
-    problems = _sectors(u) if mirrored else [(u, None if open_right else _WALL, Parity.NONE)]
+    problems = _sectors(u) if mirrored else [(u, _tail if open_right else _WALL, Parity.NONE)]
 
     if n < 4:  # a mirror of 3 points leaves its odd half no row
         raise GridError(f"shooting needs at least 4 grid points, got {n}")
@@ -469,7 +474,7 @@ def solve_eigenstates(
         (v, end, parity), seen = problems[p], measured[p]
 
         def count(e):
-            c = _count_nodes(v, h, two_m, e, end or _WALL)
+            c = _count_nodes(v, h, two_m, e, _WALL if end is _tail else end)
             seen.append((e, c))
             if c == 0 and p == 0 and mirrored:  # the odd half counts no more than the even
                 measured[1].append((e, 0))
@@ -484,11 +489,10 @@ def solve_eigenstates(
             return count(e) - level - 0.5
 
         def det(e):  # (det T(E), its slope), both over the same 2^k
-            closure, _, slope = _right_end(v, h, two_m, e, end)
-            return _residual(v, h, two_m, e, closure, slope)[:2]
+            return _residual(v, h, two_m, e, end)[:2]
 
         rising = level % 2 == 1  # det T(E) below the level: (-1)^level
-        if not end:  # an open end: the count (with a wall there) to 1e-6 first
+        if end is _tail:  # an open end: the count (with a wall there) to 1e-6 first
             _bisect(above, lo, hi, 1.0e-6)
         # count only until the bracket ends count level and level + 1, where
         # det T(E) has the sign (-1)^count
@@ -505,12 +509,10 @@ def solve_eigenstates(
         # an open end is closed by the decaying tail where its det T(E) takes
         # the count's signs at the bracket ends too, and by a wall otherwise
         sign = 1.0 if rising else -1.0
-        if not end and not det(e_lo)[0] * sign < 0.0 < det(e_hi)[0] * sign:
+        if end is _tail and not det(e_lo)[0] * sign < 0.0 < det(e_hi)[0] * sign:
             end = _WALL
         energy = _newton(det, e_lo, e_hi, rising, 0.5 * (e_lo + e_hi), _POLISH)
-        closure, decay, _ = _right_end(v, h, two_m, energy, end)
-        psi = _eigenvector(v, h, two_m, energy, closure)
-        psi[-1] = decay * psi[-2]
+        psi = _eigenvector(v, h, two_m, energy, end)
         if mirrored:  # the half and its mirror image
             image = psi[n // 2 - 1 :: -1]
             psi = np.concatenate((psi[: (n + 1) // 2], image if parity is Parity.EVEN else -image))
@@ -644,8 +646,9 @@ def radial_wavefunction(p: HydrogenicParams, r_nm) -> np.ndarray:
 
 
 def bohr_radius_numeric(state: Eigenstate) -> float:
-    """Most probable distance from the wall (nm): parabolic refinement of the
-    grid argmax of psi^2."""
+    """Most probable distance from the wall (nm), the right one on a
+    ``HALF_LINE_WALL_RIGHT`` half line and the left one otherwise: parabolic
+    refinement of the grid argmax of psi^2."""
     prob = state.psi * state.psi
     i = int(np.argmax(prob))
     i = min(max(i, 1), prob.size - 2)
@@ -654,7 +657,8 @@ def bohr_radius_numeric(state: Eigenstate) -> float:
     shift = 0.5 * (y0 - y2) / denom if denom != 0.0 else 0.0
     shift = min(max(shift, -0.5), 0.5)
     x = state.grid_bohr[i] + shift * (state.grid_bohr[1] - state.grid_bohr[0])
-    return (x - state.grid_bohr[0]) * BOHR_RADIUS_NM
+    wall = state.grid_bohr[-1 if state.domain is DomainKind.HALF_LINE_WALL_RIGHT else 0]
+    return abs(x - wall) * BOHR_RADIUS_NM
 
 
 def box_energy_ev(length_nm: float, n: int, m_eff: float = 1.0) -> float:

@@ -343,10 +343,15 @@ def mirrored_wells(draw):
 def test_sector_counts_add_up_to_the_whole_count(well):
     # the whole matrix's eigenvalues alternate between the even and the odd
     # sector, lowest first, so below any E the even sector holds as many as
-    # the odd one or one more
+    # the odd one or one more.  At that E, det T(E) has the sign (-1)^count
+    # for the whole matrix and for each half, with the same end in both (the
+    # open end's tail is left out: its count still takes a wall there)
     u, h, e = well
     even, odd = (sc._count_nodes(v, h, 2.0, e, end) for v, end, _ in sc._sectors(u))
     assert even + odd == sc._count_nodes(u, h, 2.0, e) and even - odd in (0, 1)
+    for v, end, _ in [(u, sc._WALL, None), *sc._sectors(u)]:
+        count = sc._count_nodes(v, h, 2.0, e, end)
+        assert (sc._residual(v, h, 2.0, e, end)[0] < 0.0) == (count % 2 == 1)
 
 
 @settings(max_examples=40, deadline=None)

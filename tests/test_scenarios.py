@@ -609,6 +609,10 @@ def test_half_line_row_work(monkeypatch):
         state = sc.solve_eigenstates(prof, m_eff)[0]
         assert (state.psi[-1] == 0.0) == walled
         assert work[0] <= 25 and work[1] <= 5
+        if not walled:  # the tail's decay over the last step
+            kappa = math.sqrt(2.0 * m_eff * (prof.u_hartree[-1] - state.energy_h))
+            decay = math.exp(-kappa * prof.step_bohr)
+            assert state.psi[-1] / state.psi[-2] == pytest.approx(decay, rel=1e-12)
 
 
 # Energies (eV) recorded from the summed-form residual; each lies within 3e-14

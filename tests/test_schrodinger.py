@@ -106,6 +106,7 @@ def test_wall_side_mirror_symmetry():
     assert abs(sl.energy_h - sr.energy_h) / abs(sl.energy_h) < 1e-12
     flipped = sr.psi[::-1] if np.dot(sr.psi[::-1], sl.psi) >= 0 else -sr.psi[::-1]
     assert np.max(np.abs(flipped - sl.psi)) < 1e-10
+    assert sc.bohr_radius_numeric(sr) == pytest.approx(sc.bohr_radius_numeric(sl), rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -373,10 +374,9 @@ def test_residual_changes_sign_where_the_count_steps():
         cases += [(v, plates.step_bohr, end, 3) for v, end, _ in sc._sectors(mirror)]
     d = np.linspace(0.0, 60.0, 2001)
     d[0] = 0.5 * d[1]
-    cases.append((-1.0 / (4.0 * d), d[1], None, 2))  # two levels below u(60) = -1/240
-    for v, h, right, levels in cases:
+    cases.append((-1.0 / (4.0 * d), d[1], sc._tail, 2))  # two levels below u(60) = -1/240
+    for v, h, end, levels in cases:
         def closed(e):
-            end = sc._right_end(v, h, 2.0, e, right)[0]
             return sc._count_nodes(v, h, 2.0, e, end), sc._residual(v, h, 2.0, e, end)[0]
 
         for k in range(levels):
@@ -394,13 +394,12 @@ def test_residual_slope_is_the_derivative_of_det():
     cases = [(v, plates.step_bohr, end, -0.02) for v, end, _ in sc._sectors(mirror)]
     d = np.linspace(0.0, 60.0, 2001)
     d[0] = 0.5 * d[1]
-    cases += [(-1.0 / (4.0 * d), d[1], None, e) for e in (-0.02, -0.005)]
+    cases += [(-1.0 / (4.0 * d), d[1], sc._tail, e) for e in (-0.02, -0.005)]
     grid = np.linspace(0.0, 60.0, 6001)
-    cases += [(0.5 * (grid - 10.0) ** 2, grid[1], end, 1.3) for end in (None, sc._WALL)]
-    for v, h, right, e in cases:
+    cases += [(0.5 * (grid - 10.0) ** 2, grid[1], end, 1.3) for end in (sc._tail, sc._WALL)]
+    for v, h, end, e in cases:
         def det(x):
-            closure, _, slope = sc._right_end(v, h, 2.0, x, right)
-            return sc._residual(v, h, 2.0, x, closure, slope)
+            return sc._residual(v, h, 2.0, x, end)
 
         _, slope, k = det(e)
         (up, _, k_up), (down, _, k_down) = det(e + 1e-7), det(e - 1e-7)
@@ -420,8 +419,7 @@ def test_fallback_state_ends_at_the_wall_at_the_truncation_end():
     e = state.energy_h
     lo, hi = e - 1e-10 * abs(e), e + 1e-10 * abs(e)
     assert [sc._count_nodes(u, h, 2.0 * m_eff, x) for x in (lo, hi)] == [0, 1]
-    tail = [sc._residual(u, h, 2.0 * m_eff, x, sc._right_end(u, h, 2.0 * m_eff, x, None)[0])[0]
-            for x in (lo, hi)]
+    tail = [sc._residual(u, h, 2.0 * m_eff, x, sc._tail)[0] for x in (lo, hi)]
     assert tail[0] * tail[1] > 0.0
     lo, hi = e - 2e-13 * abs(e), e + 2e-13 * abs(e)
     wall = [sc._residual(u, h, 2.0 * m_eff, x, sc._WALL)[0] for x in (lo, hi)]
