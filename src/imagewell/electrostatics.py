@@ -210,9 +210,10 @@ def _sum_grouped(block_fn, bound_fn, exact_tail_fn, tol: float, to_api, shape: t
 
     Groups come in blocks of 64, 128, ... up to ``_BLOCK_MAX``; all points
     share the group count.  After each block the sum stops once at every point
-    the certified majorant ``bound_fn(n)`` of the remainder and the last group
-    are within ``tol`` of the sum, or an exact remainder (group ratio 1) is
-    added after the first block.  Returns ``(to_api(sum), groups, rel. bound)``.
+    the certified majorant ``bound_fn(n)`` of the whole remainder, which the
+    last group's size cannot tighten, is within ``tol`` of the sum, or an
+    exact remainder (group ratio 1) is added after the first block.  Returns
+    ``(to_api(sum), groups, rel. bound)``.
 
     A block is drawn in chunks of ``_CHUNK // points`` groups:
     ``block_fn(n0, n1, out, tmp)`` writes groups n0..n1-1 into ``out``, shape
@@ -238,13 +239,13 @@ def _sum_grouped(block_fn, bound_fn, exact_tail_fn, tol: float, to_api, shape: t
             buf[0] = buf[:k].sum(axis=0, out=acc)
             k = 1 + min(rows - 1, n + block - m)
             block_fn(m, m + k - 1, buf[1:k], tmp[1:k])
-        total, last = total + buf[:k].sum(axis=0, out=acc), np.abs(buf[k - 1])
+        total = total + buf[:k].sum(axis=0, out=acc)
         n += block
         if exact_tail_fn is not None:
             return to_api(total + exact_tail_fn(n)), n, 5.0e-16
         scale = np.maximum(np.abs(total), _TINY)
         bound = bound_fn(n)
-        if ((bound <= tol * scale) & (last <= tol * scale)).all():
+        if (bound <= tol * scale).all():
             return to_api(total), n, bound / scale
         if n >= _TERM_CAP:
             raise ConvergenceError(

@@ -11,9 +11,9 @@ Two independent solvers:
   the sign (-1)^count (Sylvester's law of inertia).  Safeguarded Newton on
   det T(E) polishes it to 1e-13 relative, and one inverse iteration (LAPACK
   ``dstein``) gives the eigenvector.  All three take the same end, except
-  that an open end still counts with a wall at the truncation radius; its
-  level takes the tail where the tail's root lies in that count's bracket,
-  and the wall otherwise.
+  that an open end still counts with a wall at the truncation radius, until
+  the bracket is also within 1e-6; its level takes the tail where the
+  tail's root lies in that count's bracket, and the wall otherwise.
   An interval whose potential is its mirror to within 1e-9 of its largest
   magnitude is solved as the exact mirror 0.5 (u + u[::-1]) (bitwise u for
   every two-plate profile), as its even and odd halves, each closed at the
@@ -204,26 +204,6 @@ def _count_nodes(u, h, two_m, e, end=_WALL):
     return count + int(d[0] < sys.float_info.min)  # a last pivot below pivmin counts
 
 
-def _bisect(side, lo, hi, rtol):
-    """Shrink [lo, hi] around the root of ``side`` (> 0 above it, < 0 below)
-    until the width is within ``rtol`` (relative) or the midpoint stops
-    moving; an exact zero returns ``(mid, mid)``."""
-    for _ in range(240):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        s = side(mid)
-        if s == 0.0:
-            return mid, mid
-        if s > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= rtol * max(abs(lo), abs(hi)):
-            break
-    return lo, hi
-
-
 def _newton(f, lo, hi, rising, x, rtol):
     """Safeguarded Newton from x for the one root of f in [lo, hi]; f(e) is
     (value, slope), its value below the root < 0 if ``rising``, else > 0.
@@ -286,7 +266,8 @@ def _residual(v, h, two_m, e, end):
     rhs = np.zeros(ab.shape[1])
     rhs[:2] = 1.0  # (z_1, D_0)
     x = dtbsv(2, ab, rhs, lower=1, diag=1)
-    np.multiply(rate, x[0::2], out=rhs[1::2])
+    with np.errstate(over="ignore"):  # a pass that overflows is redone in blocks
+        np.multiply(rate, x[0::2], out=rhs[1::2])
     rhs[0::2] = 0.0
     dx = dtbsv(2, ab, rhs, lower=1, diag=1)
     z, d, dz, dd = x[-2:].tolist() + dx[-2:].tolist()
@@ -391,21 +372,21 @@ def solve_eigenstates(
     Each eigenvalue is first isolated by bisection on the Sturm count of
     T(E) (``_count_nodes``), which needs every interior 1 - t_i > 0, t_i =
     h^2/12 2m (u_i - E); a grid too coarse for that raises ``GridError``.
-    The count stops once the bracket ends count k and k + 1, and needs none
-    at the window's bottom, where every 0 < t_i < 1 makes T(E) diagonally
-    dominant; a mirror's odd half never counts more than its even half, so
-    it starts from the even half's counts of 0.  Safeguarded Newton
-    (``_newton``) on det T(E) and its derivative (``_residual``) then
-    polishes it to 1e-13 relative from the bracket's midpoint; det T(E) has
-    the sign (-1)^count at the bracket ends without a pass.  An open end
-    (``_tail``) first brackets each level to 1e-6 relative with the count,
-    which closes it with a wall, and is closed by the tail where the tail's
-    det T(E) takes the count's signs at the bracket ends (one pass each), by
-    that wall otherwise.  An interval whose potential is its mirror to
-    within 1e-9 of its largest magnitude (``_profile_is_symmetric``) is
-    solved as the exact mirror 0.5 (u + u[::-1]) -- u itself when u is one,
-    and levels moved by about the asymmetry |u - u[::-1]|/2 at most when u
-    is near one -- split into its even and odd halves (``_sectors``), whose
+    The count stops once the bracket ends count k and k + 1 -- at an open
+    end (``_tail``), which it closes with a wall, once the bracket is also
+    within 1e-6 relative -- and needs none at the window's bottom, where
+    every 0 < t_i < 1 makes T(E) diagonally dominant; a mirror's odd half
+    never counts more than its even half, so it starts from the even half's
+    counts of 0.  Safeguarded Newton (``_newton``) on det T(E) and its
+    derivative (``_residual``) then polishes it to 1e-13 relative from the
+    bracket's midpoint; det T(E) has the sign (-1)^count at the bracket ends
+    without a pass.  An open end's level is closed by the tail where the
+    tail's det T(E) takes the count's signs at the bracket ends (one pass
+    each), by that wall otherwise.  An interval whose potential is its
+    mirror to within 1e-9 of its largest magnitude (``_profile_is_symmetric``)
+    is solved as the exact mirror 0.5 (u + u[::-1]) -- u itself when u is
+    one, and levels moved by about the asymmetry |u - u[::-1]|/2 at most when
+    u is near one -- split into its even and odd halves (``_sectors``), whose
     levels stay apart however deep the double well.  The eigenvector
     (``_eigenvector``) takes the level's end too.  State k is labelled by the
     count that isolated it, k nodes, and by its half, even or odd (``NONE``
@@ -480,25 +461,17 @@ def solve_eigenstates(
                 measured[1].append((e, 0))
             return c
 
-        def above(e):  # node count level + 1 or more: e lies above that eigenvalue
-            # counts grow with energy: level + 1 or more at or below e, or
-            # level or less at or above e, decides e without a new count
-            for e_m, c in seen:
-                if (c > level and e_m <= e) or (c <= level and e_m >= e):
-                    return c - level - 0.5
-            return count(e) - level - 0.5
-
         def det(e):  # (det T(E), its slope), both over the same 2^k
             return _residual(v, h, two_m, e, end)[:2]
 
         rising = level % 2 == 1  # det T(E) below the level: (-1)^level
-        if end is _tail:  # an open end: the count (with a wall there) to 1e-6 first
-            _bisect(above, lo, hi, 1.0e-6)
         # count only until the bracket ends count level and level + 1, where
-        # det T(E) has the sign (-1)^count
+        # det T(E) has the sign (-1)^count, and at an open end (counted with a
+        # wall there) until it is also within 1e-6 relative
         e_lo, c_lo = max(m for m in seen if m[1] <= level)
         e_hi, c_hi = min(m for m in seen if m[1] > level)
-        while c_lo < level or c_hi > level + 1:
+        wide = 1.0e-6 if end is _tail else math.inf
+        while c_lo < level or c_hi > level + 1 or e_hi - e_lo > wide * max(abs(e_lo), abs(e_hi)):
             mid = 0.5 * (e_lo + e_hi)
             if mid in (e_lo, e_hi):
                 raise EigenSearchError(f"level {level} not isolated at float resolution")
@@ -562,6 +535,8 @@ def diagonalization_oracle(
     n = profile.grid_bohr.size
     if n < 50:
         raise GridError(f"oracle needs >= 50 grid points, got {n}")
+    if n_states > n - 2:
+        raise EigenSearchError(f"{n_states} states asked of a matrix of {n - 2} rows")
     h = profile.step_bohr
     u = profile.u_hartree
     mh2 = m_eff * h * h
@@ -604,8 +579,10 @@ class HydrogenicParams:
     def __post_init__(self) -> None:
         if not (self.z_eff > 0.0):
             raise DomainError("z_eff must be positive (no binding otherwise)")
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
+        if not (0.0 < self.m_eff < math.inf and 0.0 < self.eps_host < math.inf):
+            raise DomainError("m_eff and eps_host must be positive and finite")
+        if not (float(self.n).is_integer() and self.n >= 1):
+            raise DomainError("n must be an integer >= 1")
 
 
 def single_wall_params(
@@ -663,8 +640,9 @@ def bohr_radius_numeric(state: Eigenstate) -> float:
 
 def box_energy_ev(length_nm: float, n: int, m_eff: float = 1.0) -> float:
     """Hard-wall box level n (1-based) in eV."""
-    if length_nm <= 0.0 or n < 1:
-        raise DomainError("need length > 0 and n >= 1")
+    if not (0.0 < length_nm < math.inf and 0.0 < m_eff < math.inf
+            and float(n).is_integer() and n >= 1):
+        raise DomainError("need finite length > 0, finite m_eff > 0 and integer n >= 1")
     length = length_nm / BOHR_RADIUS_NM
     return (n * n * math.pi**2) / (2.0 * m_eff * length * length) * HARTREE_EV
 
@@ -672,8 +650,9 @@ def box_energy_ev(length_nm: float, n: int, m_eff: float = 1.0) -> float:
 def particle_in_box_levitation(mass_kg: float, n: int, length_nm: float) -> float:
     """Mass (kg) whose weight the outward box-confinement force on one wall
     balances: M = n^2 pi^2 hbar^2 / (m L^3 g)."""
-    if mass_kg <= 0.0 or n < 1 or length_nm <= 0.0:
-        raise DomainError("need mass > 0, n >= 1, length > 0")
+    if not (0.0 < mass_kg < math.inf and float(n).is_integer() and n >= 1
+            and 0.0 < length_nm < math.inf):
+        raise DomainError("need finite mass > 0, integer n >= 1, finite length > 0")
     length_m = length_nm * 1.0e-9
     return (n * n * math.pi**2 * HBAR_JS**2) / (
         mass_kg * length_m**3 * STANDARD_GRAVITY_MS2

@@ -550,13 +550,13 @@ def whole_block_sum_grouped(block_fn, bound_fn, exact_tail_fn, tol, to_api, shap
     while True:
         g = np.empty((block,) + shape)
         block_fn(n, n + block, g, np.empty_like(g))
-        total, last = total + g.sum(axis=0), np.abs(g[-1])
+        total = total + g.sum(axis=0)
         n += block
         if exact_tail_fn is not None:
             return to_api(total + exact_tail_fn(n)), n, 5.0e-16
         scale = np.maximum(np.abs(total), el._TINY)
         bound = bound_fn(n)
-        if ((bound <= tol * scale) & (last <= tol * scale)).all():
+        if (bound <= tol * scale).all():
             return to_api(total), n, bound / scale
         assert n < el._TERM_CAP
         block = min(2 * block, el._BLOCK_MAX)

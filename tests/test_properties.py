@@ -41,6 +41,8 @@ from imagewell import schrodinger as sc  # noqa: E402
 from imagewell.constants import HARTREE_EV, nm_to_bohr  # noqa: E402
 from imagewell.errors import ConvergenceError, GridError, ImagewellError  # noqa: E402
 
+from bisection import bisect  # noqa: E402
+
 EPS = np.finfo(float).eps
 ROUNDING = 16.0 * EPS
 ROUTES = [el.potential_slab_series, el.potential_slab_images]
@@ -440,7 +442,7 @@ def test_newton_levels_sit_where_det_changes_sign(well):
             return f(e)[0] if rising else -f(e)[0]
 
         root = newton(f, lo, hi, rising, x, rtol)
-        calls.append((root, side(lo) < 0.0 < side(hi), sc._bisect(side, lo, hi, 0.0)))
+        calls.append((root, side(lo) < 0.0 < side(hi), bisect(side, lo, hi, 0.0)))
         return root
 
     with pytest.MonkeyPatch.context() as mp:
@@ -554,7 +556,7 @@ def count_steps(u, h, two_m, lo, hi):
     """Each energy in (lo, hi] at which the reference count steps up, to
     adjacent floats: the lowest float with the higher count."""
     return [
-        sc._bisect(lambda e: dstebz_count(u, h, two_m, e) - k - 0.5, lo, hi, 0.0)[1]
+        bisect(lambda e: dstebz_count(u, h, two_m, e) - k - 0.5, lo, hi, 0.0)[1]
         for k in range(dstebz_count(u, h, two_m, lo), dstebz_count(u, h, two_m, hi))
     ]
 

@@ -17,6 +17,8 @@ from imagewell import schrodinger as sc
 from imagewell.constants import BOHR_RADIUS_NM, HARTREE_EV
 from imagewell.errors import DomainError, EigenSearchError, GridError
 
+from bisection import bisect
+
 
 def box_profile(length_bohr, n_points):
     grid = np.linspace(0.0, length_bohr, n_points)
@@ -149,6 +151,17 @@ def test_harmonic_well_through_rescaled_passes(kind, center, monkeypatch):
     assert passes[0] <= 4 * len(states)
 
 
+def test_half_line_pass_whose_slope_overflows_is_silent():
+    # on a 10 nm LHe film's half line of 1001 points, the third level's first
+    # det T(E) pass is finite but its slope's right-hand side overflows: that
+    # pass is redone in blocks, without a RuntimeWarning
+    prof = sn.halfline_profile(1.0, 1.057, 10.0, n_states=3, n_points=1001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        states = sc.solve_eigenstates(prof, n_states=3)
+    assert [s.nodes for s in states] == [0, 1, 2]
+
+
 def test_well_centred_in_an_interval_returns_every_state_asked():
     # the window's first top, the centre's u = 0 plus 50 quanta of the 60
     # bohr box, lies below level 0.5 of u = (x - 30)^2 / 2: it doubles until
@@ -234,6 +247,32 @@ def test_symmetric_double_well_parity_pair():
         assert [(s.nodes, s.parity) for s in states] == labels
 
 
+@pytest.mark.parametrize("asymmetry, parities", [
+    (1.0e-7, [sc.Parity.NONE] * 2), (1.0e-10, [sc.Parity.EVEN, sc.Parity.ODD])])
+def test_mirror_tolerance_decides_the_parity_labels(asymmetry, parities):
+    # a cosine well of scale 1 whose odd part |u - u[::-1]|/2 is at most
+    # ``asymmetry``: past the 1e-9 mirror tolerance it is solved whole, within
+    # it as its mirror's halves, and the oracle reads parity only off a mirror
+    grid = np.linspace(0.0, 10.0, 1001)
+    x = (grid - 5.0) / 5.0
+    prof = sc.PotentialProfile(grid, asymmetry * x - np.cos(math.pi * x), sc.DomainKind.INTERVAL)
+    for solve in (sc.solve_eigenstates, sc.diagonalization_oracle):
+        assert [s.parity for s in solve(prof, n_states=2)] == parities
+
+
+def test_oracle_labels_a_degenerate_mirror_pair_even_and_odd():
+    # at depth 800 the exact mirror's lowest pairs are degenerate in the
+    # oracle (equal to the last bit here), whose eigenvectors may then sit in
+    # either well; re-symmetrised they are even and odd, as shooting's halves
+    grid, u = quartic_well(800.0, n_points=2001)
+    prof = sc.PotentialProfile(grid, 0.5 * (u + u[::-1]), sc.DomainKind.INTERVAL)
+    orc = sc.diagonalization_oracle(prof, n_states=4)
+    shot = sc.solve_eigenstates(prof, n_states=4)
+    assert abs(orc[1].energy_h - orc[0].energy_h) < 1.0e-12
+    labels = list(zip(range(4), [sc.Parity.EVEN, sc.Parity.ODD] * 2))
+    assert [(o.nodes, o.parity) for o in orc] == [(s.nodes, s.parity) for s in shot] == labels
+
+
 def test_oracle_grid_convergence_is_second_order():
     length = 30.0
     exact = math.pi**2 / (2.0 * length * length)
@@ -248,12 +287,12 @@ def test_oracle_grid_convergence_is_second_order():
 
 def test_bisect_stops_at_width_zero_or_float_resolution():
     # no float squares to exactly 2, so only width and resolution stop these
-    lo, hi = sc._bisect(lambda e: e * e - 2.0, 1.0, 2.0, 1.0e-6)
+    lo, hi = bisect(lambda e: e * e - 2.0, 1.0, 2.0, 1.0e-6)
     assert lo * lo < 2.0 < hi * hi and hi - lo <= 1.0e-6 * hi
-    lo, hi = sc._bisect(lambda e: e * e - 2.0, 1.0, 2.0, 0.0)
+    lo, hi = bisect(lambda e: e * e - 2.0, 1.0, 2.0, 0.0)
     assert lo * lo < 2.0 < hi * hi and np.nextafter(lo, 2.0) == hi
     # an exact zero of the predicate ends the search at that point
-    assert sc._bisect(lambda e: e - 0.25, 0.0, 1.0, 0.0) == (0.25, 0.25)
+    assert bisect(lambda e: e - 0.25, 0.0, 1.0, 0.0) == (0.25, 0.25)
 
 
 def test_newton_stops_at_float_resolution_or_at_a_zero():
@@ -380,7 +419,7 @@ def test_residual_changes_sign_where_the_count_steps():
             return sc._count_nodes(v, h, 2.0, e, end), sc._residual(v, h, 2.0, e, end)[0]
 
         for k in range(levels):
-            step = sc._bisect(lambda e: closed(e)[0] - k - 0.5, -1.0, 3.0, 1e-9)
+            step = bisect(lambda e: closed(e)[0] - k - 0.5, -1.0, 3.0, 1e-9)
             assert [closed(e)[0] for e in step] == [k, k + 1]
             assert [closed(e)[1] < 0.0 for e in step] == [k % 2 == 1, k % 2 == 0]
 
@@ -476,6 +515,10 @@ def test_solver_argument_validation():
             sc.diagonalization_oracle(prof, m_eff=m_eff)
     with pytest.raises(GridError, match="not a normal float"):
         sc.diagonalization_oracle(prof, m_eff=2.0**-1074)
+    # more states than rows: the oracle's error is the shooting solver's
+    for solve in (sc.solve_eigenstates, sc.diagonalization_oracle):
+        with pytest.raises(EigenSearchError, match="59 states asked of a matrix of 58 rows"):
+            solve(box_profile(30.0, 60), n_states=59)
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +560,27 @@ def test_hydrogenic_validation():
         sc.HydrogenicParams(z_eff=0.25, n=0)
     with pytest.raises(DomainError):
         sc.radial_wavefunction(sc.HydrogenicParams(z_eff=0.25, n=4), 1.0)
+
+
+@pytest.mark.parametrize("fn, args, kwargs", [
+    pytest.param(sc.HydrogenicParams, (0.25,), {"m_eff": m}, id=f"hydrogenic-m_eff-{m}")
+    for m in (0.0, -1.0, math.nan)
+] + [
+    pytest.param(sc.HydrogenicParams, (0.25,), {"eps_host": e}, id=f"hydrogenic-eps_host-{e}")
+    for e in (0.0, -1.0, math.nan)
+] + [
+    pytest.param(sc.HydrogenicParams, (0.25,), {"n": 1.5}, id="hydrogenic-n-1.5"),
+    pytest.param(sn.halfline_profile, (1.0, 1.7, 1.0), {"m_eff": 0.0}, id="halfline-m_eff-0"),
+    pytest.param(sc.box_energy_ev, (1.0, 1, 0.0), {}, id="box-m_eff-0"),
+    pytest.param(sc.box_energy_ev, (math.nan, 1), {}, id="box-length-nan"),
+    pytest.param(sc.particle_in_box_levitation, (1.67e-27, 2.5, 1.0), {}, id="levitation-n-2.5"),
+    pytest.param(sc.particle_in_box_levitation, (1.67e-27, 1, math.nan), {},
+                 id="levitation-length-nan"),
+])
+def test_closed_forms_reject_unusable_input(fn, args, kwargs):
+    # each check is written so that NaN fails it
+    with pytest.raises(DomainError):
+        fn(*args, **kwargs)
 
 
 def test_radial_functions_are_normalized():
