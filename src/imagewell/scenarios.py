@@ -345,11 +345,13 @@ def two_plate_spectrum(
     q: float = -1.0,
     m_eff: float = 1.0,
     n_points: int = 4001,
+    guesses=None,
 ) -> TwoPlateSpectrum:
     """Eigenstates of a charge between two metal plates, classified against
-    the midgap barrier top U_max."""
+    the midgap barrier top U_max.  ``guesses`` (Hartree, one per state, or
+    None) go to ``solve_eigenstates``."""
     profile = interval_profile(gap_nm, q=q, n_points=n_points)
-    states = sc.solve_eigenstates(profile, m_eff=m_eff, n_states=n_states)
+    states = sc.solve_eigenstates(profile, m_eff=m_eff, n_states=n_states, guesses=guesses)
     u_max_ev = profile.classification_reference() * HARTREE_EV
     return TwoPlateSpectrum(gap_nm, tuple(states), u_max_ev, profile)
 
@@ -444,10 +446,11 @@ class ForceBreakdown:
     hamaker_j: float
 
 
-def _energy_and_pp(gap_nm, state_index, q, m_eff, n_points):
-    spec = two_plate_spectrum(gap_nm, state_index + 1, q=q, m_eff=m_eff, n_points=n_points)
+def _energy_and_pp(gap_nm, state_index, q, m_eff, n_points, guesses=None):
+    spec = two_plate_spectrum(gap_nm, state_index + 1, q=q, m_eff=m_eff, n_points=n_points,
+                              guesses=guesses)
     state = spec.states[state_index]
-    return state.energy_ev, averaged_plate_plate(gap_nm, state, q=q)
+    return spec, state.energy_ev, averaged_plate_plate(gap_nm, state, q=q)
 
 
 def _force_budget(
@@ -455,7 +458,12 @@ def _force_budget(
 ):
     """The force budget at one gap and its slope dF_total/dD, both from the
     spectra at gap - dd, gap and gap + dd (first and second central
-    differences; the Casimir and van der Waals terms are closed forms)."""
+    differences; the Casimir and van der Waals terms are closed forms).
+    The centre is solved first.  Between two metals U(z; D) = f(z/D)/D, so
+    each level moves as dE/dD = (<U> - 2E)/D (Hellmann-Feynman; Feynman,
+    Phys. Rev. 56, 340 (1939)), <U> = sum psi^2 u / sum psi^2 over the
+    centre state and its profile; the outer spectra start from the levels
+    E -+ (<U> - 2E)/D dd that this predicts, which their counts certify."""
     # NaN fails the chained test; past 2**53 floats cannot tell integers apart
     if not 0 <= n_electrons < 2**53 or int(n_electrons) != n_electrons:
         raise DomainError("n_electrons must be an integer in [0, 2**53)")
@@ -465,9 +473,13 @@ def _force_budget(
         raise DomainError(f"delta_frac must lie in (0, 1), got {delta_frac}")
     dd = delta_frac * gap_nm
     g_lo, g_hi = gap_nm - dd, gap_nm + dd
-    e_lo, u_lo = _energy_and_pp(g_lo, state_index, q, m_eff, n_points)
-    e_mid, u_mid = _energy_and_pp(gap_nm, state_index, q, m_eff, n_points)
-    e_hi, u_hi = _energy_and_pp(g_hi, state_index, q, m_eff, n_points)
+    centre, e_mid, u_mid = _energy_and_pp(gap_nm, state_index, q, m_eff, n_points)
+    u = centre.profile.u_hartree
+    levels = np.array([s.energy_h for s in centre.states])
+    mean_u = np.array([np.dot(s.psi**2, u) / np.dot(s.psi, s.psi) for s in centre.states])
+    move = (mean_u - 2.0 * levels) / gap_nm * dd
+    _, e_lo, u_lo = _energy_and_pp(g_lo, state_index, q, m_eff, n_points, levels - move)
+    _, e_hi, u_hi = _energy_and_pp(g_hi, state_index, q, m_eff, n_points, levels + move)
     f_binding = -(e_hi - e_lo) / (2.0 * dd) * EV_PER_NM_TO_N
     f_pp = -(u_hi - u_lo) / (2.0 * dd) * EV_PER_NM_TO_N
     f_cas = casimir_force(area_m2, gap_nm) if area_m2 > 0.0 else 0.0

@@ -9,11 +9,13 @@ Two independent solvers:
   E.  T(E)'s Sturm count (Barth, Martin & Wilkinson 1967) isolates each
   eigenvalue until the bracket ends count k and k + 1, where det T(E) has
   the sign (-1)^count (Sylvester's law of inertia).  Safeguarded Newton on
-  det T(E) polishes it to 1e-13 relative, and one inverse iteration (LAPACK
-  ``dstein``) gives the eigenvector.  All three take the same end, except
-  that an open end still counts with a wall at the truncation radius, until
-  the bracket is also within 1e-6; its level takes the tail where the
-  tail's root lies in that count's bracket, and the wall otherwise.
+  det T(E) polishes it to 1e-13 relative, and one step of inverse iteration
+  (one LAPACK ``dgtsv`` solve) gives the eigenvector.  All three take the
+  same end, except that an open end still counts with a wall at the
+  truncation radius, until the bracket is also within 1e-6; its level takes
+  the tail where the tail's root lies in that count's bracket, and the wall
+  otherwise.  A predicted level (``guesses``) is counted first just below
+  and above itself, and Newton starts there when those counts certify it.
   An interval whose potential is its mirror to within 1e-9 of its largest
   magnitude is solved as the exact mirror 0.5 (u + u[::-1]) (bitwise u for
   every two-plate profile), as its even and odd halves, each closed at the
@@ -37,12 +39,14 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dpttrf, dstein
+from scipy.linalg.lapack import dgtsv, dpttrf
 
 from .constants import BOHR_RADIUS_NM, HARTREE_EV, HBAR_JS, STANDARD_GRAVITY_MS2
 from .errors import DomainError, EigenSearchError, GridError
 
 _POLISH = 1.0e-13  # Newton's last step, relative to the level
+_HUNT = 1.0e-4  # a guessed level's first count bracket, relative to the guess
+_WIDENINGS = 3  # 8x widenings of each side of that bracket, at most
 
 
 class DomainKind(Enum):
@@ -117,7 +121,10 @@ class Eigenstate:
     ``nodes`` = j, as the oscillation theorem gives for its Jacobi matrix,
     and ``parity`` is psi's mirror overlap beyond +-0.99 on a mirror
     profile.  ``domain`` is its profile's kind, whose wall
-    ``bohr_radius_numeric`` measures from."""
+    ``bohr_radius_numeric`` measures from.  ``count_calls`` and
+    ``newton_passes`` are the Sturm counts and det T(E) passes shooting spent
+    on this state (state 0 also carries the search window's counts), besides
+    its one eigenvector solve; the oracle reports 0 for both."""
 
     energy_h: float
     psi: np.ndarray
@@ -126,6 +133,8 @@ class Eigenstate:
     parity: Parity
     kind: StateKind
     domain: DomainKind = DomainKind.INTERVAL
+    count_calls: int = 0
+    newton_passes: int = 0
 
     @property
     def energy_ev(self) -> float:
@@ -297,19 +306,32 @@ def _residual(v, h, two_m, e, end):
 
 def _eigenvector(v, h, two_m, e, end):
     """psi on ``v`` at the eigenvalue e, psi[0] = 0 and psi[-1] as ``end``
-    gives: inverse iteration (LAPACK ``dstein``) for the eigenvalue 0 of T(E)
-    closed by ``end``, whose eigenvector is z_i = (1 - t_i) psi_i."""
+    gives: one step of inverse iteration for the eigenvalue 0 of T(E) closed
+    by ``end``, whose eigenvector is z_i = (1 - t_i) psi_i.  One solve T(E) z
+    = b (LAPACK ``dgtsv``, partial pivoting) shrinks each other eigenvector
+    component of b against the state's by the ratio of T(E)'s eigenvalue
+    nearest 0, at rounding level at a polished level, to that component's
+    own.  b is uniform on [-1, 1) from a fixed seed, as LAPACK ``dstein``
+    starts, so no state's component is small by construction (a smooth b
+    such as all ones has almost none along some box modes).  Where
+    T(E) is singular in floats (an exactly zero pivot, as when Newton lands
+    on the root of a one-row half), the solve is of T(E) + eps I, one
+    rounding of T's unit off-diagonal away; a zero pivot there too raises
+    ``EigenSearchError``."""
     s, c, _, decay = end(v, h, two_m, e)
     w, delta = _steps(v, h, two_m, e)
     diag = 2.0 + delta
     diag[-1] = s * diag[-1] + c
     size = diag.size
     off = np.full(max(size - 1, 1), -1.0)  # the wrapper wants one entry even at size 1
-    z, info = dstein(diag, off, [0.0], np.ones(size, np.int32), np.full(size, size, np.int32))
+    start = np.random.default_rng(1).uniform(-1.0, 1.0, size)
+    *_, z, info = dgtsv(off, diag, off, start)
+    if info > 0:
+        *_, z, info = dgtsv(off, diag + sys.float_info.epsilon, off, start)
     if info != 0:
-        raise EigenSearchError(f"inverse iteration failed (LAPACK dstein info {info})")
+        raise EigenSearchError(f"inverse iteration failed (LAPACK dgtsv info {info})")
     psi = np.zeros(v.size)
-    psi[1:-1] = z[:, 0] / w
+    psi[1:-1] = z / w
     psi[-1] = decay * psi[-2]
     return psi
 
@@ -337,10 +359,11 @@ def _profile_is_symmetric(profile: PotentialProfile) -> bool:
 
 
 def _finalize(energy_h: float, psi: np.ndarray, profile: PotentialProfile,
-              nodes: int, parity: Parity | None = None) -> Eigenstate:
+              nodes: int, parity: Parity | None = None,
+              count_calls: int = 0, newton_passes: int = 0) -> Eigenstate:
     """The state of psi normalised, its first lobe above 1e-3 of the peak
-    positive, labelled ``nodes`` and ``parity``; the oracle's parity (None)
-    is psi's mirror overlap."""
+    positive, labelled ``nodes`` and ``parity`` and carrying its work; the
+    oracle's parity (None) is psi's mirror overlap."""
     grid = profile.grid_bohr
     norm = math.sqrt(float(np.trapezoid(psi * psi, grid)))
     if norm == 0.0:
@@ -361,11 +384,12 @@ def _finalize(energy_h: float, psi: np.ndarray, profile: PotentialProfile,
     kind = StateKind.BOUND if energy_h < profile.classification_reference() else StateKind.BOX
     psi = np.ascontiguousarray(psi)
     psi.setflags(write=False)
-    return Eigenstate(energy_h, psi, grid, nodes, parity, kind, profile.kind)
+    return Eigenstate(energy_h, psi, grid, nodes, parity, kind, profile.kind,
+                      count_calls, newton_passes)
 
 
 def solve_eigenstates(
-    profile: PotentialProfile, m_eff: float = 1.0, n_states: int = 1
+    profile: PotentialProfile, m_eff: float = 1.0, n_states: int = 1, guesses=None
 ) -> list[Eigenstate]:
     """Lowest ``n_states`` eigenstates by Numerov shooting.
 
@@ -380,18 +404,28 @@ def solve_eigenstates(
     counts of 0.  Safeguarded Newton (``_newton``) on det T(E) and its
     derivative (``_residual``) then polishes it to 1e-13 relative from the
     bracket's midpoint; det T(E) has the sign (-1)^count at the bracket ends
-    without a pass.  An open end's level is closed by the tail where the
-    tail's det T(E) takes the count's signs at the bracket ends (one pass
-    each), by that wall otherwise.  An interval whose potential is its
-    mirror to within 1e-9 of its largest magnitude (``_profile_is_symmetric``)
-    is solved as the exact mirror 0.5 (u + u[::-1]) -- u itself when u is
-    one, and levels moved by about the asymmetry |u - u[::-1]|/2 at most when
-    u is near one -- split into its even and odd halves (``_sectors``), whose
-    levels stay apart however deep the double well.  The eigenvector
-    (``_eigenvector``) takes the level's end too.  State k is labelled by the
+    without a pass.  ``guesses`` (Hartree), if given, holds one predicted
+    level per state; an entry that is None, not finite or outside the
+    search window is ignored.  State k's guess g is counted at g -+ 1e-4 |g|
+    first, each side widened 8x (at most 3 times) until it counts below or
+    above the level, and the isolation loop then runs from every count made;
+    Newton starts at g when the counts certified a bracket around it before
+    that loop, at the midpoint otherwise.  Every count is exact, so a bad
+    guess costs counts but never changes the state.  An open end's level is
+    closed by the tail where the tail's det T(E) takes the count's signs at
+    the bracket ends (one pass each), by that wall otherwise.  An interval
+    whose potential is its mirror to within 1e-9 of its largest magnitude
+    (``_profile_is_symmetric``) is solved as the exact mirror 0.5 (u +
+    u[::-1]) -- u itself when u is one, and levels moved by about the
+    asymmetry |u - u[::-1]|/2 at most when u is near one -- split into its
+    even and odd halves (``_sectors``), whose levels stay apart however deep
+    the double well.  The eigenvector (``_eigenvector``, one inverse
+    iteration solve) takes the level's end too.  State k is labelled by the
     count that isolated it, k nodes, and by its half, even or odd (``NONE``
-    off a mirror).
-    A grid of fewer than 4 points, or a step h with h^2 or h^2/12 2m not a
+    off a mirror), and carries the counts and det T(E) passes spent on it
+    (``count_calls``, ``newton_passes``; the window's counts on state 0).
+    A number of guesses other than ``n_states`` raises ``DomainError``.  A
+    grid of fewer than 4 points, or a step h with h^2 or h^2/12 2m not a
     normal float, raises ``GridError``; more states than T(E) has rows, or
     levels that no count separates at float resolution, raise
     ``EigenSearchError``.
@@ -400,6 +434,8 @@ def solve_eigenstates(
         raise DomainError("n_states must be >= 1")
     if not (m_eff > 0.0 and math.isfinite(m_eff)):
         raise DomainError("m_eff must be positive and finite")
+    if guesses is not None and len(guesses) != n_states:
+        raise DomainError(f"{len(guesses)} guesses given for {n_states} states")
     flipped = profile.kind is DomainKind.HALF_LINE_WALL_RIGHT
     u = profile.u_hartree[::-1] if flipped else profile.u_hartree
     n = u.size
@@ -438,8 +474,10 @@ def solve_eigenstates(
     # the window's top doubles its step until it holds n_states levels: T(E)
     # is negative definite, every row counted, once every t_i < -1/2
     step = 50.0 * max(1.0, n_states * n_states / 16.0) * quantum
+    window = 1  # counts of the window's top, charged to state 0
     while (total := _count_nodes(u, h, two_m, u_ref + step)) < n_states:
         step *= 2.0
+        window += 1
     hi = u_ref + step
 
     states: list[Eigenstate] = []
@@ -453,8 +491,10 @@ def solve_eigenstates(
     for k in range(n_states):
         level, p = divmod(k, len(problems))
         (v, end, parity), seen = problems[p], measured[p]
+        work = [0 if k else window, 0]  # counts and det T(E) passes spent on state k
 
         def count(e):
+            work[0] += 1
             c = _count_nodes(v, h, two_m, e, _WALL if end is _tail else end)
             seen.append((e, c))
             if c == 0 and p == 0 and mirrored:  # the odd half counts no more than the even
@@ -462,14 +502,23 @@ def solve_eigenstates(
             return c
 
         def det(e):  # (det T(E), its slope), both over the same 2^k
+            work[1] += 1
             return _residual(v, h, two_m, e, end)[:2]
 
         rising = level % 2 == 1  # det T(E) below the level: (-1)^level
+        g = math.nan if guesses is None or guesses[k] is None else float(guesses[k])
+        if lo < g < hi:  # count at g -+ 1e-4 |g|, widening a side 8x until it counts right
+            for side in (-1.0, 1.0):
+                for widen in range(_WIDENINGS + 1):
+                    e = g + side * _HUNT * 8.0**widen * abs(g)
+                    if not lo < e < hi or (count(e) > level) == (side > 0.0):
+                        break
         # count only until the bracket ends count level and level + 1, where
         # det T(E) has the sign (-1)^count, and at an open end (counted with a
         # wall there) until it is also within 1e-6 relative
         e_lo, c_lo = max(m for m in seen if m[1] <= level)
         e_hi, c_hi = min(m for m in seen if m[1] > level)
+        certified = c_lo == level and c_hi == level + 1
         wide = 1.0e-6 if end is _tail else math.inf
         while c_lo < level or c_hi > level + 1 or e_hi - e_lo > wide * max(abs(e_lo), abs(e_hi)):
             mid = 0.5 * (e_lo + e_hi)
@@ -484,14 +533,17 @@ def solve_eigenstates(
         sign = 1.0 if rising else -1.0
         if end is _tail and not det(e_lo)[0] * sign < 0.0 < det(e_hi)[0] * sign:
             end = _WALL
-        energy = _newton(det, e_lo, e_hi, rising, 0.5 * (e_lo + e_hi), _POLISH)
+        # Newton from the guess where the counts around it certified the
+        # bracket, from the bracket's midpoint otherwise
+        start = g if certified and e_lo < g < e_hi else 0.5 * (e_lo + e_hi)
+        energy = _newton(det, e_lo, e_hi, rising, start, _POLISH)
         psi = _eigenvector(v, h, two_m, energy, end)
         if mirrored:  # the half and its mirror image
             image = psi[n // 2 - 1 :: -1]
             psi = np.concatenate((psi[: (n + 1) // 2], image if parity is Parity.EVEN else -image))
         if flipped:
             psi = psi[::-1]
-        states.append(_finalize(energy, psi, profile, k, parity))
+        states.append(_finalize(energy, psi, profile, k, parity, *work))
 
     for a, b in zip(states, states[1:]):  # each level is polished to 1e-13 relative
         width = 1.0e-13 * (abs(a.energy_h) + abs(b.energy_h))

@@ -9,7 +9,8 @@ mirror-symmetric intervals adding up to the whole count, for the labels and
 levels of near-mirror and exact-mirror double wells, for shooting meeting
 the oracle's levels to the oracle's own second-order error, for Newton's
 levels sitting where det T(E) changes sign over the isolation bracket, for
-the lower levels of mirror wells not moving with the state count, for the exact
+the lower levels of mirror wells not moving with the state count, for
+warm-started two-plate levels equal to their cold solves, for the exact
 discrete levels of boxes of a few to 10001 points, for the 1/m scaling of box levels
 by both eigensolvers, for hard-wall entries of a profile being dead input to both
 eigensolvers, and for the CLI's sweep and layer strings ending either as a
@@ -37,6 +38,7 @@ from scipy.linalg.lapack import dstebz  # noqa: E402
 
 from imagewell import cli  # noqa: E402
 from imagewell import electrostatics as el  # noqa: E402
+from imagewell import scenarios as sn  # noqa: E402
 from imagewell import schrodinger as sc  # noqa: E402
 from imagewell.constants import HARTREE_EV, nm_to_bohr  # noqa: E402
 from imagewell.errors import ConvergenceError, GridError, ImagewellError  # noqa: E402
@@ -483,6 +485,49 @@ def test_state_count_prefixes_agree(well):
             for (e_j, *label_j), (e_k, *label_k) in zip(low, high):
                 assert label_j == label_k
                 assert abs(e_j - e_k) <= 2.0 * sc._POLISH * abs(e_j)
+
+
+@st.composite
+def stencil_steps(draw):
+    """A two-plate gap, charge, state count and a signed stencil step dd."""
+    gap = draw(st.floats(0.8, 6.0))
+    q = draw(st.sampled_from([-1.0, -0.5, 0.0]))
+    n_states = draw(st.integers(1, 3))
+    step = 10.0 ** draw(st.floats(-4.0, -2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return gap, q, n_states, step * gap
+
+
+def same_states(warm, cold):
+    """Each warm level within the polish width of its cold solve, with the
+    same nodes and parity."""
+    assert [(s.nodes, s.parity) for s in warm] == [(s.nodes, s.parity) for s in cold]
+    for w, c in zip(warm, cold):
+        assert abs(w.energy_h - c.energy_h) <= 2.0 * sc._POLISH * abs(c.energy_h)
+
+
+@settings(max_examples=12, deadline=None)
+@given(stencil_steps())
+@example((0.8, 0.0, 3, 8.0e-3))  # a box far enough out that the hunt widens
+def test_warm_levels_equal_cold_levels(case):
+    # the force stencil's prediction E + (<U> - 2E)/D dd from the centre
+    # spectrum, and bad guesses (the neighbouring level, +-50 %, None, NaN),
+    # all end in the cold solve's states: the counts certify every bracket
+    gap, q, n_states, dd = case
+
+    def spectrum(d, guesses=None):
+        return sn.two_plate_spectrum(d, n_states, q=q, n_points=1001, guesses=guesses).states
+
+    centre = sn.two_plate_spectrum(gap, n_states, q=q, n_points=1001)
+    u = centre.profile.u_hartree
+    predicted = [s.energy_h + (np.dot(s.psi**2, u) / np.dot(s.psi, s.psi) - 2.0 * s.energy_h)
+                 / gap * dd for s in centre.states]
+    cold = spectrum(gap + dd)
+    same_states(spectrum(gap + dd, predicted), cold)
+    levels = [s.energy_h for s in cold]
+    neighbours = levels[1:] + levels[-2:-1] if n_states > 1 else [2.0 * levels[0]]
+    for guesses in (neighbours, [1.5 * e for e in levels], [0.5 * e for e in levels],
+                    [None] * n_states, [float("nan")] * n_states):
+        same_states(spectrum(gap + dd, guesses), cold)
 
 
 def exact_box_levels(n_points, h, m_eff, count):

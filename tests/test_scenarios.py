@@ -472,6 +472,32 @@ def test_levitation_rows_share_three_spectra(monkeypatch):
         assert row.stable == (nested < 0.0)
 
 
+def test_force_stencil_outer_spectra_start_warm(monkeypatch):
+    # the centre of each row is solved cold, and only its predicted levels
+    # seed that row's outer spectra, which then spend two counts past the
+    # window's and a short Newton.  Measured: README levitate (a q = 0 box,
+    # mass 1833.27) 3 counts and 3 passes per outer spectrum, the q = -1 row
+    # at 1 nm 3 and 2; a cold solve takes 4 and 6, and 8 and 9
+    spectra = []
+    real = sn.two_plate_spectrum
+
+    def recorded(*args, **kwargs):
+        spectrum = real(*args, **kwargs)
+        spectra.append((kwargs.get("guesses"), spectrum.states[0]))
+        return spectrum
+
+    monkeypatch.setattr(sn, "two_plate_spectrum", recorded)
+    for gaps, q, m_eff in (([0.9, 1.0, 1.1], 0.0, 1833.27), ([1.0], -1.0, 1.0)):
+        spectra.clear()
+        rows = sn.levitation_curve(gaps, 1, 0.0, 0.0, q=q, m_eff=m_eff)
+        assert not any(r.failed for r in rows) and len(spectra) == 3 * len(gaps)
+        for centre, *outer in zip(spectra[0::3], spectra[1::3], spectra[2::3]):
+            assert centre[0] is None
+            for guesses, state in outer:
+                assert len(guesses) == 1
+                assert state.count_calls <= 3 and state.newton_passes <= 4
+
+
 def test_force_budget_rejects_bad_delta_before_solving(monkeypatch):
     calls = []
     real = sn.two_plate_spectrum

@@ -366,6 +366,74 @@ def test_sturm_count_equals_node_pass_sign_changes():
     assert [sc._count_nodes(np.zeros(3), 0.1, 2.0, e) for e in (-1.0, 1.0e3)] == [0, 1]
 
 
+def test_states_report_their_own_work(monkeypatch):
+    # every count and det T(E) pass of a solve is charged to exactly one
+    # state, the window's counts to state 0: on a mirror, an asymmetric
+    # interval, a half line and a warm-started mirror
+    made = [0, 0]
+    count_nodes, residual = sc._count_nodes, sc._residual
+
+    def counted(*args):
+        made[0] += 1
+        return count_nodes(*args)
+
+    def evaluated(*args):
+        made[1] += 1
+        return residual(*args)
+
+    monkeypatch.setattr(sc, "_count_nodes", counted)
+    monkeypatch.setattr(sc, "_residual", evaluated)
+    mirror = sn.interval_profile(1.6, n_points=1001)
+    grid = np.linspace(0.0, 10.0, 1001)
+    tilted = sc.PotentialProfile(grid, 0.3 * grid - 0.1 * np.sin(grid), sc.DomainKind.INTERVAL)
+    gaas = sn.get_material("GaAs")
+    m_gaas = sn.carrier_mass(gaas, sn.Carrier.ELECTRON)
+    half_line = sn.halfline_profile(gaas.eps, 1.0, 1.0, m_eff=m_gaas, n_states=2)
+    levels = [s.energy_h for s in sc.solve_eigenstates(mirror, n_states=3)]
+    for profile, m_eff, guesses in ((mirror, 1.0, None), (tilted, 1.0, None),
+                                    (half_line, m_gaas, None), (mirror, 1.0, levels)):
+        work = {}
+        for n_states in (1, 2, 3):
+            made[:] = [0, 0]
+            states = sc.solve_eigenstates(profile, m_eff, n_states,
+                                          guesses and guesses[:n_states])
+            assert [sum(s.count_calls for s in states),
+                    sum(s.newton_passes for s in states)] == made
+            assert all(s.newton_passes >= 1 for s in states)
+            work[n_states] = [(s.count_calls, s.newton_passes) for s in states]
+        # the window's top is the same for up to 4 states, so a state's work
+        # does not depend on how many states follow it
+        assert work[3][:2] == work[2] and work[2][:1] == work[1]
+    for state in sc.diagonalization_oracle(mirror, 1.0, 2):
+        assert (state.count_calls, state.newton_passes) == (0, 0)
+
+
+def test_bad_guesses_return_the_cold_states():
+    # off a mirror a neighbouring level is a root of the same det T(E), so
+    # Newton may start at a guess only inside a bracket that the counts
+    # certified; on an asymmetric interval and a half line, every bad guess
+    # (a neighbour, +-50 %, zero, outside the window, None, NaN, inf) costs
+    # counts but returns the cold states
+    grid = np.linspace(0.0, 10.0, 1001)
+    tilted = sc.PotentialProfile(grid, 0.3 * grid - 0.1 * np.sin(grid), sc.DomainKind.INTERVAL)
+    gaas = sn.get_material("GaAs")
+    m_gaas = sn.carrier_mass(gaas, sn.Carrier.ELECTRON)
+    half_line = sn.halfline_profile(gaas.eps, 1.0, 1.0, m_eff=m_gaas, n_states=3)
+    for profile, m_eff in ((tilted, 1.0), (half_line, m_gaas)):
+        cold = sc.solve_eigenstates(profile, m_eff, 3)
+        levels = [s.energy_h for s in cold]
+        for guesses in (levels[1:] + levels[:1], levels[-1:] + levels[:-1],
+                        [1.5 * e for e in levels], [0.5 * e for e in levels], [0.0] * 3,
+                        [1.0e6, -1.0e6, 1.0e300], [None] * 3, [math.nan] * 3,
+                        [math.inf, -math.inf, None]):
+            warm = sc.solve_eigenstates(profile, m_eff, 3, guesses)
+            assert [(s.nodes, s.parity) for s in warm] == [(s.nodes, s.parity) for s in cold]
+            for w, c in zip(warm, cold):
+                assert abs(w.energy_h - c.energy_h) <= 2.0 * sc._POLISH * abs(c.energy_h)
+    with pytest.raises(DomainError, match="2 guesses given for 3 states"):
+        sc.solve_eigenstates(tilted, 1.0, 3, levels[:2])
+
+
 def test_count_guards_raise_typed_errors(monkeypatch):
     # a barrier too high for the grid step: 1 - t <= 0 inside it
     grid = np.linspace(0.0, 10.0, 51)
@@ -376,8 +444,8 @@ def test_count_guards_raise_typed_errors(monkeypatch):
     for barrier in (6.0 / (h * h), 1.0e4):  # 1 - t exactly zero, then negative
         with pytest.raises(GridError, match="too coarse"):
             sc._count_nodes(np.full(51, barrier), h, 2.0, 0.0)
-    monkeypatch.setattr(sc, "dstein", lambda d, *args: (np.zeros((d.size, 1)), 1))
-    with pytest.raises(EigenSearchError, match="dstein info 1"):
+    monkeypatch.setattr(sc, "dgtsv", lambda dl, d, du, b: (dl, d, du, b, 1))  # a zero pivot
+    with pytest.raises(EigenSearchError, match="dgtsv info 1"):
         sc.solve_eigenstates(box_profile(30.0, 101))
     monkeypatch.setattr(sc, "dpttrf", lambda d, e, **kw: (d, e, -2))
     with pytest.raises(EigenSearchError, match="dpttrf info -2"):
