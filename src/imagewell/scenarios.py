@@ -463,7 +463,7 @@ def _force_budget(
     each level moves as dE/dD = (<U> - 2E)/D (Hellmann-Feynman; Feynman,
     Phys. Rev. 56, 340 (1939)), <U> = sum psi^2 u / sum psi^2 over the
     centre state and its profile; the outer spectra start from the levels
-    E -+ (<U> - 2E)/D dd that this predicts, which their counts certify."""
+    E -+ (<U> - 2E)/D dd that this predicts."""
     # NaN fails the chained test; past 2**53 floats cannot tell integers apart
     if not 0 <= n_electrons < 2**53 or int(n_electrons) != n_electrons:
         raise DomainError("n_electrons must be an integer in [0, 2**53)")

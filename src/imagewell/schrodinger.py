@@ -15,7 +15,8 @@ Two independent solvers:
   truncation radius, until the bracket is also within 1e-6; its level takes
   the tail where the tail's root lies in that count's bracket, and the wall
   otherwise.  A predicted level (``guesses``) is counted first just below
-  and above itself, and Newton starts there when those counts certify it.
+  and above itself, and Newton starts there, or at the bracket end nearest
+  it when it lies outside.
   An interval whose potential is its mirror to within 1e-9 of its largest
   magnitude is solved as the exact mirror 0.5 (u + u[::-1]) (bitwise u for
   every two-plate profile), as its even and odd halves, each closed at the
@@ -45,8 +46,7 @@ from .constants import BOHR_RADIUS_NM, HARTREE_EV, HBAR_JS, STANDARD_GRAVITY_MS2
 from .errors import DomainError, EigenSearchError, GridError
 
 _POLISH = 1.0e-13  # Newton's last step, relative to the level
-_HUNT = 1.0e-4  # a guessed level's first count bracket, relative to the guess
-_WIDENINGS = 3  # 8x widenings of each side of that bracket, at most
+_HUNT = 1.0e-4  # a guessed level's count bracket, relative to the guess
 
 
 class DomainKind(Enum):
@@ -313,10 +313,13 @@ def _eigenvector(v, h, two_m, e, end):
     nearest 0, at rounding level at a polished level, to that component's
     own.  b is uniform on [-1, 1) from a fixed seed, as LAPACK ``dstein``
     starts, so no state's component is small by construction (a smooth b
-    such as all ones has almost none along some box modes).  Where
-    T(E) is singular in floats (an exactly zero pivot, as when Newton lands
-    on the root of a one-row half), the solve is of T(E) + eps I, one
-    rounding of T's unit off-diagonal away; a zero pivot there too raises
+    such as all ones has almost none along some box modes).  A second
+    path: where T(E) is singular in floats the solve is repeated once at
+    T(E) + eps I.  Only the last pivot can be exactly zero, since partial
+    pivoting against the unit off-diagonal keeps every other one at least 1
+    in magnitude, and only a one-row half (the 4-point box's) has been seen
+    to reach it, when Newton lands on its root exactly.  eps moves no entry
+    of magnitude 2 or more, so a zero pivot that survives it raises
     ``EigenSearchError``."""
     s, c, _, decay = end(v, h, two_m, e)
     w, delta = _steps(v, h, two_m, e)
@@ -407,13 +410,13 @@ def solve_eigenstates(
     without a pass.  ``guesses`` (Hartree), if given, holds one predicted
     level per state; an entry that is None, not finite or outside the
     search window is ignored.  State k's guess g is counted at g -+ 1e-4 |g|
-    first, each side widened 8x (at most 3 times) until it counts below or
-    above the level, and the isolation loop then runs from every count made;
-    Newton starts at g when the counts certified a bracket around it before
-    that loop, at the midpoint otherwise.  Every count is exact, so a bad
-    guess costs counts but never changes the state.  An open end's level is
-    closed by the tail where the tail's det T(E) takes the count's signs at
-    the bracket ends (one pass each), by that wall otherwise.  An interval
+    first (each count inside the window), and the isolation loop then runs
+    from every count made; Newton starts at g, clamped to the bracket it
+    ends with (at the midpoint without a finite g).  Every count is exact,
+    so a bad guess costs counts and passes but never changes the state.  An
+    open end's level is closed by the tail where the tail's det T(E) takes
+    the count's signs at the bracket ends (one pass each), by that wall
+    otherwise.  An interval
     whose potential is its mirror to within 1e-9 of its largest magnitude
     (``_profile_is_symmetric``) is solved as the exact mirror 0.5 (u +
     u[::-1]) -- u itself when u is one, and levels moved by about the
@@ -507,18 +510,14 @@ def solve_eigenstates(
 
         rising = level % 2 == 1  # det T(E) below the level: (-1)^level
         g = math.nan if guesses is None or guesses[k] is None else float(guesses[k])
-        if lo < g < hi:  # count at g -+ 1e-4 |g|, widening a side 8x until it counts right
-            for side in (-1.0, 1.0):
-                for widen in range(_WIDENINGS + 1):
-                    e = g + side * _HUNT * 8.0**widen * abs(g)
-                    if not lo < e < hi or (count(e) > level) == (side > 0.0):
-                        break
+        for e in (g - _HUNT * abs(g), g + _HUNT * abs(g)):  # NaN compares False
+            if lo < e < hi:
+                count(e)
         # count only until the bracket ends count level and level + 1, where
         # det T(E) has the sign (-1)^count, and at an open end (counted with a
         # wall there) until it is also within 1e-6 relative
         e_lo, c_lo = max(m for m in seen if m[1] <= level)
         e_hi, c_hi = min(m for m in seen if m[1] > level)
-        certified = c_lo == level and c_hi == level + 1
         wide = 1.0e-6 if end is _tail else math.inf
         while c_lo < level or c_hi > level + 1 or e_hi - e_lo > wide * max(abs(e_lo), abs(e_hi)):
             mid = 0.5 * (e_lo + e_hi)
@@ -533,9 +532,10 @@ def solve_eigenstates(
         sign = 1.0 if rising else -1.0
         if end is _tail and not det(e_lo)[0] * sign < 0.0 < det(e_hi)[0] * sign:
             end = _WALL
-        # Newton from the guess where the counts around it certified the
-        # bracket, from the bracket's midpoint otherwise
-        start = g if certified and e_lo < g < e_hi else 0.5 * (e_lo + e_hi)
+        # Newton from the guess, or from the bracket end nearest a guess that
+        # missed: a guess off by more than 1e-4 has left that end next to the
+        # level, where the midpoint of a wide bracket would bisect its way down
+        start = min(max(g, e_lo), e_hi) if math.isfinite(g) else 0.5 * (e_lo + e_hi)
         energy = _newton(det, e_lo, e_hi, rising, start, _POLISH)
         psi = _eigenvector(v, h, two_m, energy, end)
         if mirrored:  # the half and its mirror image

@@ -507,7 +507,7 @@ def same_states(warm, cold):
 
 @settings(max_examples=12, deadline=None)
 @given(stencil_steps())
-@example((0.8, 0.0, 3, 8.0e-3))  # a box far enough out that the hunt widens
+@example((0.8, 0.0, 3, 8.0e-3))  # a box far enough out that the prediction misses the hunt
 def test_warm_levels_equal_cold_levels(case):
     # the force stencil's prediction E + (<U> - 2E)/D dd from the centre
     # spectrum, and bad guesses (the neighbouring level, +-50 %, None, NaN),

@@ -410,10 +410,10 @@ def test_states_report_their_own_work(monkeypatch):
 
 def test_bad_guesses_return_the_cold_states():
     # off a mirror a neighbouring level is a root of the same det T(E), so
-    # Newton may start at a guess only inside a bracket that the counts
-    # certified; on an asymmetric interval and a half line, every bad guess
-    # (a neighbour, +-50 %, zero, outside the window, None, NaN, inf) costs
-    # counts but returns the cold states
+    # Newton may start at a guess only once clamped into the bracket that
+    # the counts certified; on an asymmetric interval and a half line, every
+    # bad guess (a neighbour, +-50 %, zero, outside the window, None, NaN,
+    # inf) costs work but returns the cold states
     grid = np.linspace(0.0, 10.0, 1001)
     tilted = sc.PotentialProfile(grid, 0.3 * grid - 0.1 * np.sin(grid), sc.DomainKind.INTERVAL)
     gaas = sn.get_material("GaAs")
@@ -432,6 +432,19 @@ def test_bad_guesses_return_the_cold_states():
                 assert abs(w.energy_h - c.energy_h) <= 2.0 * sc._POLISH * abs(c.energy_h)
     with pytest.raises(DomainError, match="2 guesses given for 3 states"):
         sc.solve_eigenstates(tilted, 1.0, 3, levels[:2])
+
+
+def test_guesses_that_miss_the_hunt_start_newton_near_the_level():
+    # a guess off by more than the 1e-4 hunt leaves the bracket end it
+    # missed next to the level, so Newton starts there and takes 3-4 passes
+    # (a cold solve 4-6); from a wide bracket's midpoint it took up to 30
+    for q in (0.0, -1.0):
+        profile = sn.interval_profile(0.8, q=q, n_points=1001)
+        levels = [s.energy_h for s in sc.solve_eigenstates(profile, 1.0, 3)]
+        for miss in (-3.0e-3, -3.0e-4, 3.0e-4, 3.0e-3):
+            warm = sc.solve_eigenstates(profile, 1.0, 3, [e * (1.0 + miss) for e in levels])
+            assert [s.nodes for s in warm] == [0, 1, 2]
+            assert all(s.newton_passes <= 4 for s in warm)
 
 
 def test_count_guards_raise_typed_errors(monkeypatch):
