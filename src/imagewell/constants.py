@@ -7,7 +7,6 @@ the API boundaries.
 
 BOHR_RADIUS_NM = 0.052917721090380  # CODATA 2018
 HARTREE_EV = 27.211386245988        # CODATA 2018
-RYDBERG_EV = HARTREE_EV / 2.0
 
 EV_J = 1.602176634e-19              # exact, SI 2019
 HBAR_JS = 1.054571817e-34           # J s

@@ -20,6 +20,7 @@ in rows are eV, gaps nm, forces N, masses kg.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -279,16 +280,11 @@ class EffectiveEpsilonTable:
         object.__setattr__(self, "eps", e)
 
 
-def effective_epsilon_curve(eps_samples=None) -> EffectiveEpsilonTable:
+def effective_epsilon_curve() -> EffectiveEpsilonTable:
     """Closed-form reference table radius(eps) for the single-wall analogue
-    (electron in vacuum, unit mass)."""
-    if eps_samples is None:
-        eps_samples = 1.0 + np.geomspace(1.0e-3, 1.0e4, 2001)
-    eps = np.asarray(eps_samples, float)
-    if eps.ndim != 1 or eps.size < 2:
-        raise DomainError("need at least two eps samples")
-    if np.any(eps <= 1.0) or np.any(np.diff(eps) <= 0.0):
-        raise DomainError("eps samples must be > 1 and strictly increasing")
+    (electron in vacuum, unit mass), at 2001 permittivities 1 + 1e-3 to 1 +
+    1e4, geometrically spaced."""
+    eps = 1.0 + np.geomspace(1.0e-3, 1.0e4, 2001)
     bohr = np.array(
         [
             sc.hydrogenic_bohr_radius_nm(sc.single_wall_params(float(e)))
@@ -354,45 +350,6 @@ def two_plate_spectrum(
     states = sc.solve_eigenstates(profile, m_eff=m_eff, n_states=n_states, guesses=guesses)
     u_max_ev = profile.classification_reference() * HARTREE_EV
     return TwoPlateSpectrum(gap_nm, tuple(states), u_max_ev, profile)
-
-
-@dataclass(frozen=True, eq=False)
-class EnergyCurve:
-    gaps_nm: np.ndarray
-    energies_ev: np.ndarray
-    state_index: int
-
-
-@dataclass(frozen=True, eq=False)
-class ForceCurve:
-    gaps_nm: np.ndarray
-    forces_n: np.ndarray
-    state_index: int
-
-
-def energy_vs_gap(
-    gaps_nm,
-    state_index: int = 0,
-    q: float = -1.0,
-    m_eff: float = 1.0,
-    n_points: int = 4001,
-) -> EnergyCurve:
-    gaps = np.asarray(list(gaps_nm), dtype=float)
-    if gaps.size < 3 or np.any(np.diff(gaps) <= 0.0):
-        raise DomainError("need at least 3 strictly increasing gaps")
-    energies = np.empty_like(gaps)
-    for i, d in enumerate(gaps):
-        spec = two_plate_spectrum(float(d), state_index + 1, q=q, m_eff=m_eff, n_points=n_points)
-        energies[i] = spec.states[state_index].energy_ev
-    return EnergyCurve(gaps, energies, state_index)
-
-
-def force_from_energy(curve: EnergyCurve) -> ForceCurve:
-    """F = -dE/dD by central differences (one-sided at the ends), in N."""
-    if curve.gaps_nm.size < 3:
-        raise DomainError("need at least 3 points to differentiate")
-    dedd = np.gradient(curve.energies_ev, curve.gaps_nm)
-    return ForceCurve(curve.gaps_nm, -dedd * EV_PER_NM_TO_N, curve.state_index)
 
 
 def averaged_plate_plate(
@@ -471,6 +428,8 @@ def _force_budget(
         raise DomainError("need gap > 0, and area and hamaker finite and >= 0")
     if not 0.0 < delta_frac < 1.0:
         raise DomainError(f"delta_frac must lie in (0, 1), got {delta_frac}")
+    if not (isinstance(state_index, numbers.Integral) and state_index >= 0):
+        raise DomainError(f"state_index must be an integer >= 0, got {state_index!r}")
     dd = delta_frac * gap_nm
     g_lo, g_hi = gap_nm - dd, gap_nm + dd
     centre, e_mid, u_mid = _energy_and_pp(gap_nm, state_index, q, m_eff, n_points)

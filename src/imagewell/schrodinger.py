@@ -33,6 +33,7 @@ convert to eV at the accessor.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -51,7 +52,6 @@ _HUNT = 1.0e-4  # a guessed level's count bracket, relative to the guess
 
 class DomainKind(Enum):
     HALF_LINE_WALL_LEFT = "half_line_wall_left"
-    HALF_LINE_WALL_RIGHT = "half_line_wall_right"
     INTERVAL = "interval"
 
 
@@ -108,9 +108,7 @@ class PotentialProfile:
         u = self.u_hartree
         if self.kind is DomainKind.INTERVAL:
             return float(u[(u.size - 1) // 2])
-        if self.kind is DomainKind.HALF_LINE_WALL_LEFT:
-            return float(u[-1])
-        return float(u[0])
+        return float(u[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,11 +118,10 @@ class Eigenstate:
     solved on (``NONE`` off a mirror); from the oracle, state j has
     ``nodes`` = j, as the oscillation theorem gives for its Jacobi matrix,
     and ``parity`` is psi's mirror overlap beyond +-0.99 on a mirror
-    profile.  ``domain`` is its profile's kind, whose wall
-    ``bohr_radius_numeric`` measures from.  ``count_calls`` and
-    ``newton_passes`` are the Sturm counts and det T(E) passes shooting spent
-    on this state (state 0 also carries the search window's counts), besides
-    its one eigenvector solve; the oracle reports 0 for both."""
+    profile.  ``count_calls`` and ``newton_passes`` are the Sturm counts and
+    det T(E) passes shooting spent on this state (state 0 also carries the
+    search window's counts), besides its one eigenvector solve; the oracle
+    reports 0 for both."""
 
     energy_h: float
     psi: np.ndarray
@@ -132,7 +129,6 @@ class Eigenstate:
     nodes: int
     parity: Parity
     kind: StateKind
-    domain: DomainKind = DomainKind.INTERVAL
     count_calls: int = 0
     newton_passes: int = 0
 
@@ -387,8 +383,7 @@ def _finalize(energy_h: float, psi: np.ndarray, profile: PotentialProfile,
     kind = StateKind.BOUND if energy_h < profile.classification_reference() else StateKind.BOX
     psi = np.ascontiguousarray(psi)
     psi.setflags(write=False)
-    return Eigenstate(energy_h, psi, grid, nodes, parity, kind, profile.kind,
-                      count_calls, newton_passes)
+    return Eigenstate(energy_h, psi, grid, nodes, parity, kind, count_calls, newton_passes)
 
 
 def solve_eigenstates(
@@ -427,20 +422,19 @@ def solve_eigenstates(
     count that isolated it, k nodes, and by its half, even or odd (``NONE``
     off a mirror), and carries the counts and det T(E) passes spent on it
     (``count_calls``, ``newton_passes``; the window's counts on state 0).
-    A number of guesses other than ``n_states`` raises ``DomainError``.  A
-    grid of fewer than 4 points, or a step h with h^2 or h^2/12 2m not a
-    normal float, raises ``GridError``; more states than T(E) has rows, or
-    levels that no count separates at float resolution, raise
-    ``EigenSearchError``.
+    An ``n_states`` that is not an integer >= 1, or a number of guesses
+    other than it, raises ``DomainError``.  A grid of fewer than 4 points,
+    or a step h with h^2 or h^2/12 2m not a normal float, raises
+    ``GridError``; more states than T(E) has rows, or levels that no count
+    separates at float resolution, raise ``EigenSearchError``.
     """
-    if n_states < 1:
-        raise DomainError("n_states must be >= 1")
+    if not (isinstance(n_states, numbers.Integral) and n_states >= 1):
+        raise DomainError(f"n_states must be an integer >= 1, got {n_states!r}")
     if not (m_eff > 0.0 and math.isfinite(m_eff)):
         raise DomainError("m_eff must be positive and finite")
     if guesses is not None and len(guesses) != n_states:
         raise DomainError(f"{len(guesses)} guesses given for {n_states} states")
-    flipped = profile.kind is DomainKind.HALF_LINE_WALL_RIGHT
-    u = profile.u_hartree[::-1] if flipped else profile.u_hartree
+    u = profile.u_hartree
     n = u.size
     h = profile.step_bohr
     two_m = 2.0 * m_eff
@@ -541,8 +535,6 @@ def solve_eigenstates(
         if mirrored:  # the half and its mirror image
             image = psi[n // 2 - 1 :: -1]
             psi = np.concatenate((psi[: (n + 1) // 2], image if parity is Parity.EVEN else -image))
-        if flipped:
-            psi = psi[::-1]
         states.append(_finalize(energy, psi, profile, k, parity, *work))
 
     for a, b in zip(states, states[1:]):  # each level is polished to 1e-13 relative
@@ -580,8 +572,8 @@ def diagonalization_oracle(
     eigenvector changes sign exactly j times (Gantmacher & Krein,
     *Oscillation Matrices and Kernels*, ch. II).
     """
-    if n_states < 1:
-        raise DomainError("n_states must be >= 1")
+    if not (isinstance(n_states, numbers.Integral) and n_states >= 1):
+        raise DomainError(f"n_states must be an integer >= 1, got {n_states!r}")
     if not (m_eff > 0.0 and math.isfinite(m_eff)):
         raise DomainError("m_eff must be positive and finite")
     n = profile.grid_bohr.size
@@ -675,9 +667,8 @@ def radial_wavefunction(p: HydrogenicParams, r_nm) -> np.ndarray:
 
 
 def bohr_radius_numeric(state: Eigenstate) -> float:
-    """Most probable distance from the wall (nm), the right one on a
-    ``HALF_LINE_WALL_RIGHT`` half line and the left one otherwise: parabolic
-    refinement of the grid argmax of psi^2."""
+    """Most probable distance from the left wall (nm): parabolic refinement
+    of the grid argmax of psi^2."""
     prob = state.psi * state.psi
     i = int(np.argmax(prob))
     i = min(max(i, 1), prob.size - 2)
@@ -686,8 +677,7 @@ def bohr_radius_numeric(state: Eigenstate) -> float:
     shift = 0.5 * (y0 - y2) / denom if denom != 0.0 else 0.0
     shift = min(max(shift, -0.5), 0.5)
     x = state.grid_bohr[i] + shift * (state.grid_bohr[1] - state.grid_bohr[0])
-    wall = state.grid_bohr[-1 if state.domain is DomainKind.HALF_LINE_WALL_RIGHT else 0]
-    return abs(x - wall) * BOHR_RADIUS_NM
+    return abs(x - state.grid_bohr[0]) * BOHR_RADIUS_NM
 
 
 def box_energy_ev(length_nm: float, n: int, m_eff: float = 1.0) -> float:

@@ -98,43 +98,22 @@ def test_metal_wall_two_routes_agree():
         assert abs(s.energy_h - o.energy_h) / abs(s.energy_h) < 2e-3
 
 
-def test_wall_side_mirror_symmetry():
-    left = metal_wall_profile(n_states=1, n_points=2001)
-    right = sc.PotentialProfile(
-        left.grid_bohr, left.u_hartree[::-1], sc.DomainKind.HALF_LINE_WALL_RIGHT
-    )
-    sl = sc.solve_eigenstates(left, n_states=1)[0]
-    sr = sc.solve_eigenstates(right, n_states=1)[0]
-    assert abs(sl.energy_h - sr.energy_h) / abs(sl.energy_h) < 1e-12
-    flipped = sr.psi[::-1] if np.dot(sr.psi[::-1], sl.psi) >= 0 else -sr.psi[::-1]
-    assert np.max(np.abs(flipped - sl.psi)) < 1e-10
-    assert sc.bohr_radius_numeric(sr) == pytest.approx(sc.bohr_radius_numeric(sl), rel=1e-12)
-
-
 @pytest.mark.parametrize(
-    "kind, center",
-    [(sc.DomainKind.HALF_LINE_WALL_LEFT, 10.0), (sc.DomainKind.HALF_LINE_WALL_RIGHT, 50.0)],
-    ids=["wall_left", "wall_right"],
+    "kind, center", [(sc.DomainKind.HALF_LINE_WALL_LEFT, 10.0)], ids=["wall_left"]
 )
 def test_harmonic_well_through_rescaled_passes(kind, center, monkeypatch):
     # the tail of u = (x - 10)^2 / 2 spans about e^1250 between the well and
     # the open end at 60 bohr, so the kept pass from that end rescales
     grid = np.linspace(0.0, 60.0, 6001)
     prof = sc.PotentialProfile(grid, 0.5 * (grid - center) ** 2, kind)
-    counts, passes, exponents = [0], [0], []
-    count_nodes, residual = sc._count_nodes, sc._residual
-
-    def counted(*args):
-        counts[0] += 1
-        return count_nodes(*args)
+    exponents = []
+    residual = sc._residual
 
     def evaluated(*args):
-        passes[0] += 1
         out = residual(*args)
         exponents.append(out[2])
         return out
 
-    monkeypatch.setattr(sc, "_count_nodes", counted)
     monkeypatch.setattr(sc, "_residual", evaluated)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -145,10 +124,11 @@ def test_harmonic_well_through_rescaled_passes(kind, center, monkeypatch):
     assert min(exponents) > 1000  # every pass went through the blocks
     # the rescaled passes carry det T(E) and its slope by the same power of
     # two, so Newton takes a step as on an unscaled pass.  Measured: an open
-    # end's 1e-6 count bracket takes 73 counts for the 3 states, and each
-    # state one pass at either end of it and two Newton steps
-    assert counts[0] <= 25 * len(states)
-    assert passes[0] <= 4 * len(states)
+    # end's 1e-6 count bracket takes 73 counts for the 3 states (33, 20 and
+    # 20, the window's on state 0), and each state one pass at either end of
+    # it and two Newton steps
+    assert sum(s.count_calls for s in states) <= 25 * len(states)
+    assert all(s.newton_passes <= 4 for s in states)
 
 
 def test_half_line_pass_whose_slope_overflows_is_silent():
