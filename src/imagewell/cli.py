@@ -69,8 +69,6 @@ class SweepSpec:
     log: bool = False
 
     def values(self) -> np.ndarray:
-        if self.count == 1:
-            return np.asarray([self.start])
         if self.log:
             return np.geomspace(self.start, self.stop, self.count)
         return np.linspace(self.start, self.stop, self.count)
@@ -140,9 +138,8 @@ def _checked(conv, ok, need: str):
 _MAX_POINTS = round(1.0 / el.MIN_OFFSET_FRAC) + 1
 _POINTS = _checked(int, lambda n: 50 <= n <= _MAX_POINTS, f"in [50, {_MAX_POINTS}]")
 _STATES = _checked(int, lambda n: n >= 1, ">= 1")
-_MASS = _checked(float, lambda x: x > 0.0, "> 0")
 _CHARGE = _checked(float, math.isfinite, "finite")
-_LENGTH = _checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
+_POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
 _INDEX = _checked(int, lambda n: n >= 0, ">= 0")
 _GAPS = _checked(parse_sweep, lambda s: s.count == 1 or s.start < s.stop,
                  "ascending (start < stop) when count > 1")
@@ -173,9 +170,9 @@ _SCHEMAS: dict[str, dict] = {
                 "relative truncation tolerance"),
     },
     "eigen": {
-        "gap": (_LENGTH, _REQUIRED, "plate separation (nm)"),
+        "gap": (_POSITIVE, _REQUIRED, "plate separation (nm)"),
         "q": (_CHARGE, -1.0, "charge in elementary units (0 = bare box)"),
-        "mass": (_MASS, 1.0, "effective mass in electron masses"),
+        "mass": (_POSITIVE, 1.0, "effective mass in electron masses"),
         "states": (_STATES, 2, "number of states"),
         "points": (_POINTS, 4001, "grid points"),
     },
@@ -186,7 +183,7 @@ _SCHEMAS: dict[str, dict] = {
                 "vacuum gap sweep (nm), 0 allowed as the contact limit"),
         "states": (_STATES, 1, "number of states"),
         "points": (_POINTS, 4001, "grid points"),
-        "dmax": (_LENGTH, None, "override domain truncation (nm)"),
+        "dmax": (_POSITIVE, None, "override domain truncation (nm)"),
     },
     "film": {
         "material": (str, _REQUIRED, "film registry name (needs a layer thickness)"),
@@ -194,13 +191,13 @@ _SCHEMAS: dict[str, dict] = {
                    "layer counts start:stop[:step]"),
         "states": (_STATES, 1, "number of states"),
         "points": (_POINTS, 4001, "grid points"),
-        "dmax": (_LENGTH, None, "override domain truncation (nm)"),
+        "dmax": (_POSITIVE, None, "override domain truncation (nm)"),
     },
     "plates": {
         "gap": (_OPEN_GAPS, _REQUIRED, "plate separation sweep (nm)"),
         "states": (_STATES, 2, "number of states"),
         "q": (_CHARGE, -1.0, "charge in elementary units"),
-        "mass": (_MASS, 1.0, "effective mass in electron masses"),
+        "mass": (_POSITIVE, 1.0, "effective mass in electron masses"),
         "points": (_POINTS, 4001, "grid points"),
     },
     "levitate": {
@@ -211,7 +208,7 @@ _SCHEMAS: dict[str, dict] = {
                     "Hamaker constant in J (default is a placeholder, not a sourced value)"),
         "state": (_INDEX, 0, "state index the electrons occupy"),
         "q": (_CHARGE, -1.0, "charge in elementary units"),
-        "mass": (_MASS, 1.0, "effective mass in electron masses"),
+        "mass": (_POSITIVE, 1.0, "effective mass in electron masses"),
         "points": (_POINTS, 4001, "grid points"),
         "delta": (_checked(float, lambda x: 0.0 < x < 0.1, "in (0, 0.1)"), 1.0e-3,
                   "relative step for force differentiation"),

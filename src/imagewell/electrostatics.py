@@ -25,12 +25,13 @@ image populations on opposite sides of the slab.
 Every grouped series runs through one engine that sums all points of an
 array at once.  Each scalar function is its curve (``slab_potential_curve``,
 ``halfplane_potential_curve``, ``plate_plate_curve``) at one point; only the
-images route brings its own groups, block by block from the mirror recursion
+images route brings its own groups, chunk by chunk from the mirror recursion
 run as array sums and products (``_mirror_chains``, which ``generate_images``
-shares).  The engine owns the memory of every sum: a block function writes
-groups into two buffers of about ``_CHUNK`` elements, made once per sum, and
-the engine folds chunk after chunk into the block's sum in group order, to
-the same floats as one sum over the whole (groups, points) block.
+shares).  The engine owns the memory of every sum: it draws a block in
+chunks of at most ``_CHUNK`` values and ``_CHUNK_GROUPS`` groups into two
+buffers made once per sum, and folds them into the block's sum in group
+order, to the same floats as one sum over the whole (groups, points) block
+at more than one point, and with each chunk summed pairwise at one point.
 
 Lengths at the API are nanometers; potentials are volts per elementary
 charge and energies electron-volts.  Internal sums run in Hartree atomic
@@ -57,9 +58,11 @@ MIN_OFFSET_FRAC = 1.0e-4
 _TERM_CAP = 1_000_000
 _BLOCK0 = 64
 _BLOCK_MAX = 65536
-# Elements per chunk a block is drawn in: a sum's two chunk buffers (1 MiB)
-# stay in cache, where whole (groups, points) blocks reach hundreds of MiB
+# A chunk holds at most _CHUNK values and _CHUNK_GROUPS groups: a sum's two
+# buffers (1 MiB) and the images recursion's arrays stay in cache, where
+# whole (groups, points) blocks reach hundreds of MiB
 _CHUNK = 65536
+_CHUNK_GROUPS = 4096
 _TINY = 1.0e-300
 
 
@@ -215,25 +218,22 @@ def _sum_grouped(block_fn, bound_fn, exact_tail_fn, tol: float, to_api, shape: t
     exact remainder (group ratio 1) is added after the first block.  Returns
     ``(to_api(sum), groups, rel. bound)``.
 
-    A block is drawn in chunks of ``_CHUNK // points`` groups:
-    ``block_fn(n0, n1, out, tmp)`` writes groups n0..n1-1 into ``out``, shape
-    ``(n1 - n0,) + shape``, using ``tmp`` of the same shape as scratch.  Both
-    are views of two buffers made once per sum (while one chunk holds a whole
-    block, they grow with it).  The block's running sum rides in row 0 of each
-    later chunk, so one ``sum(axis=0)`` per chunk continues the sequential fold
-    numpy makes of a whole (groups, points) block; at one point a block is one
-    chunk, summed pairwise as a whole.
+    A block is drawn in chunks of at most ``_CHUNK`` values and
+    ``_CHUNK_GROUPS`` groups: ``block_fn(n0, n1, out, tmp)`` writes groups
+    n0..n1-1 into ``out``, shape ``(n1 - n0,) + shape``, using ``tmp`` of the
+    same shape as scratch.  Both are views of two buffers made once per sum.
+    The block's running sum rides in row 0 of each later chunk, so one
+    ``sum(axis=0)`` per chunk continues the sequential fold numpy makes of a
+    whole (groups, points) block; at one point each chunk is summed pairwise.
     """
-    rows = max(2, _CHUNK // max(1, math.prod(shape)))
-    buf = tmp = np.empty((0,) + shape)
+    rows = max(2, min(_CHUNK_GROUPS, _CHUNK // max(1, math.prod(shape))))
+    buf, tmp = np.empty((rows,) + shape), np.empty((rows,) + shape)
     acc = np.empty(shape)
     total = 0.0
     n = 0
     block = _BLOCK0
     while True:
         k = min(rows, block)  # rows of the buffers in use
-        if len(buf) < k:
-            buf, tmp = np.empty((k,) + shape), np.empty((k,) + shape)
         block_fn(n, n + k, buf[:k], tmp[:k])
         for m in range(n + k, n + block, rows - 1):  # the block's later chunks
             buf[0] = buf[:k].sum(axis=0, out=acc)
@@ -332,27 +332,20 @@ def _mirror_chains(s, m, a, b, bset: BetaSet, pairs: int):
     return s, m
 
 
-# Groups per pass of the images route's recursion: a whole block of up to
-# _BLOCK_MAX groups at once would hold about a dozen arrays of that size
-_SUB_BLOCK = 4096
-
-
 def _image_groups(z0: float, a: float, b: float, bset: BetaSet):
     """Block function of explicit image charges for one source at z0: groups
     n0..n1-1, group n being chains A and B at orders 2n + 1 and 2n + 2,
     summed as ma/|z0 - pa| + mb/|pb - z0| + (ma'/|pa' - z0| + mb'/|z0 - pb'|).
     Each call continues both chains from where the last one stopped, built
-    by ``_mirror_chains`` ``_SUB_BLOCK`` groups at a time."""
+    by one ``_mirror_chains`` call."""
     s, m = -z0, 1.0
 
     def block(n0, n1, out, _tmp):
         nonlocal s, m
-        for i in range(0, n1 - n0, _SUB_BLOCK):
-            pairs = min(_SUB_BLOCK, n1 - n0 - i)
-            signed, mag = _mirror_chains(s, m, a, b, bset, pairs)
-            s, m = signed[:, -1, 1], mag[:, -1, 1]
-            t = mag / np.abs(z0 - signed * _ALTERNATE)
-            out[i : i + pairs] = (t[0, :, 0] + t[1, :, 0]) + (t[0, :, 1] + t[1, :, 1])
+        signed, mag = _mirror_chains(s, m, a, b, bset, n1 - n0)
+        s, m = signed[:, -1, 1], mag[:, -1, 1]
+        t = mag / np.abs(z0 - signed * _ALTERNATE)
+        out[:] = (t[0, :, 0] + t[1, :, 0]) + (t[0, :, 1] + t[1, :, 1])
 
     return block
 
@@ -609,8 +602,6 @@ def _plate_sum(stack: DielectricStack, z0_nm, q: float, tol: float):
     _require_source(stack, z0_nm, q)
     z0, a, b, c, bset = _slab_geometry_au(stack, z0_nm)
     rho, b21, b23 = bset.ratio, bset.beta_21, bset.beta_23
-    if b21 == 0.0 or b23 == 0.0:
-        return np.zeros_like(z0_nm)
     da, db = z0 - a, b - z0
     to_ev = lambda s: q * q * s / stack.k2 * HARTREE_EV  # noqa: E731
     if b21 == -1.0 and b23 == -1.0:  # two metals: the remainder from group 0 is exact

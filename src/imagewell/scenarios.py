@@ -20,7 +20,6 @@ in rows are eV, gaps nm, forces N, masses kg.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -128,9 +127,11 @@ def halfline_profile(
     default at max(20 x expected Bohr radius of the highest requested state,
     10 x gap).  The potential is evaluated off the wall only; the wall entry
     repeats its neighbour.  A zero gap collapses exactly to the bare metal wall.
+    ``n_points`` is an integer >= 3, the fewest a profile takes.
     """
     if gap_nm < 0.0:
         raise DomainError("gap must be >= 0")
+    sc._require_count("n_points", n_points, 3)
     if d_max_nm is None:
         scales = [
             sc.hydrogenic_bohr_radius_nm(
@@ -165,9 +166,11 @@ def interval_profile(
     """Self-energy profile of a charge between two metal plates a distance
     ``gap_nm`` apart (walls at both ends, each repeating its neighbour).  The
     left half of the grid is evaluated off the wall and mirrored, so the
-    profile equals its mirror float for float."""
+    profile equals its mirror float for float.  ``n_points`` is an integer
+    >= 3, the fewest a profile takes."""
     if gap_nm <= 0.0:
         raise DomainError("gap must be > 0")
+    sc._require_count("n_points", n_points, 3)
     stack = el.DielectricStack.double_metal(gap_nm)
     grid_nm = np.linspace(0.0, gap_nm, n_points)
     if q == 0.0:
@@ -201,7 +204,9 @@ class SweepRow:
 def _halfline_rows(eps_host, eps_slab, m_eff, q, cases, n_states, n_points, d_max_nm):
     """Solve one half-line row per ``(gap_nm, layers)`` case; a row whose
     profile or spectrum fails is flagged with NaN values and None kinds, not
-    dropped."""
+    dropped.  An ``n_states`` that is not an integer >= 1 raises
+    ``DomainError`` before any row."""
+    sc._require_count("n_states", n_states, 1)
     rows = []
     for gap, layers in cases:
         try:
@@ -428,8 +433,7 @@ def _force_budget(
         raise DomainError("need gap > 0, and area and hamaker finite and >= 0")
     if not 0.0 < delta_frac < 1.0:
         raise DomainError(f"delta_frac must lie in (0, 1), got {delta_frac}")
-    if not (isinstance(state_index, numbers.Integral) and state_index >= 0):
-        raise DomainError(f"state_index must be an integer >= 0, got {state_index!r}")
+    sc._require_count("state_index", state_index, 0)
     dd = delta_frac * gap_nm
     g_lo, g_hi = gap_nm - dd, gap_nm + dd
     centre, e_mid, u_mid = _energy_and_pp(gap_nm, state_index, q, m_eff, n_points)

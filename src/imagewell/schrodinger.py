@@ -357,6 +357,12 @@ def _profile_is_symmetric(profile: PotentialProfile) -> bool:
     return bool(np.all(np.abs(u - u[::-1]) <= 1.0e-9 * scale))
 
 
+def _require_count(name: str, value, least: int) -> None:
+    """``DomainError`` unless ``value`` is an integer (NumPy's too) >= ``least``."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _finalize(energy_h: float, psi: np.ndarray, profile: PotentialProfile,
               nodes: int, parity: Parity | None = None,
               count_calls: int = 0, newton_passes: int = 0) -> Eigenstate:
@@ -428,8 +434,7 @@ def solve_eigenstates(
     ``GridError``; more states than T(E) has rows, or levels that no count
     separates at float resolution, raise ``EigenSearchError``.
     """
-    if not (isinstance(n_states, numbers.Integral) and n_states >= 1):
-        raise DomainError(f"n_states must be an integer >= 1, got {n_states!r}")
+    _require_count("n_states", n_states, 1)
     if not (m_eff > 0.0 and math.isfinite(m_eff)):
         raise DomainError("m_eff must be positive and finite")
     if guesses is not None and len(guesses) != n_states:
@@ -451,14 +456,15 @@ def solve_eigenstates(
     if n < 4:  # a mirror of 3 points leaves its odd half no row
         raise GridError(f"shooting needs at least 4 grid points, got {n}")
     # Numerov's factors h^2/12 2m (u - E) lose digits once h^2 or their
-    # coefficient leaves the normal floats, and the 1/span^2 energy scale
-    # overflows soon after (about a 1e-152 nm gap on 4001 points)
-    if h * h < sys.float_info.min:
-        raise GridError(f"grid step {h:.3g} Bohr too fine: h^2 is not a normal float")
+    # coefficient falls below the normal floats, and the 1/span^2 energy scale
+    # overflows soon after (about a 1e-152 nm gap on 4001 points); past the
+    # largest float they are inf, and every count NaN
+    if not sys.float_info.min <= h * h < math.inf:
+        raise GridError(f"grid step {h:.3g} Bohr out of range: h^2 is not a normal float")
     coefficient = h * h / 12.0 * two_m  # as every kernel forms it
-    if coefficient < sys.float_info.min:
+    if not sys.float_info.min <= coefficient < math.inf:
         raise GridError(f"h^2/12 2m = {coefficient:.3g} is not a normal float: "
-                        "step or mass too small")
+                        "step or mass out of range")
     # window from below the well bottom to past the barrier top (interval)
     # or the tail (half line); a mirror's halves hold alternate states
     span = profile.span_bohr
@@ -572,8 +578,7 @@ def diagonalization_oracle(
     eigenvector changes sign exactly j times (Gantmacher & Krein,
     *Oscillation Matrices and Kernels*, ch. II).
     """
-    if not (isinstance(n_states, numbers.Integral) and n_states >= 1):
-        raise DomainError(f"n_states must be an integer >= 1, got {n_states!r}")
+    _require_count("n_states", n_states, 1)
     if not (m_eff > 0.0 and math.isfinite(m_eff)):
         raise DomainError("m_eff must be positive and finite")
     n = profile.grid_bohr.size
@@ -649,21 +654,6 @@ def hydrogenic_energy_ev(p: HydrogenicParams) -> float:
 
 def hydrogenic_bohr_radius_nm(p: HydrogenicParams) -> float:
     return p.n * p.n * BOHR_RADIUS_NM * p.eps_host / (p.z_eff * p.m_eff)
-
-
-def radial_wavefunction(p: HydrogenicParams, r_nm) -> np.ndarray:
-    """Normalized radial function R_n (s states, n <= 3) in nm^(-3/2)."""
-    r = np.asarray(r_nm, dtype=float)
-    a = BOHR_RADIUS_NM * p.eps_host / p.m_eff  # effective length scale
-    x = p.z_eff * r / a
-    zn = p.z_eff / (p.n * a)
-    if p.n == 1:
-        return 2.0 * zn**1.5 * np.exp(-x)
-    if p.n == 2:
-        return 2.0 * zn**1.5 * (1.0 - 0.5 * x) * np.exp(-0.5 * x)
-    if p.n == 3:
-        return 2.0 * zn**1.5 * (1.0 - 2.0 * x / 3.0 + 2.0 * x * x / 27.0) * np.exp(-x / 3.0)
-    raise DomainError("radial forms implemented for n in {1, 2, 3}")
 
 
 def bohr_radius_numeric(state: Eigenstate) -> float:

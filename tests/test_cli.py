@@ -149,6 +149,10 @@ def test_validation_rules_reject_bad_values():
         ["schottky", "--material", "GaAs", "--gap", "0:inf:3"],
         ["schottky", "--material", "GaAs", "--gap", "1", "--dmax", "inf"],
         ["film", "--material", "sAr", "--layers", "1", "--dmax", "inf"],
+        # an effective mass is finite
+        ["eigen", "--gap", "1", "--mass", "inf"],
+        ["plates", "--gap", "1", "--mass", "inf"],
+        ["levitate", "--gap", "1", "--n", "1", "--area", "0", "--mass", "inf"],
         # the stack rejects impossible permittivities, and the whole z0 sweep,
         # descending too, must stay inside the slab
         POTENTIAL_ARGS + ["--k1", "-2"],
@@ -325,11 +329,12 @@ LEVITATE_TAIL = ["--n", "1", "--area", "0", "--hamaker", "0"]
 
 @pytest.mark.parametrize("bad", [
     ["--gap", "1e-300"], ["--gap", "1", "--q", "1e200"], ["--gap", "1e-150", "--mass", "1e-7"],
-    ["--gap", "1", "--mass", "1e-308"], ["--gap", "1.6", "--mass", "1e-310"],
-], ids=["tiny_gap", "huge_charge", "tiny_gap_light", "tiny_mass", "subnormal_mass"])
+    ["--gap", "1", "--mass", "1e-308"], ["--gap", "1.6", "--mass", "1e-310"], ["--gap", "1e300"],
+], ids=["tiny_gap", "huge_charge", "tiny_gap_light", "tiny_mass", "subnormal_mass", "huge_gap"])
 def test_unsolvable_plates_exit_one_with_typed_errors(capsys, bad):
-    # a step too fine for Numerov, a potential past the float range, or a
-    # step and mass whose Numerov coefficient h^2/12 2m is not a normal float
+    # a step too fine for Numerov or whose square overflows, a potential past
+    # the float range, or a step and mass whose Numerov coefficient h^2/12 2m
+    # is not a normal float
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["eigen"] + bad) == 1

@@ -189,16 +189,20 @@ BITWISE_STACKS = [
 def test_image_groups_equal_the_scalar_recursion(stack, monkeypatch):
     z0_nm = stack.a_nm + 0.4 * stack.c_nm
     z0, a, b, _, bset = el._slab_geometry_au(stack, z0_nm)
-    # blocks as _sum_grouped draws them, to 32,704 groups: past both the
-    # 4,096-group passes and the doubling block boundaries
-    block, n, size, got = el._image_groups(float(z0), a, b, bset), 0, el._BLOCK0, []
-    while n < 20_000:
-        got.append(np.empty(size))
-        block(n, n + size, got[-1], None)
-        n, size = n + size, min(2 * size, el._BLOCK_MAX)
-    assert max(map(len, got)) > el._SUB_BLOCK
+    # the engine's own calls at one point, to 32,704 groups: past the chunk
+    # boundaries inside the larger blocks and the doubling block boundaries
+    block, calls = el._image_groups(float(z0), a, b, bset), []
+
+    def recorded(n0, n1, out, tmp):
+        block(n0, n1, out, tmp)
+        calls.append((n0, n1, out.copy()))
+
+    n = el._sum_grouped(recorded, lambda n: math.inf if n < 20_000 else 0.0, None, 1.0e-10,
+                        lambda s: s, ())[1]
+    assert [c[0] for c in calls[1:]] == [c[1] for c in calls[:-1]] and calls[-1][1] == n
+    assert max(c[1] - c[0] for c in calls) == el._CHUNK_GROUPS
     expected = np.fromiter(islice(scalar_image_groups(float(z0), a, b, bset), n), float, n)
-    assert np.array_equal(np.concatenate(got), expected)
+    assert np.array_equal(np.concatenate([c[2] for c in calls]), expected)
     # and the whole route: the same sum, group count and bound
     fast = el.potential_slab_images(stack, z0_nm)
     monkeypatch.setattr(el, "_image_groups", scalar_block)
@@ -591,7 +595,7 @@ def test_curves_equal_the_whole_block_engine(family, points, monkeypatch):
 
 
 def test_chunked_blocks_past_the_chunk_size_equal_the_whole_block_engine(monkeypatch):
-    # at 2 points a chunk holds 32,768 groups, half the largest block
+    # a chunk holds 4,096 groups at 2 points, a sixteenth of the largest block
     z = np.array([0.3, 0.4])
     chunked = el._slab_sum(HIGH_CONTRAST, z, 1.0, 1.0e-10)
     assert chunked[1] > el._BLOCK_MAX
@@ -617,6 +621,15 @@ def test_curve_memory_stays_at_the_chunk_buffers():
                            np.linspace(0.0, 60.0, 4001)[1:]) <= 2.0
     assert traced_peak_mib(el.slab_potential_curve, HIGH_CONTRAST,
                            np.linspace(0.05, 0.95, 100)) <= 4.0
+
+
+@pytest.mark.parametrize("fn", [el.potential_slab_series, el.potential_slab_images,
+                                el.plate_plate_energy])
+def test_one_point_memory_stays_at_the_chunk_groups(fn):
+    # 262,080 groups at one point: chunks of 4,096 groups keep every route
+    # near 0.2 MiB (the images route's recursion near 0.8 MiB), where blocks
+    # of up to 65,536 groups drawn as one chunk took 1.9-3.5 MiB
+    assert traced_peak_mib(fn, HIGH_CONTRAST, 0.4) <= 1.0
 
 
 def direct_term_ladder_block(da, db, c, rho, beta_a, beta_b, direct):

@@ -372,6 +372,48 @@ def test_state_counts_must_be_integers(argument, value):
     assert numpy_index == sn.total_force(1, 1.0, 0.0, 0.0, state_index=1, q=0.0, n_points=101)
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, 0, -1])
+def test_sweep_state_counts_are_checked_before_any_row(value, monkeypatch):
+    # a sweep's state count that is not an integer >= 1 raises DomainError
+    # before any row's profile is built; NumPy integers are integers
+    gaas, sar = sn.get_material("GaAs"), sn.get_material("sAr")
+    sweeps = [
+        lambda n: sn.schottky_gap_sweep(gaas, sn.Carrier.ELECTRON, [1.0], n_states=n),
+        lambda n: sn.noble_film_sweep(sar, [4], n_states=n),
+    ]
+    real, built = sn.halfline_profile, []
+    monkeypatch.setattr(sn, "halfline_profile", lambda *a, **k: built.append(a) or real(*a, **k))
+    for sweep in sweeps:
+        with pytest.raises(DomainError, match="n_states must be an integer >= 1"):
+            sweep(value)
+    assert built == []
+    for sweep in sweeps:
+        (row,) = sweep(np.int64(2))
+        assert not row.failed and len(row.energies_ev) == 2
+
+
+@pytest.mark.parametrize("value", [2.0, 2, -1, 3.5])
+def test_profile_point_counts_must_be_integers(value):
+    # a profile takes an integer >= 3 of points: both builders, and every
+    # study built on them, raise DomainError, and sweep rows flag it
+    message = "n_points must be an integer >= 3"
+    builders = [
+        lambda: sn.interval_profile(1.0, n_points=value),
+        lambda: sn.halfline_profile(12.9, 1.0, 1.0, n_points=value),
+        lambda: sn.two_plate_spectrum(1.0, n_points=value),
+        lambda: sn.total_force(1, 1.0, 0.0, 0.0, n_points=value),
+    ]
+    for build in builders:
+        with pytest.raises(DomainError, match=message):
+            build()
+    (row,) = sn.levitation_curve([1.0], 1, 0.0, 0.0, n_points=value)
+    assert row.failed and message in row.message and math.isnan(row.mass_kg)
+    (row,) = sn.schottky_gap_sweep(sn.get_material("GaAs"), sn.Carrier.ELECTRON, [1.0],
+                                   n_points=value)
+    assert row.failed and message in row.message
+    assert sn.interval_profile(1.0, n_points=np.int64(3)).grid_bohr.size == 3
+
+
 def test_casimir_and_vdw_forces():
     casimir = sn.casimir_force(1.0e-6, 10.0)
     vdw = sn.vdw_force(1.0e-19, 10.0)

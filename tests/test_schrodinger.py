@@ -619,8 +619,6 @@ def test_hydrogenic_validation():
         sc.HydrogenicParams(z_eff=0.0)
     with pytest.raises(DomainError):
         sc.HydrogenicParams(z_eff=0.25, n=0)
-    with pytest.raises(DomainError):
-        sc.radial_wavefunction(sc.HydrogenicParams(z_eff=0.25, n=4), 1.0)
 
 
 @pytest.mark.parametrize("fn, args, kwargs", [
@@ -642,18 +640,6 @@ def test_closed_forms_reject_unusable_input(fn, args, kwargs):
     # each check is written so that NaN fails it
     with pytest.raises(DomainError):
         fn(*args, **kwargs)
-
-
-def test_radial_functions_are_normalized():
-    r = np.linspace(0.0, 40.0, 200001)
-    for n in (1, 2, 3):
-        p = sc.HydrogenicParams(z_eff=0.25, n=n)
-        radial = sc.radial_wavefunction(p, r)
-        norm = np.trapezoid(radial * radial * r * r, r)
-        assert abs(norm - 1.0) < 1e-4
-    p1 = sc.HydrogenicParams(z_eff=0.25)
-    at_origin = sc.radial_wavefunction(p1, np.array([0.0]))[0]
-    assert at_origin == pytest.approx(2.0 * (0.25 / BOHR_RADIUS_NM) ** 1.5, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
