@@ -75,7 +75,8 @@ class SweepSpec:
 
 
 def parse_sweep(text: str) -> SweepSpec:
-    """A sweep of at least one point between finite ends, else ValueError."""
+    """A sweep of at least one point between finite ends a finite distance
+    apart, else ValueError."""
     parts = text.split(":")
     if len(parts) == 1:
         parts = [parts[0], parts[0], "1"]
@@ -89,8 +90,8 @@ def parse_sweep(text: str) -> SweepSpec:
         raise ValueError(f"bad sweep spec {text!r}; expected start:stop:count[:log]")
     if not 1 <= spec.count <= _MAX_ROWS:
         raise ValueError(f"count must be >= 1 and <= {_MAX_ROWS}")
-    if not (math.isfinite(spec.start) and math.isfinite(spec.stop)):
-        raise ValueError("start and stop must be finite")
+    if not math.isfinite(spec.stop - spec.start):  # inf - inf is NaN
+        raise ValueError("start, stop and stop - start must be finite")
     if spec.log and not (min(spec.start, spec.stop) > 0.0 or max(spec.start, spec.stop) < 0.0):
         raise ValueError("a log sweep needs nonzero ends of one sign")
     return spec
@@ -167,7 +168,7 @@ _SCHEMAS: dict[str, dict] = {
         "z0": (parse_sweep, _REQUIRED, "charge position sweep inside (a, b) (nm)"),
         "q": (_CHARGE, 1.0, "charge in elementary units"),
         "tol": (_checked(float, lambda x: 0.0 < x < 1.0, "in (0, 1)"), 1.0e-10,
-                "relative truncation tolerance"),
+                "relative truncation tolerance of the series and images routes"),
     },
     "eigen": {
         "gap": (_POSITIVE, _REQUIRED, "plate separation (nm)"),
@@ -398,24 +399,18 @@ def _run_schottky(p):
     return header, rows, failed, meta
 
 
-@functools.cache
-def _default_effective_epsilon_table() -> sn.EffectiveEpsilonTable:
-    return sn.effective_epsilon_curve()
-
-
 def _run_film(p):
     mat = sn.get_material(p["material"])
     sweep = sn.noble_film_sweep(
         mat, p["layers"], n_states=p["states"], n_points=p["points"],
         d_max_nm=p["dmax"],
     )
-    table = _default_effective_epsilon_table()
     header, rows, failed = _sweep_rows_to_table(sweep, p["states"])
     k = p["states"] + 2  # the readout follows the gap, the energies and bohr
     header[:k] = ["layers(count)", *header[:k], "eff_eps(1)"]
     for r, row in zip(sweep, rows):
         try:  # inf with no film, NaN where the table reads out no radius
-            eff = math.inf if r.layers == 0 else sn.effective_epsilon(r.bohr_nm[0], table)
+            eff = math.inf if r.layers == 0 else sn.effective_epsilon(r.bohr_nm[0])
         except ImagewellError:
             eff = math.nan
         row[:k] = [r.layers, *row[:k], eff]

@@ -48,7 +48,7 @@ import numpy as np
 from scipy.special import digamma
 
 from .constants import HARTREE_EV, nm_to_bohr
-from .errors import ConvergenceError, DomainError, SingularityError, StackError
+from .errors import ConvergenceError, DomainError, SingularityError, StackError, require_count
 
 METAL = math.inf
 
@@ -64,6 +64,9 @@ _BLOCK_MAX = 65536
 _CHUNK = 65536
 _CHUNK_GROUPS = 4096
 _TINY = 1.0e-300
+# Relative tolerance of every series and of the quadrature; only the series
+# and images routes take another
+_TOL = 1.0e-10
 
 
 def _check_permittivity(k: float, name: str, allow_metal: bool) -> None:
@@ -172,10 +175,10 @@ def generate_images(
     first mirror) contributes one image per reflection count up to
     ``max_order``.  Positions are built by the mirror recursion
     z -> 2*z_interface - z with the magnitude picking up the corresponding
-    reflection coefficient at each step (``_mirror_chains``).
+    reflection coefficient at each step (``_mirror_chains``).  A
+    ``max_order`` that is not an integer >= 1 raises ``DomainError``.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
+    require_count("max_order", max_order, 1)
     _require_source(stack, np.asarray([z0_nm]), q)
     bset = beta_coefficients(stack.k1, stack.k2, stack.k3)
     s, m = _mirror_chains(-float(z0_nm), float(q), stack.a_nm, stack.b_nm, bset,
@@ -372,7 +375,7 @@ def _slab_sum(stack: DielectricStack, z0_nm, q: float, tol: float, images: bool 
 
 
 def potential_slab_series(
-    stack: DielectricStack, z0_nm: float, q: float = 1.0, tol: float = 1.0e-10
+    stack: DielectricStack, z0_nm: float, q: float = 1.0, tol: float = _TOL
 ) -> PotentialValue:
     """Induced potential on a charge in the slab, by the reflection series.
 
@@ -386,7 +389,7 @@ def potential_slab_series(
 
 
 def potential_slab_images(
-    stack: DielectricStack, z0_nm: float, q: float = 1.0, tol: float = 1.0e-10
+    stack: DielectricStack, z0_nm: float, q: float = 1.0, tol: float = _TOL
 ) -> PotentialValue:
     """Induced potential on a charge in the slab, by summing explicit image
     charges from the alternating-reflection recursion (same grouping and
@@ -396,15 +399,13 @@ def potential_slab_images(
     return PotentialValue(float(v), terms, float(err))
 
 
-def slab_potential_curve(
-    stack: DielectricStack, z0_nm: np.ndarray, q: float = 1.0, tol: float = 1.0e-10
-) -> np.ndarray:
+def slab_potential_curve(stack: DielectricStack, z0_nm: np.ndarray, q: float = 1.0) -> np.ndarray:
     """``potential_slab_series`` evaluated on an array of positions; returns
     volts per elementary charge."""
-    return _slab_sum(stack, z0_nm, q, tol)[0]
+    return _slab_sum(stack, z0_nm, q, _TOL)[0]
 
 
-def _halfplane_sum(stack: DielectricStack, dist_a_nm, q: float, tol: float):
+def _halfplane_sum(stack: DielectricStack, dist_a_nm, q: float):
     if not math.isfinite(q):
         raise DomainError(f"charge q must be finite, got {q}")
     if stack.k1 == METAL:
@@ -419,15 +420,12 @@ def _halfplane_sum(stack: DielectricStack, dist_a_nm, q: float, tol: float):
     c = nm_to_bohr(stack.c_nm)
     # the slab ladder seen from region 1: no direct round trip term
     block, bound = _ladder(da, da + c, c, bset.ratio, b12, bset.beta_23, 0.0)
-    return _sum_grouped(block, bound, None, tol, lambda s: q * s / stack.k1 * HARTREE_EV,
+    return _sum_grouped(block, bound, None, _TOL, lambda s: q * s / stack.k1 * HARTREE_EV,
                         dist_a_nm.shape)
 
 
 def potential_left_halfplane(
-    stack: DielectricStack,
-    dist_a_nm: float,
-    q: float = 1.0,
-    tol: float = 1.0e-10,
+    stack: DielectricStack, dist_a_nm: float, q: float = 1.0
 ) -> PotentialValue:
     """Induced potential on a charge sitting in region 1, a distance
     ``dist_a_nm`` left of the first interface.
@@ -435,15 +433,15 @@ def potential_left_halfplane(
     The series uses only bounded interface coefficients, so metal region 3
     is handled without any diverging intermediate.
     """
-    v, terms, err = _halfplane_sum(stack, dist_a_nm, q, tol)
+    v, terms, err = _halfplane_sum(stack, dist_a_nm, q)
     return PotentialValue(float(v), terms, float(err))
 
 
 def halfplane_potential_curve(
-    stack: DielectricStack, dist_a_nm: np.ndarray, q: float = 1.0, tol: float = 1.0e-10
+    stack: DielectricStack, dist_a_nm: np.ndarray, q: float = 1.0
 ) -> np.ndarray:
     """``potential_left_halfplane`` evaluated on an array of distances."""
-    return _halfplane_sum(stack, dist_a_nm, q, tol)[0]
+    return _halfplane_sum(stack, dist_a_nm, q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +523,7 @@ def _panel_nodes(edges_lo, edges_hi, rule):
 
 
 def potential_kernel_quadrature(
-    stack: DielectricStack, z0_nm: float, q: float = 1.0, rtol: float = 1.0e-10
+    stack: DielectricStack, z0_nm: float, q: float = 1.0
 ) -> PotentialValue:
     """Induced potential on a charge in the slab via adaptive panel
     integration of the wavenumber-space boundary-value solution.
@@ -565,7 +563,7 @@ def potential_kernel_quadrature(
     for _ in range(40):
         total = vals.sum()
         scale = max(abs(total), _TINY)
-        if errs.sum() <= max(rtol * scale, noise_floor):
+        if errs.sum() <= max(_TOL * scale, noise_floor):
             break
         worst = np.argsort(errs)[-max(2, len(errs) // 8):]
         splits = panels[worst]
@@ -597,9 +595,11 @@ def potential_kernel_quadrature(
 # Cross-slab image-image interaction
 
 
-def _plate_sum(stack: DielectricStack, z0_nm, q: float, tol: float):
+def _plate_sum(stack: DielectricStack, z0_nm, q: float):
     z0_nm = np.asarray(z0_nm, dtype=float)
     _require_source(stack, z0_nm, q)
+    if not math.isfinite(q * q):
+        raise DomainError(f"charge q = {q} out of range: q^2 overflows")
     z0, a, b, c, bset = _slab_geometry_au(stack, z0_nm)
     rho, b21, b23 = bset.ratio, bset.beta_21, bset.beta_23
     da, db = z0 - a, b - z0
@@ -623,12 +623,10 @@ def _plate_sum(stack: DielectricStack, z0_nm, q: float, tol: float):
     def bound(t):
         return 2.0 * abs(rho) ** (t + 1.0) / (c * (1.0 - abs(rho)))
 
-    return _sum_grouped(block, bound, None, tol, to_ev, z0_nm.shape)[0]
+    return _sum_grouped(block, bound, None, _TOL, to_ev, z0_nm.shape)[0]
 
 
-def plate_plate_energy(
-    stack: DielectricStack, z0_nm: float, q: float = 1.0, tol: float = 1.0e-10
-) -> float:
+def plate_plate_energy(stack: DielectricStack, z0_nm: float, q: float = 1.0) -> float:
     """Interaction energy (eV) between the image population left of the slab
     and the one right of it, for a charge at z0 inside the slab;
     ``plate_plate_curve`` at one point.
@@ -637,14 +635,13 @@ def plate_plate_energy(
     real charge itself is not a partner.  Terms are grouped by the combined
     reflection depth of the pair, which decays geometrically for |ratio| < 1
     and like 1/s^3 between two metals, where the whole sum is the exact
-    digamma remainder from the first group on.
+    digamma remainder from the first group on.  A charge whose square
+    overflows raises ``DomainError``.
     """
-    return float(_plate_sum(stack, z0_nm, q, tol))
+    return float(_plate_sum(stack, z0_nm, q))
 
 
-def plate_plate_curve(
-    stack: DielectricStack, z0_nm: np.ndarray, q: float = 1.0, tol: float = 1.0e-10
-) -> np.ndarray:
+def plate_plate_curve(stack: DielectricStack, z0_nm: np.ndarray, q: float = 1.0) -> np.ndarray:
     """``plate_plate_energy`` (eV) evaluated on an array of slab positions;
     all positions share one grouped summation."""
-    return _plate_sum(stack, z0_nm, q, tol)
+    return _plate_sum(stack, z0_nm, q)

@@ -19,7 +19,9 @@ in rows are eV, gaps nm, forces N, masses kg.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,7 +38,8 @@ from .constants import (
     STANDARD_GRAVITY_MS2,
     nm_to_bohr,
 )
-from .errors import DomainError, GridError, ImagewellError, MaterialNotFoundError, TableRangeError
+from .errors import (DomainError, GridError, ImagewellError, MaterialNotFoundError,
+                     TableRangeError, require_count, require_finite, require_positive)
 
 # Bumped whenever a builtin material entry changes.
 REGISTRY_VERSION = 1
@@ -58,8 +61,9 @@ class Material:
     def __post_init__(self) -> None:
         if self.eps != math.inf and not self.eps >= 1.0:
             raise DomainError(f"{self.name}: eps must be >= 1 or infinite")
-        if self.layer_thickness_nm is not None and not self.layer_thickness_nm > 0.0:
-            raise DomainError(f"{self.name}: layer thickness must be positive")
+        for name in ("m_electron", "m_hole", "layer_thickness_nm"):
+            if (value := getattr(self, name)) is not None:
+                require_positive(f"{self.name}: {name}", value)
 
 
 class Carrier(Enum):
@@ -127,11 +131,13 @@ def halfline_profile(
     default at max(20 x expected Bohr radius of the highest requested state,
     10 x gap).  The potential is evaluated off the wall only; the wall entry
     repeats its neighbour.  A zero gap collapses exactly to the bare metal wall.
-    ``n_points`` is an integer >= 3, the fewest a profile takes.
+    ``n_points`` is an integer >= 3, the fewest a profile takes; a grid step
+    whose square is not a normal float raises ``GridError`` before any
+    potential is evaluated.
     """
     if gap_nm < 0.0:
         raise DomainError("gap must be >= 0")
-    sc._require_count("n_points", n_points, 3)
+    require_count("n_points", n_points, 3)
     if d_max_nm is None:
         scales = [
             sc.hydrogenic_bohr_radius_nm(
@@ -145,6 +151,7 @@ def halfline_profile(
                 )
             )
         d_max_nm = max(20.0 * max(scales), 10.0 * gap_nm)
+    sc.require_step(nm_to_bohr(d_max_nm / (n_points - 1)))
     grid_nm = np.linspace(0.0, d_max_nm, n_points)
     if gap_nm == 0.0:
         u_ev = q * q * (-1.0 / (4.0 * eps_host * nm_to_bohr(grid_nm[1:]))) * HARTREE_EV
@@ -166,11 +173,13 @@ def interval_profile(
     """Self-energy profile of a charge between two metal plates a distance
     ``gap_nm`` apart (walls at both ends, each repeating its neighbour).  The
     left half of the grid is evaluated off the wall and mirrored, so the
-    profile equals its mirror float for float.  ``n_points`` is an integer
-    >= 3, the fewest a profile takes."""
-    if gap_nm <= 0.0:
-        raise DomainError("gap must be > 0")
-    sc._require_count("n_points", n_points, 3)
+    profile equals its mirror float for float.  ``gap_nm`` is finite and >
+    0, ``n_points`` an integer >= 3, the fewest a profile takes; a grid step
+    whose square is not a normal float raises ``GridError`` before any
+    potential is evaluated."""
+    require_positive("gap_nm", gap_nm)
+    require_count("n_points", n_points, 3)
+    sc.require_step(nm_to_bohr(gap_nm / (n_points - 1)))
     stack = el.DielectricStack.double_metal(gap_nm)
     grid_nm = np.linspace(0.0, gap_nm, n_points)
     if q == 0.0:
@@ -206,7 +215,7 @@ def _halfline_rows(eps_host, eps_slab, m_eff, q, cases, n_states, n_points, d_ma
     profile or spectrum fails is flagged with NaN values and None kinds, not
     dropped.  An ``n_states`` that is not an integer >= 1 raises
     ``DomainError`` before any row."""
-    sc._require_count("n_states", n_states, 1)
+    require_count("n_states", n_states, 1)
     rows = []
     for gap, layers in cases:
         try:
@@ -251,12 +260,13 @@ def noble_film_sweep(
 ) -> list[SweepRow]:
     """Electron in vacuum facing a metal coated with an integer number of
     film monolayers; each row solves the half-line problem at gap =
-    layers x layer thickness."""
+    layers x layer thickness.  A layer count that is not an integer >= 0
+    raises ``DomainError`` before any row."""
     if film.layer_thickness_nm is None:
         raise DomainError(f"{film.name} has no layer thickness")
     layers = list(layers)
-    if any(n < 0 or int(n) != n for n in layers):
-        raise DomainError("layer counts must be non-negative integers")
+    for n in layers:
+        require_count("layer count", n, 0)
     cases = [(n * film.layer_thickness_nm, int(n)) for n in layers]
     return _halfline_rows(1.0, film.eps, 1.0, -1.0, cases, n_states, n_points, d_max_nm)
 
@@ -285,10 +295,11 @@ class EffectiveEpsilonTable:
         object.__setattr__(self, "eps", e)
 
 
+@functools.cache
 def effective_epsilon_curve() -> EffectiveEpsilonTable:
     """Closed-form reference table radius(eps) for the single-wall analogue
     (electron in vacuum, unit mass), at 2001 permittivities 1 + 1e-3 to 1 +
-    1e4, geometrically spaced."""
+    1e4, geometrically spaced.  Built once; every call returns that table."""
     eps = 1.0 + np.geomspace(1.0e-3, 1.0e4, 2001)
     bohr = np.array(
         [
@@ -300,27 +311,25 @@ def effective_epsilon_curve() -> EffectiveEpsilonTable:
     return EffectiveEpsilonTable(bohr[::-1], eps[::-1])
 
 
-def effective_epsilon(bohr_nm: float, table: EffectiveEpsilonTable) -> float:
+def effective_epsilon(bohr_nm: float) -> float:
     """Wall permittivity whose single-wall ground state has the given Bohr
-    radius (monotone piecewise-linear inverse of the table).
+    radius (monotone piecewise-linear inverse of ``effective_epsilon_curve``).
 
     At the metal endpoint radius the metal marker ``inf`` is returned;
     between the metal endpoint and the densest tabulated entry the lookup
     interpolates in 1/eps toward the endpoint.  Radii outside
-    [metal endpoint x 0.98, largest tabulated radius] are refused.
+    [metal endpoint x 0.98, largest tabulated radius], and NaN, raise
+    ``TableRangeError``.
     """
     lo = METAL_ENDPOINT_BOHR_NM
-    if bohr_nm < 0.98 * lo:
+    table = effective_epsilon_curve()
+    b, e = table.bohr_nm, table.eps
+    if not 0.98 * lo <= bohr_nm <= b[-1]:
         raise TableRangeError(
-            f"radius {bohr_nm} nm below the metal endpoint {lo} nm"
+            f"radius {bohr_nm} nm outside the table's [{0.98 * lo}, {b[-1]}] nm"
         )
     if bohr_nm <= lo * (1.0 + 1.0e-9):
         return math.inf
-    b, e = table.bohr_nm, table.eps
-    if bohr_nm > b[-1]:
-        raise TableRangeError(
-            f"radius {bohr_nm} nm beyond tabulated range (max {b[-1]} nm)"
-        )
     if bohr_nm < b[0]:
         # toward the metal endpoint: linear in 1/eps, which hits 0 at lo
         w = (1.0 / e[0]) * (bohr_nm - lo) / (b[0] - lo)
@@ -378,19 +387,26 @@ def averaged_plate_plate(
 
 
 def casimir_force(area_m2: float, gap_nm: float) -> float:
-    """Casimir attraction between ideal plates: -hbar c pi^2 A / (240 D^4)."""
-    if not (area_m2 > 0.0 and gap_nm > 0.0):
-        raise DomainError("need area > 0 and gap > 0")
+    """Casimir attraction between ideal plates: -hbar c pi^2 A / (240 D^4).
+    ``area_m2`` and ``gap_nm`` are finite and > 0, and the force a finite
+    float (``DomainError`` otherwise: D^4 overflows past a gap of about
+    1e86 nm and underflows below one of about 2e-72 nm)."""
+    require_positive("area_m2", area_m2)
+    require_positive("gap_nm", gap_nm)
     d = gap_nm * 1.0e-9
-    return -HBAR_JS * SPEED_OF_LIGHT_MS * math.pi**2 * area_m2 / (240.0 * d**4)
+    return require_finite("Casimir force", lambda: (
+        -HBAR_JS * SPEED_OF_LIGHT_MS * math.pi**2 * area_m2 / (240.0 * d**4)))
 
 
 def vdw_force(hamaker_j: float, gap_nm: float) -> float:
-    """Van der Waals attraction per Hamaker model: -H / (6 pi D^3)."""
-    if not (hamaker_j > 0.0 and gap_nm > 0.0):
-        raise DomainError("need hamaker > 0 and gap > 0")
+    """Van der Waals attraction per Hamaker model: -H / (6 pi D^3).
+    ``hamaker_j`` and ``gap_nm`` are finite and > 0, and the force a finite
+    float (``DomainError`` otherwise: D^3 overflows past a gap of about
+    6e111 nm and underflows below one of about 2e-99 nm)."""
+    require_positive("hamaker_j", hamaker_j)
+    require_positive("gap_nm", gap_nm)
     d = gap_nm * 1.0e-9
-    return -hamaker_j / (6.0 * math.pi * d**3)
+    return require_finite("van der Waals force", lambda: -hamaker_j / (6.0 * math.pi * d**3))
 
 
 @dataclass(frozen=True)
@@ -425,17 +441,23 @@ def _force_budget(
     each level moves as dE/dD = (<U> - 2E)/D (Hellmann-Feynman; Feynman,
     Phys. Rev. 56, 340 (1939)), <U> = sum psi^2 u / sum psi^2 over the
     centre state and its profile; the outer spectra start from the levels
-    E -+ (<U> - 2E)/D dd that this predicts."""
-    # NaN fails the chained test; past 2**53 floats cannot tell integers apart
-    if not 0 <= n_electrons < 2**53 or int(n_electrons) != n_electrons:
-        raise DomainError("n_electrons must be an integer in [0, 2**53)")
-    if gap_nm <= 0.0 or not (0.0 <= area_m2 < math.inf and 0.0 <= hamaker_j < math.inf):
-        raise DomainError("need gap > 0, and area and hamaker finite and >= 0")
+    E -+ (<U> - 2E)/D dd that this predicts.  The step dd = ``delta_frac``
+    x gap must leave gap - dd, gap and gap + dd three distinct floats and dd^2
+    a normal float (``DomainError`` otherwise, before any spectrum is solved)."""
+    require_count("n_electrons", n_electrons, 0)
+    if not n_electrons < 2**53:  # past 2**53 floats cannot tell integers apart
+        raise DomainError("n_electrons must be below 2**53")
+    require_positive("gap_nm", gap_nm)
+    if not (0.0 <= area_m2 < math.inf and 0.0 <= hamaker_j < math.inf):
+        raise DomainError("area and hamaker must be finite and >= 0")
     if not 0.0 < delta_frac < 1.0:
         raise DomainError(f"delta_frac must lie in (0, 1), got {delta_frac}")
-    sc._require_count("state_index", state_index, 0)
+    require_count("state_index", state_index, 0)
     dd = delta_frac * gap_nm
     g_lo, g_hi = gap_nm - dd, gap_nm + dd
+    if not (g_lo < gap_nm < g_hi and sys.float_info.min <= dd * dd < math.inf):
+        raise DomainError(f"force step {dd:.3g} nm at a {gap_nm:.3g} nm gap: gap -+ step "
+                          "are not three distinct floats, or step^2 is not a normal float")
     centre, e_mid, u_mid = _energy_and_pp(gap_nm, state_index, q, m_eff, n_points)
     u = centre.profile.u_hartree
     levels = np.array([s.energy_h for s in centre.states])

@@ -33,7 +33,6 @@ convert to eV at the accessor.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -44,7 +43,8 @@ from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgtsv, dpttrf
 
 from .constants import BOHR_RADIUS_NM, HARTREE_EV, HBAR_JS, STANDARD_GRAVITY_MS2
-from .errors import DomainError, EigenSearchError, GridError
+from .errors import (DomainError, EigenSearchError, GridError, require_count, require_finite,
+                     require_positive)
 
 _POLISH = 1.0e-13  # Newton's last step, relative to the level
 _HUNT = 1.0e-4  # a guessed level's count bracket, relative to the guess
@@ -357,10 +357,12 @@ def _profile_is_symmetric(profile: PotentialProfile) -> bool:
     return bool(np.all(np.abs(u - u[::-1]) <= 1.0e-9 * scale))
 
 
-def _require_count(name: str, value, least: int) -> None:
-    """``DomainError`` unless ``value`` is an integer (NumPy's too) >= ``least``."""
-    if not (isinstance(value, numbers.Integral) and value >= least):
-        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+def require_step(h: float) -> None:
+    """``GridError`` unless the grid step ``h`` (Bohr) has a square that is a
+    normal float: Numerov's factors h^2/12 2m (u - E) lose digits below, and
+    past the largest float they are inf."""
+    if not sys.float_info.min <= h * h < math.inf:
+        raise GridError(f"grid step {h:.3g} Bohr out of range: h^2 is not a normal float")
 
 
 def _finalize(energy_h: float, psi: np.ndarray, profile: PotentialProfile,
@@ -387,7 +389,6 @@ def _finalize(energy_h: float, psi: np.ndarray, profile: PotentialProfile,
             elif overlap < -0.99:
                 parity = Parity.ODD
     kind = StateKind.BOUND if energy_h < profile.classification_reference() else StateKind.BOX
-    psi = np.ascontiguousarray(psi)
     psi.setflags(write=False)
     return Eigenstate(energy_h, psi, grid, nodes, parity, kind, count_calls, newton_passes)
 
@@ -434,9 +435,8 @@ def solve_eigenstates(
     ``GridError``; more states than T(E) has rows, or levels that no count
     separates at float resolution, raise ``EigenSearchError``.
     """
-    _require_count("n_states", n_states, 1)
-    if not (m_eff > 0.0 and math.isfinite(m_eff)):
-        raise DomainError("m_eff must be positive and finite")
+    require_count("n_states", n_states, 1)
+    require_positive("m_eff", m_eff)
     if guesses is not None and len(guesses) != n_states:
         raise DomainError(f"{len(guesses)} guesses given for {n_states} states")
     u = profile.u_hartree
@@ -444,12 +444,11 @@ def solve_eigenstates(
     h = profile.step_bohr
     two_m = 2.0 * m_eff
     open_right = profile.kind is not DomainKind.INTERVAL
-    # psi = 0 at a hard wall, so the kernels take its entry from the neighbour
-    inner = u[1:] if open_right else u[1:-1]
-    u = np.pad(inner, (1, 0 if open_right else 1), mode="edge")
+    inner = u[1:] if open_right else u[1:-1]  # no kernel reads a hard wall's entry
     mirrored = _profile_is_symmetric(profile)
     if mirrored:  # the exact mirror: u itself when it is one
-        u = 0.5 * (u + u[::-1])
+        with np.errstate(over="ignore"):  # walls, never read, may hold any finite value
+            u = 0.5 * (u + u[::-1])
     # (u, right end, parity) of the domain, or of each half
     problems = _sectors(u) if mirrored else [(u, _tail if open_right else _WALL, Parity.NONE)]
 
@@ -459,8 +458,7 @@ def solve_eigenstates(
     # coefficient falls below the normal floats, and the 1/span^2 energy scale
     # overflows soon after (about a 1e-152 nm gap on 4001 points); past the
     # largest float they are inf, and every count NaN
-    if not sys.float_info.min <= h * h < math.inf:
-        raise GridError(f"grid step {h:.3g} Bohr out of range: h^2 is not a normal float")
+    require_step(h)
     coefficient = h * h / 12.0 * two_m  # as every kernel forms it
     if not sys.float_info.min <= coefficient < math.inf:
         raise GridError(f"h^2/12 2m = {coefficient:.3g} is not a normal float: "
@@ -488,7 +486,7 @@ def solve_eigenstates(
     # t_i < 1 makes T(lo) diagonally dominant, count 0, without a count
     # (-1 when lo is not known to be below every level); at hi the window's
     # count splits between the halves, the even one holding the extra level
-    floor = 0 if coefficient * (float(np.max(u)) - lo) < 1.0 else -1
+    floor = 0 if coefficient * (float(np.max(inner)) - lo) < 1.0 else -1
     shares = [(total + 1) // 2, total // 2] if mirrored else [total]
     measured = [[(lo, floor), (hi, share)] for share in shares]
     for k in range(n_states):
@@ -578,9 +576,8 @@ def diagonalization_oracle(
     eigenvector changes sign exactly j times (Gantmacher & Krein,
     *Oscillation Matrices and Kernels*, ch. II).
     """
-    _require_count("n_states", n_states, 1)
-    if not (m_eff > 0.0 and math.isfinite(m_eff)):
-        raise DomainError("m_eff must be positive and finite")
+    require_count("n_states", n_states, 1)
+    require_positive("m_eff", m_eff)
     n = profile.grid_bohr.size
     if n < 50:
         raise GridError(f"oracle needs >= 50 grid points, got {n}")
@@ -626,12 +623,10 @@ class HydrogenicParams:
     n: int = 1
 
     def __post_init__(self) -> None:
-        if not (self.z_eff > 0.0):
-            raise DomainError("z_eff must be positive (no binding otherwise)")
-        if not (0.0 < self.m_eff < math.inf and 0.0 < self.eps_host < math.inf):
-            raise DomainError("m_eff and eps_host must be positive and finite")
-        if not (float(self.n).is_integer() and self.n >= 1):
-            raise DomainError("n must be an integer >= 1")
+        require_positive("z_eff", self.z_eff)  # no binding otherwise
+        require_positive("m_eff", self.m_eff)
+        require_positive("eps_host", self.eps_host)
+        require_count("n", self.n, 1)
 
 
 def single_wall_params(
@@ -640,7 +635,12 @@ def single_wall_params(
     """Effective parameters for a charge facing one half-space of
     permittivity ``eps_wall`` (may be ``inf`` for a metal): z_eff =
     (1/4)|eps_host - eps_wall|/(eps_host + eps_wall), reaching 1/4 at a
-    metal."""
+    metal.  The wall binds only when eps_wall > eps_host; below, its image
+    repels and the parameters describe the attractive wall of the same
+    |z_eff|.  ``eps_wall`` and ``eps_host`` must be > 0 (``DomainError``)."""
+    require_positive("eps_host", eps_host)
+    if not eps_wall > 0.0:
+        raise DomainError(f"eps_wall must be > 0 or inf, got {eps_wall!r}")
     if math.isinf(eps_wall):
         z = 0.25
     else:
@@ -649,11 +649,15 @@ def single_wall_params(
 
 
 def hydrogenic_energy_ev(p: HydrogenicParams) -> float:
-    return -0.5 * p.m_eff * (p.z_eff / p.eps_host) ** 2 / (p.n * p.n) * HARTREE_EV
+    """Level n in eV; ``DomainError`` where it is not a finite float."""
+    return require_finite("hydrogenic level", lambda: (
+        -0.5 * p.m_eff * (p.z_eff / p.eps_host) ** 2 / (p.n * p.n) * HARTREE_EV))
 
 
 def hydrogenic_bohr_radius_nm(p: HydrogenicParams) -> float:
-    return p.n * p.n * BOHR_RADIUS_NM * p.eps_host / (p.z_eff * p.m_eff)
+    """Bohr radius of level n in nm; ``DomainError`` where it is not a finite float."""
+    return require_finite("hydrogenic Bohr radius", lambda: (
+        p.n * p.n * BOHR_RADIUS_NM * p.eps_host / (p.z_eff * p.m_eff)))
 
 
 def bohr_radius_numeric(state: Eigenstate) -> float:
@@ -671,21 +675,28 @@ def bohr_radius_numeric(state: Eigenstate) -> float:
 
 
 def box_energy_ev(length_nm: float, n: int, m_eff: float = 1.0) -> float:
-    """Hard-wall box level n (1-based) in eV."""
-    if not (0.0 < length_nm < math.inf and 0.0 < m_eff < math.inf
-            and float(n).is_integer() and n >= 1):
-        raise DomainError("need finite length > 0, finite m_eff > 0 and integer n >= 1")
+    """Hard-wall box level n (1-based) in eV.  ``length_nm`` and ``m_eff``
+    are finite and > 0, ``n`` an integer >= 1, and the level a finite float
+    (``DomainError`` otherwise; at n = m_eff = 1 it overflows below a length
+    of about 5e-155 nm)."""
+    require_positive("length_nm", length_nm)
+    require_count("n", n, 1)
+    require_positive("m_eff", m_eff)
     length = length_nm / BOHR_RADIUS_NM
-    return (n * n * math.pi**2) / (2.0 * m_eff * length * length) * HARTREE_EV
+    return require_finite("box level", lambda: (
+        (n * n * math.pi**2) / (2.0 * m_eff * length * length) * HARTREE_EV))
 
 
 def particle_in_box_levitation(mass_kg: float, n: int, length_nm: float) -> float:
     """Mass (kg) whose weight the outward box-confinement force on one wall
-    balances: M = n^2 pi^2 hbar^2 / (m L^3 g)."""
-    if not (0.0 < mass_kg < math.inf and float(n).is_integer() and n >= 1
-            and 0.0 < length_nm < math.inf):
-        raise DomainError("need finite mass > 0, integer n >= 1, finite length > 0")
+    balances: M = n^2 pi^2 hbar^2 / (m L^3 g).  ``mass_kg`` and ``length_nm``
+    are finite and > 0, ``n`` an integer >= 1, and M a finite float
+    (``DomainError`` otherwise; at n = 1 M overflows where m L^3 is below
+    about 6e-377 kg m^3, and L^3 past a length of about 5e111 nm)."""
+    require_positive("mass_kg", mass_kg)
+    require_count("n", n, 1)
+    require_positive("length_nm", length_nm)
     length_m = length_nm * 1.0e-9
-    return (n * n * math.pi**2 * HBAR_JS**2) / (
+    return require_finite("levitated mass", lambda: (n * n * math.pi**2 * HBAR_JS**2) / (
         mass_kg * length_m**3 * STANDARD_GRAVITY_MS2
-    )
+    ))

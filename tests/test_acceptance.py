@@ -132,17 +132,16 @@ def test_criterion_07_single_helium_layer_attenuation():
 
 
 def test_criterion_08_effective_epsilon_sweep_endpoints():
-    table = sn.effective_epsilon_curve()
     argon = sn.noble_film_sweep(
         sn.get_material("sAr"), [1, 2, 3, 4, 6, 8, 12, 16, 24, 40], d_max_nm=25.0
     )
-    argon_effs = [sn.effective_epsilon(r.bohr_nm[0], table) for r in argon]
+    argon_effs = [sn.effective_epsilon(r.bohr_nm[0]) for r in argon]
     assert 2.78 * 0.85 <= argon_effs[0] <= 2.78 * 1.15
     assert 1.7 <= argon_effs[-1] <= 1.7 * 1.02
     helium = sn.noble_film_sweep(
         sn.get_material("LHe"), [1, 2, 3, 5, 8, 12, 20, 32], d_max_nm=300.0
     )
-    helium_effs = [sn.effective_epsilon(r.bohr_nm[0], table) for r in helium]
+    helium_effs = [sn.effective_epsilon(r.bohr_nm[0]) for r in helium]
     assert 1.1 * 0.9 <= helium_effs[0] <= 1.1 * 1.1
     assert 1.05 <= helium_effs[-1] <= 1.05 * 1.01
 

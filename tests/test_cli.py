@@ -330,7 +330,9 @@ LEVITATE_TAIL = ["--n", "1", "--area", "0", "--hamaker", "0"]
 @pytest.mark.parametrize("bad", [
     ["--gap", "1e-300"], ["--gap", "1", "--q", "1e200"], ["--gap", "1e-150", "--mass", "1e-7"],
     ["--gap", "1", "--mass", "1e-308"], ["--gap", "1.6", "--mass", "1e-310"], ["--gap", "1e300"],
-], ids=["tiny_gap", "huge_charge", "tiny_gap_light", "tiny_mass", "subnormal_mass", "huge_gap"])
+    ["--gap", "1e307"], ["--gap", "1e308"],
+], ids=["tiny_gap", "huge_charge", "tiny_gap_light", "tiny_mass", "subnormal_mass", "huge_gap",
+        "step_past_float_range", "gap_near_float_max"])
 def test_unsolvable_plates_exit_one_with_typed_errors(capsys, bad):
     # a step too fine for Numerov or whose square overflows, a potential past
     # the float range, or a step and mass whose Numerov coefficient h^2/12 2m
@@ -346,6 +348,33 @@ def test_unsolvable_plates_exit_one_with_typed_errors(capsys, bad):
             header, rows = read_csv(captured.out)
             assert len(rows) == 1 and rows[0][1] == "NaN"
             assert "row 0 failed: " in captured.err
+
+
+@pytest.mark.parametrize("gap", ["1e306", "1e307"])
+def test_huge_schottky_gaps_flag_the_row_before_any_potential(capsys, monkeypatch, gap):
+    # the truncated domain's grid step squares past the float range, so the
+    # row fails in the profile builder before any numpy work or solve
+    monkeypatch.setattr(cli.el, "halfplane_potential_curve", None)  # never reached
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["schottky", "--material", "GaAs", "--gap", gap]) == 1
+    captured = capsys.readouterr()
+    header, rows = read_csv(captured.out)
+    assert len(rows) == 1 and rows[0][1] == "NaN"
+    assert "row 0 failed: grid step" in captured.err
+
+
+@pytest.mark.parametrize("delta", ["1e-200", "1e-17"])
+def test_levitate_step_too_small_for_floats_flags_the_row(capsys, delta):
+    # at 1e-200 the step's square underflows; at 1e-17 gap -+ step round to
+    # the gap itself, which printed forces of exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["levitate", "--gap", "1", *LEVITATE_TAIL, "--delta", delta]) == 1
+    captured = capsys.readouterr()
+    header, rows = read_csv(captured.out)
+    assert len(rows) == 1 and rows[0][1:9] == ["NaN"] * 8
+    assert "row 0 failed: force step" in captured.err
 
 
 def test_plates_solve_grids_up_to_the_interface_guard(capsys):
@@ -455,6 +484,7 @@ def test_usage_errors_exit_two(capsys):
     assert cli.main(["schottky", "--material", "Nope", "--gap", "1"]) == 2
     assert cli.main(["levitate", "--gap", "1", "--n", "1", "--area", "nan", "--hamaker", "0"]) == 2
     assert cli.main(POTENTIAL_ARGS + ["--q", "nan"]) == 2
+    assert cli.main(["plates", "--gap", "1e308:-1e308:1"]) == 2  # stop - start overflows
     err = capsys.readouterr().err
     assert "invalid invocation" in err
     # the library's message, not its quoted repr

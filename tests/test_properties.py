@@ -709,6 +709,7 @@ BOX_WALLS = (np.linspace(0.0, 20.0, 101), np.zeros(101), sc.DomainKind.INTERVAL,
        st.one_of(st.floats(0.05, 20.0), st.just(2.0**40)))
 @example(BOX_WALLS, [1.0, 0.0], 1.0)
 @example(BOX_WALLS, [1.0e300, 0.0], 2.0**40)
+@example((*BOX_WALLS[:3], [0, -1]), [1.7e308, 1.7e308], 1.0)  # their mirror sum overflows
 def test_hard_wall_entries_are_dead_input(well, values, m_eff):
     # psi is pinned to zero at a hard wall, so no finite value there may move
     # a result: not a one-sided change that breaks the mirror symmetry of an

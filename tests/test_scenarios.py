@@ -145,21 +145,21 @@ def test_effective_epsilon_round_trip():
     assert np.all(np.diff(table.eps) < 0.0)
     for eps in (1.5, 3.0, 20.0):
         r = sc.hydrogenic_bohr_radius_nm(sc.single_wall_params(eps))
-        assert abs(sn.effective_epsilon(r, table) - eps) < 5e-3 * eps
+        assert abs(sn.effective_epsilon(r) - eps) < 5e-3 * eps
 
 
 def test_effective_epsilon_metal_marker_and_range():
     table = sn.effective_epsilon_curve()
-    assert sn.effective_epsilon(sn.METAL_ENDPOINT_BOHR_NM, table) == math.inf
-    assert sn.effective_epsilon(sn.METAL_ENDPOINT_BOHR_NM * (1.0 + 1e-10), table) == math.inf
+    assert sn.effective_epsilon(sn.METAL_ENDPOINT_BOHR_NM) == math.inf
+    assert sn.effective_epsilon(sn.METAL_ENDPOINT_BOHR_NM * (1.0 + 1e-10)) == math.inf
     # between the metal endpoint and the table start the readout stays finite
     # and exceeds every tabulated value
     mid = 0.5 * (sn.METAL_ENDPOINT_BOHR_NM + table.bohr_nm[0])
-    assert math.isfinite(sn.effective_epsilon(mid, table))
-    assert sn.effective_epsilon(mid, table) > table.eps[0]
+    assert math.isfinite(sn.effective_epsilon(mid))
+    assert sn.effective_epsilon(mid) > table.eps[0]
     for bad in (500.0, 0.1):
         with pytest.raises(TableRangeError):
-            sn.effective_epsilon(bad, table)
+            sn.effective_epsilon(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +221,7 @@ def test_argon_film_layer_scan():
     rows = sn.noble_film_sweep(
         sn.get_material("sAr"), [1, 2, 4, 8, 16, 40], d_max_nm=25.0
     )
-    table = sn.effective_epsilon_curve()
-    effs = [sn.effective_epsilon(r.bohr_nm[0], table) for r in rows]
+    effs = [sn.effective_epsilon(r.bohr_nm[0]) for r in rows]
     # thin films read out well above the bulk permittivity; thick films
     # approach it from above
     assert 2.78 * 0.85 <= effs[0] <= 2.78 * 1.15
