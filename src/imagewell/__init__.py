@@ -1,157 +1,14 @@
 """Image-charge potential wells in layered planar dielectrics.
 
-The package computes the electrostatic self-energy of a point charge in a
+``imagewell.electrostatics`` gives the self-energy of a point charge in a
 three-region dielectric stack by three independent routes (reflection
-series, explicit image sums, wavenumber-space quadrature), solves the 1D
-Schroedinger problems those potentials induce (shooting integrator plus a
-finite-difference diagonalization oracle), and composes the end-to-end
-studies: Schottky vacuum gaps, noble-gas films with an effective
-permittivity readout, and the two-metal-plate system with its full force
-budget and levitation curve.  The ``imagewell`` CLI exposes the studies as
-batch CSV/JSON runs.
+series, explicit image sums, wavenumber-space quadrature).
+``imagewell.schrodinger`` solves the 1D problems those potentials induce
+(Numerov shooting, cross-checked by a diagonalization oracle), and
+``imagewell.scenarios`` composes the studies: Schottky gaps, noble-gas films
+and two metal plates with their force budget; ``imagewell.cli`` runs them.
+Import each name from its module (typed errors from ``imagewell.errors``,
+constants from ``imagewell.constants``); the package holds only the version.
 """
 
 __version__ = "0.1.0"
-
-from .constants import (
-    BOHR_RADIUS_NM,
-    HARTREE_EV,
-)
-from .electrostatics import (
-    METAL,
-    BetaSet,
-    DielectricStack,
-    ImageCharge,
-    PotentialValue,
-    Side,
-    beta_coefficients,
-    generate_images,
-    halfplane_potential_curve,
-    plate_plate_curve,
-    plate_plate_energy,
-    potential_kernel_quadrature,
-    potential_left_halfplane,
-    potential_slab_images,
-    potential_slab_series,
-    slab_potential_curve,
-)
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    EigenSearchError,
-    GridError,
-    ImagewellError,
-    MaterialNotFoundError,
-    SingularityError,
-    StackError,
-    TableRangeError,
-)
-from .schrodinger import (
-    DomainKind,
-    Eigenstate,
-    HydrogenicParams,
-    Parity,
-    PotentialProfile,
-    StateKind,
-    bohr_radius_numeric,
-    box_energy_ev,
-    diagonalization_oracle,
-    hydrogenic_bohr_radius_nm,
-    hydrogenic_energy_ev,
-    particle_in_box_levitation,
-    single_wall_params,
-    solve_eigenstates,
-)
-from .scenarios import (
-    DEFAULT_HAMAKER_J,
-    Carrier,
-    EffectiveEpsilonTable,
-    ForceBreakdown,
-    LevitationRow,
-    Material,
-    SweepRow,
-    TwoPlateSpectrum,
-    averaged_plate_plate,
-    builtin_materials,
-    carrier_mass,
-    casimir_force,
-    effective_epsilon,
-    effective_epsilon_curve,
-    get_material,
-    halfline_profile,
-    interval_profile,
-    levitation_curve,
-    noble_film_sweep,
-    schottky_gap_sweep,
-    total_force,
-    two_plate_spectrum,
-    vdw_force,
-)
-
-__all__ = [
-    "__version__",
-    "BOHR_RADIUS_NM",
-    "HARTREE_EV",
-    "METAL",
-    "BetaSet",
-    "DielectricStack",
-    "ImageCharge",
-    "PotentialValue",
-    "Side",
-    "beta_coefficients",
-    "generate_images",
-    "halfplane_potential_curve",
-    "plate_plate_curve",
-    "plate_plate_energy",
-    "potential_kernel_quadrature",
-    "potential_left_halfplane",
-    "potential_slab_images",
-    "potential_slab_series",
-    "slab_potential_curve",
-    "ConvergenceError",
-    "DomainError",
-    "EigenSearchError",
-    "GridError",
-    "ImagewellError",
-    "MaterialNotFoundError",
-    "SingularityError",
-    "StackError",
-    "TableRangeError",
-    "DomainKind",
-    "Eigenstate",
-    "HydrogenicParams",
-    "Parity",
-    "PotentialProfile",
-    "StateKind",
-    "bohr_radius_numeric",
-    "box_energy_ev",
-    "diagonalization_oracle",
-    "hydrogenic_bohr_radius_nm",
-    "hydrogenic_energy_ev",
-    "particle_in_box_levitation",
-    "single_wall_params",
-    "solve_eigenstates",
-    "DEFAULT_HAMAKER_J",
-    "Carrier",
-    "EffectiveEpsilonTable",
-    "ForceBreakdown",
-    "LevitationRow",
-    "Material",
-    "SweepRow",
-    "TwoPlateSpectrum",
-    "averaged_plate_plate",
-    "builtin_materials",
-    "carrier_mass",
-    "casimir_force",
-    "effective_epsilon",
-    "effective_epsilon_curve",
-    "get_material",
-    "halfline_profile",
-    "interval_profile",
-    "levitation_curve",
-    "noble_film_sweep",
-    "schottky_gap_sweep",
-    "total_force",
-    "two_plate_spectrum",
-    "vdw_force",
-]

@@ -356,6 +356,8 @@ def _image_groups(z0: float, a: float, b: float, bset: BetaSet):
 def _slab_sum(stack: DielectricStack, z0_nm, q: float, tol: float, images: bool = False):
     """Grouped slab series at positions z0_nm, in volts; the images route
     swaps in its own groups but keeps the majorant and metal remainder."""
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"tol must lie in (0, 1), got {tol}")
     z0_nm = np.asarray(z0_nm, dtype=float)
     _require_source(stack, z0_nm, q)
     z0, a, b, c, bset = _slab_geometry_au(stack, z0_nm)

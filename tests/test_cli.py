@@ -209,6 +209,15 @@ def test_config_file_supplies_defaults(tmp_path, monkeypatch):
                         "--config", str(tmp_path / "missing.ini")])
 
 
+def test_config_file_without_the_command_section_changes_nothing(tmp_path, capsys):
+    path = tmp_path / "film.ini"
+    path.write_text("[film]\nmaterial = sAr\nlayers = 1:4\n", encoding="ascii")
+    assert cli.main(["eigen", "--gap", "1.6"]) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(["eigen", "--gap", "1.6", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == plain
+
+
 # ---------------------------------------------------------------------------
 # End-to-end runs
 
@@ -295,6 +304,17 @@ def test_levitate_csv_renders_nan_and_booleans(capsys):
     assert row["mass(kg)"] == "NaN"
     assert row["repulsive"] == "false"
     assert row["f_casimir(N)"].startswith("-")
+
+
+def test_film_row_without_a_radius_reads_nan_permittivity(capsys):
+    # a grid too coarse for the film flags the row, and the readout is NaN
+    assert cli.main(["film", "--material", "sAr", "--layers", "1", "--points", "50",
+                     "--dmax", "5000"]) == 1
+    captured = capsys.readouterr()
+    assert "grid too coarse" in captured.err
+    header, rows = read_csv(captured.out)
+    row = dict(zip(header, rows[0]))
+    assert row["bohr(nm)"] == row["eff_eps(1)"] == "NaN"
 
 
 def test_levitate_neutron_row(capsys):

@@ -378,6 +378,17 @@ def test_nonfinite_charge_raises_at_once(fn, q):
         fn(st, 0.5, q=q)
 
 
+@pytest.mark.parametrize("tol", [-1.0, -math.inf, math.nan, 0.0, math.inf, 1.0, 2.0])
+@pytest.mark.parametrize("fn", [el.potential_slab_series, el.potential_slab_images])
+def test_tolerance_outside_the_unit_interval_raises_before_any_group(fn, tol, monkeypatch):
+    def no_sum(*args, **kwargs):
+        raise AssertionError("a group was summed")
+
+    monkeypatch.setattr(el, "_sum_grouped", no_sum)
+    with pytest.raises(DomainError, match=r"tol must lie in \(0, 1\)"):
+        fn(el.DielectricStack(2.0, 1.0, 5.0, 0.0, 1.0), 0.4, tol=tol)
+
+
 # Reflection product 1 - 1e-11: just inside the allowed range, but the grouped
 # series would need ~1e11 groups, far past the term cap.
 NEAR_UNIT = el.DielectricStack(el.METAL, 1.0, 2.0e11, 0.0, 1.0)
@@ -403,6 +414,16 @@ def test_term_cap_raises_with_diagnostics(fn, stack, where):
     assert err.terms >= 1_000_000
     assert err.estimate is not None and np.all(np.isfinite(err.estimate))
     assert err.error_bound is not None and np.max(err.error_bound) > 1e-10
+
+
+def test_quadrature_stall_raises_with_diagnostics():
+    # near-zero permittivities on both sides: the panel refinement ends its
+    # rounds short of the tolerance
+    with pytest.raises(ConvergenceError, match="quadrature stalled") as info:
+        el.potential_kernel_quadrature(el.DielectricStack(1e-11, 1.0, 1e-11, 0.0, 1.0), 0.5)
+    err = info.value
+    assert math.isfinite(err.estimate) and err.terms > 0
+    assert 1e-10 < err.error_bound < 1.0
 
 
 # Reflection products that round to exactly 1 with no metal behind them: the

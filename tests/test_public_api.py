@@ -1,9 +1,10 @@
-"""One property over the whole public API: every function that ``imagewell``
-exports, and each dataclass that validates numbers, is called once with
-valid arguments and then once per (numeric argument, bad value) pair, every
-other argument left valid.  Each call must end in a finite result, an
-``ImagewellError``, or a sweep whose rows are flagged as failed: never a
-bare exception, a warning, or a NaN or infinity the caller did not ask for.
+"""One property over the whole public API: every public function of
+``electrostatics``, ``schrodinger`` and ``scenarios``, and each dataclass
+that validates numbers, is called once with valid arguments and then once
+per (numeric argument, bad value) pair, every other argument left valid.
+Each call must end in a finite result, an ``ImagewellError``, or a sweep
+whose rows are flagged as failed: never a bare exception, a warning, or a
+NaN or infinity the caller did not ask for.
 The bad values are the classes that found faults: NaN, the infinities, 0,
 -1, a fraction, a float that equals an integer, and the two ends of the
 float range.  A NumPy integer equal to a valid integer argument must be
@@ -14,13 +15,17 @@ import dataclasses
 import enum
 import functools
 import inspect
+import json
 import math
 import numbers
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 
-import imagewell
 from imagewell import electrostatics as el
 from imagewell import scenarios as sn
 from imagewell import schrodinger as sc
@@ -85,6 +90,7 @@ TABLE = {
     "hydrogenic_energy_ev": entry(_hydrogenic(sc.hydrogenic_energy_ev), **HYDROGENIC),
     "hydrogenic_bohr_radius_nm": entry(_hydrogenic(sc.hydrogenic_bohr_radius_nm), **HYDROGENIC),
     "bohr_radius_numeric": entry(sc.bohr_radius_numeric, STATE),
+    "require_step": entry(sc.require_step, h=0.1),
     "box_energy_ev": entry(sc.box_energy_ev, length_nm=1.0, n=1, m_eff=1.0),
     "particle_in_box_levitation": entry(sc.particle_in_box_levitation, mass_kg=1.67e-27, n=1,
                                         length_nm=1.0),
@@ -159,9 +165,23 @@ def fault(call, kwargs, typed_error_ok=True):
 
 
 def test_the_table_holds_every_exported_function():
-    exported = {name for name in imagewell.__all__
-                if inspect.isfunction(getattr(imagewell, name))}
+    # unwrapped, so that a cached function such as effective_epsilon_curve counts
+    exported = {name for module in (el, sc, sn) for name, value in vars(module).items()
+                if not name.startswith("_") and inspect.isfunction(inspect.unwrap(value))
+                and value.__module__ == module.__name__}
     assert exported - set(TABLE) == set()
+
+
+def test_the_package_root_holds_only_its_version():
+    # a fresh interpreter: the modules this file imports would show as attributes
+    src = Path(el.__file__).resolve().parents[1]
+    path = [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = ("import json, sys, imagewell; print(json.dumps([sorted(n for n in vars(imagewell)"
+            " if not n.startswith('_') or n == '__version__'), 'numpy' in sys.modules]))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert json.loads(done.stdout) == [["__version__"], False]
 
 
 def test_every_entry_ends_finite_typed_or_flagged():

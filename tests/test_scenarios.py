@@ -303,6 +303,30 @@ def test_two_plate_levels_do_not_depend_on_the_state_count():
             (0, sc.Parity.EVEN), (1, sc.Parity.ODD), (2, sc.Parity.EVEN), (3, sc.Parity.ODD)]
 
 
+def _image_shift(gap_nm, n_states, m_eff=1.0):
+    """D (E_n(D; q = -1) - E_n(D; 0)) per state, in Hartree Bohr."""
+    charged, bare = (sn.two_plate_spectrum(gap_nm, n_states, q=q, m_eff=m_eff).states
+                     for q in (-1.0, 0.0))
+    return [nm_to_bohr(gap_nm) * (a.energy_h - b.energy_h) for a, b in zip(charged, bare)]
+
+
+def test_narrow_gap_levels_reach_the_box_limit_in_closed_form():
+    # between two metals U(z; D) = f(z/D)/D with f(x) = (psi(x) + psi(1 - x))/4
+    # + gamma/2 for unit charge, so first-order perturbation of box state n
+    # (1-based) gives D (E_n - E_n^box) -> 2 int_0^1 sin^2(n pi x) f(x) dx
+    # = -ln(2 pi n)/2 as D -> 0; the next order is O(m D), linear in the mass
+    shifts = [_image_shift(gap, 3) for gap in (0.01, 0.02, 0.04)]
+    limits = [8.0 / 3.0 * a - 2.0 * b + c / 3.0 for a, b, c in zip(*shifts)]  # quadratic at D = 0
+    for n, limit in enumerate(limits, start=1):
+        exact = -0.5 * math.log(2.0 * math.pi * n)
+        assert abs(limit - exact) <= 1.0e-6 * abs(exact), n  # measured 4.8e-8 to 3.5e-7
+    remainder = {m: (_image_shift(0.01, 1, m)[0] + 0.5 * math.log(2.0 * math.pi)) / m
+                 for m in (0.5, 1.0, 2.0)}
+    assert remainder[1.0] < 0.0
+    for m in (0.5, 2.0):
+        assert remainder[m] == pytest.approx(remainder[1.0], rel=1.0e-2), m  # measured 4.3e-3
+
+
 def test_averaged_plate_plate_even_above_odd():
     for gap in (1.6, 4.0):
         spec = sn.two_plate_spectrum(gap, 2)
