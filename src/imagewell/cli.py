@@ -134,9 +134,7 @@ def _checked(conv, ok, need: str):
     return convert
 
 
-# Past this many points an interval grid's step lies inside the interface
-# guard, so every interval row would fail.
-_MAX_POINTS = round(1.0 / el.MIN_OFFSET_FRAC) + 1
+_MAX_POINTS = 10001  # a chosen cap; widening it is ROADMAP G's call
 _POINTS = _checked(int, lambda n: 50 <= n <= _MAX_POINTS, f"in [50, {_MAX_POINTS}]")
 _STATES = _checked(int, lambda n: n >= 1, ">= 1")
 _CHARGE = _checked(float, math.isfinite, "finite")

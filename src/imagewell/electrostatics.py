@@ -101,11 +101,6 @@ class DielectricStack:
     def c_nm(self) -> float:
         return self.b_nm - self.a_nm
 
-    @classmethod
-    def double_metal(cls, gap_nm: float) -> "DielectricStack":
-        """Vacuum slab of width gap_nm between two metal half-spaces."""
-        return cls(METAL, 1.0, METAL, 0.0, gap_nm)
-
 
 def _beta(k_inside: float, k_outside: float) -> float:
     """Reflection coefficient seen from k_inside against k_outside."""
@@ -353,6 +348,19 @@ def _image_groups(z0: float, a: float, b: float, bset: BetaSet):
     return block
 
 
+def _two_metal_self(n, x_a, x_b):
+    """Self-image sum between two metals past n groups, times the gap c, for
+    a charge x_a c and x_b c from the plates (Abramowitz & Stegun 6.3.16):
+    the whole sum at n = 0, where it is 1/2 (psi(x) + psi(1 - x)) + gamma."""
+    return 0.5 * digamma(n + x_a) + 0.5 * digamma(n + x_b) - digamma(n + 1.0)
+
+
+def _two_metal_cross(x):
+    """Cross-plate image-image energy between two metals, times the gap c,
+    for a unit charge x c from the first plate (the whole grouped sum)."""
+    return -(0.5 * x * digamma(1.0 + x) - 0.5 * digamma(2.0) + 0.5 * (1.0 - x) * digamma(2.0 - x))
+
+
 def _slab_sum(stack: DielectricStack, z0_nm, q: float, tol: float, images: bool = False):
     """Grouped slab series at positions z0_nm, in volts; the images route
     swaps in its own groups but keeps the majorant and metal remainder."""
@@ -363,15 +371,11 @@ def _slab_sum(stack: DielectricStack, z0_nm, q: float, tol: float, images: bool 
     z0, a, b, c, bset = _slab_geometry_au(stack, z0_nm)
     da, db = z0 - a, b - z0  # distances to the two interfaces
     rho = bset.ratio
-    metal = bset.beta_21 == -1.0 and bset.beta_23 == -1.0  # the exact remainder below
     block, bound = _ladder(da, db, c, rho, bset.beta_21, bset.beta_23, rho)
     if images:
         block = _image_groups(float(z0), a, b, bset)
-
-    def metal_tail(n):  # exact remainder past n groups when both coefficients are -1
-        return (0.5 * digamma(n + da / c) + 0.5 * digamma(n + db / c) - digamma(n + 1.0)) / c
-
-    tail = metal_tail if metal else None
+    metal = bset.beta_21 == -1.0 and bset.beta_23 == -1.0  # the remainder is exact
+    tail = (lambda n: _two_metal_self(n, da / c, db / c) / c) if metal else None
     return _sum_grouped(block, bound, tail, tol, lambda s: q * s / stack.k2 * HARTREE_EV,
                         z0_nm.shape)
 
@@ -607,9 +611,7 @@ def _plate_sum(stack: DielectricStack, z0_nm, q: float):
     da, db = z0 - a, b - z0
     to_ev = lambda s: q * q * s / stack.k2 * HARTREE_EV  # noqa: E731
     if b21 == -1.0 and b23 == -1.0:  # two metals: the remainder from group 0 is exact
-        v = da / c
-        s = 0.5 * v * digamma(1.0 + v) - 0.5 * digamma(2.0) + 0.5 * (1.0 - v) * digamma(2.0 - v)
-        return to_ev(-s / c)
+        return to_ev(_two_metal_cross(da / c) / c)
 
     def block(t0, t1, out, tmp):
         t = _group_index(t0, t1, np.ndim(da))

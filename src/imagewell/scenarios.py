@@ -90,10 +90,6 @@ _MATERIALS = {
 }
 
 
-def builtin_materials() -> dict[str, Material]:
-    return dict(_MATERIALS)
-
-
 def get_material(name: str) -> Material:
     try:
         return _MATERIALS[name]
@@ -171,27 +167,28 @@ def interval_profile(
     n_points: int = 4001,
 ) -> sc.PotentialProfile:
     """Self-energy profile of a charge between two metal plates a distance
-    ``gap_nm`` apart (walls at both ends, each repeating its neighbour).  The
-    left half of the grid is evaluated off the wall and mirrored, so the
-    profile equals its mirror float for float.  ``gap_nm`` is finite and >
-    0, ``n_points`` an integer >= 3, the fewest a profile takes; a grid step
-    whose square is not a normal float raises ``GridError`` before any
-    potential is evaluated."""
+    ``gap_nm`` apart (walls at both ends, each repeating its neighbour).
+    Between two metals the image sum is exact: U(z; D) = f(z/D)/D with
+    f(x) = q^2 [1/4 (psi(x) + psi(1 - x)) + gamma/2] (Abramowitz & Stegun
+    6.3.16), evaluated at x = i/(n - 1) on the left half of the grid, off
+    the wall, and mirrored, so the profile equals its mirror float for
+    float.  ``gap_nm`` is finite and > 0, ``q`` finite, ``n_points`` an
+    integer >= 3, the fewest a profile takes; a grid step whose square is not
+    a normal float raises ``GridError`` before any potential is evaluated."""
     require_positive("gap_nm", gap_nm)
+    require_finite("charge q", lambda: q)
     require_count("n_points", n_points, 3)
     sc.require_step(nm_to_bohr(gap_nm / (n_points - 1)))
-    stack = el.DielectricStack.double_metal(gap_nm)
-    grid_nm = np.linspace(0.0, gap_nm, n_points)
     if q == 0.0:
-        u_ev = np.zeros_like(grid_nm)
+        u = np.zeros(n_points)
     else:
-        z_nm = grid_nm[1 : (n_points + 1) // 2]  # the left half, off the wall
+        x = np.arange(1, (n_points + 1) // 2) / (n_points - 1)  # the left half, off the wall
         with np.errstate(over="ignore"):  # PotentialProfile rejects what overflows
-            half = 0.5 * q * el.slab_potential_curve(stack, z_nm, q=q)
+            half = 0.5 * q * q * el._two_metal_self(0, x, 1.0 - x) / nm_to_bohr(gap_nm)
         half = np.concatenate((half[:1], half))
-        u_ev = np.concatenate((half, half[: n_points // 2][::-1]))
+        u = np.concatenate((half, half[: n_points // 2][::-1]))
     return sc.PotentialProfile(
-        nm_to_bohr(grid_nm), u_ev / HARTREE_EV, sc.DomainKind.INTERVAL
+        nm_to_bohr(np.linspace(0.0, gap_nm, n_points)), u, sc.DomainKind.INTERVAL
     )
 
 
@@ -370,17 +367,17 @@ def averaged_plate_plate(
     gap_nm: float, state: sc.Eigenstate, q: float = -1.0
 ) -> float:
     """Expectation of the cross-plate image-image energy over a state's
-    probability density (trapezoidal; the pinned-to-zero wavefunction
-    suppresses the guarded wall region)."""
+    probability density (trapezoidal), from the exact two-metal sum at
+    x = z/D of every interior grid point."""
+    require_positive("gap_nm", gap_nm)
+    q2 = require_finite("q^2", lambda: q * q)
     grid = state.grid_bohr
-    span_nm = (grid[-1] - grid[0]) * BOHR_RADIUS_NM
-    if abs(span_nm - gap_nm) > 1.0e-6 * gap_nm:
+    c = grid[-1] - grid[0]
+    if abs(c * BOHR_RADIUS_NM - gap_nm) > 1.0e-6 * gap_nm:
         raise GridError(
-            f"state grid spans {span_nm} nm but gap is {gap_nm} nm"
+            f"state grid spans {c * BOHR_RADIUS_NM} nm but gap is {gap_nm} nm"
         )
-    stack = el.DielectricStack.double_metal(gap_nm)
-    z_nm = (grid[1:-1] - grid[0]) * BOHR_RADIUS_NM
-    u_pp = el.plate_plate_curve(stack, z_nm, q=q)
+    u_pp = q2 * (el._two_metal_cross((grid[1:-1] - grid[0]) / c) / c) * HARTREE_EV
     integrand = np.zeros_like(grid)
     integrand[1:-1] = state.psi[1:-1] ** 2 * u_pp
     return float(np.trapezoid(integrand, grid))

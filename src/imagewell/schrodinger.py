@@ -42,7 +42,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgtsv, dpttrf
 
-from .constants import BOHR_RADIUS_NM, HARTREE_EV, HBAR_JS, STANDARD_GRAVITY_MS2
+from .constants import BOHR_RADIUS_NM, HARTREE_EV
 from .errors import (DomainError, EigenSearchError, GridError, require_count, require_finite,
                      require_positive)
 
@@ -648,12 +648,6 @@ def single_wall_params(
     return HydrogenicParams(z_eff=z, m_eff=m_eff, eps_host=eps_host, n=n)
 
 
-def hydrogenic_energy_ev(p: HydrogenicParams) -> float:
-    """Level n in eV; ``DomainError`` where it is not a finite float."""
-    return require_finite("hydrogenic level", lambda: (
-        -0.5 * p.m_eff * (p.z_eff / p.eps_host) ** 2 / (p.n * p.n) * HARTREE_EV))
-
-
 def hydrogenic_bohr_radius_nm(p: HydrogenicParams) -> float:
     """Bohr radius of level n in nm; ``DomainError`` where it is not a finite float."""
     return require_finite("hydrogenic Bohr radius", lambda: (
@@ -686,17 +680,3 @@ def box_energy_ev(length_nm: float, n: int, m_eff: float = 1.0) -> float:
     return require_finite("box level", lambda: (
         (n * n * math.pi**2) / (2.0 * m_eff * length * length) * HARTREE_EV))
 
-
-def particle_in_box_levitation(mass_kg: float, n: int, length_nm: float) -> float:
-    """Mass (kg) whose weight the outward box-confinement force on one wall
-    balances: M = n^2 pi^2 hbar^2 / (m L^3 g).  ``mass_kg`` and ``length_nm``
-    are finite and > 0, ``n`` an integer >= 1, and M a finite float
-    (``DomainError`` otherwise; at n = 1 M overflows where m L^3 is below
-    about 6e-377 kg m^3, and L^3 past a length of about 5e111 nm)."""
-    require_positive("mass_kg", mass_kg)
-    require_count("n", n, 1)
-    require_positive("length_nm", length_nm)
-    length_m = length_nm * 1.0e-9
-    return require_finite("levitated mass", lambda: (n * n * math.pi**2 * HBAR_JS**2) / (
-        mass_kg * length_m**3 * STANDARD_GRAVITY_MS2
-    ))

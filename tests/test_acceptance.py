@@ -22,6 +22,8 @@ from imagewell.constants import (
     nm_to_bohr,
 )
 
+import reference
+
 
 def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b))
@@ -88,7 +90,7 @@ def test_criterion_04_particle_in_a_box_levels():
     profile = sn.interval_profile(1.0, q=0.0)
     states = sc.solve_eigenstates(profile, n_states=5)
     for n, state in enumerate(states, start=1):
-        assert abs(state.energy_ev / sc.box_energy_ev(1.0, n) - 1.0) < 1e-3
+        assert abs(state.energy_ev / reference.box_level_ev(1.0, n) - 1.0) < 1e-3
 
 
 def test_criterion_05_shooting_matches_diagonalization_on_random_wells():
@@ -174,7 +176,7 @@ def test_criterion_09_double_well_pair_splitting_and_continuity():
 
 
 def test_criterion_10_plate_plate_maximum_at_midgap():
-    stack = el.DielectricStack.double_metal(0.75)
+    stack = el.DielectricStack(el.METAL, 1.0, el.METAL, 0.0, 0.75)
     z = np.linspace(0.075, 0.675, 241)
     u = el.plate_plate_curve(stack, z)
     step = z[1] - z[0]

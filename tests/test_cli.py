@@ -20,8 +20,9 @@ import numpy as np
 import pytest
 
 from imagewell import cli
-from imagewell import schrodinger as sc
 from imagewell.constants import ELECTRON_MASS_KG, NEUTRON_MASS_KG
+
+import reference
 
 
 def read_csv(text):
@@ -159,7 +160,7 @@ def test_validation_rules_reject_bad_values():
         POTENTIAL_ARGS + ["--k2", "nan"],
         POTENTIAL_ARGS + ["--k3", "0"],
         POTENTIAL_ARGS[:-1] + ["0.9:-5:3"],
-        # past 10001 points an interval grid's step lies inside the interface guard
+        # interval grids take at most 10001 points
         ["eigen", "--gap", "1", "--points", "10002"],
         ["plates", "--gap", "1", "--points", "10002"],
         ["levitate", "--gap", "1", "--n", "1", "--area", "0", "--points", "10002"],
@@ -241,7 +242,7 @@ def test_eigen_bare_box_matches_closed_form(capsys):
     header, rows = read_csv(capsys.readouterr().out)
     assert header == ["state(index)", "energy(eV)", "nodes(count)", "parity", "kind"]
     for i, row in enumerate(rows):
-        assert float(row[1]) == pytest.approx(sc.box_energy_ev(1.0, i + 1), rel=1e-6)
+        assert float(row[1]) == pytest.approx(reference.box_level_ev(1.0, i + 1), rel=1e-6)
         assert row[4] == "box"
     assert rows[0][3] == "even" and rows[1][3] == "odd"
 
@@ -397,15 +398,26 @@ def test_levitate_step_too_small_for_floats_flags_the_row(capsys, delta):
     assert "row 0 failed: force step" in captured.err
 
 
-def test_plates_solve_grids_up_to_the_interface_guard(capsys):
-    # no potential sample lies closer to a plate than one grid step, so grids
-    # solve until that step falls inside the MIN_OFFSET_FRAC guard (1e-4 gap)
-    for points in ("8001", "10001"):
-        assert cli.main(["plates", "--gap", "0.9", "--points", points]) == 0
-        header, rows = read_csv(capsys.readouterr().out)
-        assert len(rows) == 1 and "NaN" not in rows[0]
-    # one more point and every interval row would fail: a usage error
-    assert cli.main(["plates", "--gap", "0.9", "--points", "10002"]) == 2
+@pytest.mark.parametrize("argv, points, n_rows, skip", [
+    pytest.param(["plates", "--gap", "0.9"], "8001", 1, (), id="plates-0.9-8001"),
+    pytest.param(["plates", "--gap", "0.9"], "10001", 1, (), id="plates-0.9-10001"),
+    # at 1.5 nm the first grid point of 10001 once tied an interface guard
+    # that rounding then broke, and each of these exited 1 with a flagged row
+    pytest.param(["eigen", "--gap", "1.5"], "10001", 2, (), id="eigen-1.5-10001"),
+    pytest.param(["plates", "--gap", "1.5"], "10001", 1, (), id="plates-1.5-10001"),
+    # an attractive row's mass(kg) reads NaN by design
+    pytest.param(["levitate", "--gap", "1.5", "--q", "-1", "--n", "1", "--area", "0",
+                  "--hamaker", "0"], "10001", 1, (1,), id="levitate-1.5-10001"),
+])
+def test_interval_grids_solve_up_to_the_points_cap(argv, points, n_rows, skip, capsys):
+    # a two-plate profile is the exact image sum at x = z/D, so every grid up
+    # to the cap solves: no NaN in any column but those in ``skip``
+    assert cli.main(argv + ["--points", points]) == 0
+    header, rows = read_csv(capsys.readouterr().out)
+    assert len(rows) == n_rows
+    assert all(v != "NaN" for row in rows for j, v in enumerate(row) if j not in skip)
+    # past the cap: a usage error
+    assert cli.main(argv + ["--points", "10002"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--points: must be in [50, 10001]" in captured.err
 

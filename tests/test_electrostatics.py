@@ -105,13 +105,6 @@ def test_stack_validation_errors():
         el.beta_coefficients(2.0, el.METAL, 5.0)
 
 
-def test_double_metal_helper():
-    st = el.DielectricStack.double_metal(0.75)
-    assert st.k1 == el.METAL and st.k3 == el.METAL and st.k2 == 1.0
-    assert st.a_nm == 0.0 and st.b_nm == 0.75
-    assert st.c_nm == 0.75
-
-
 # ---------------------------------------------------------------------------
 # Image generation
 
@@ -234,7 +227,7 @@ def test_generate_images_equals_the_scalar_recursion():
 MIXED_STACKS = [
     el.DielectricStack(2.0, 1.0, 5.0, 0.0, 1.0),
     el.DielectricStack(12.9, 1.0, el.METAL, 0.0, 2.5),
-    el.DielectricStack.double_metal(0.75),
+    el.DielectricStack(el.METAL, 1.0, el.METAL, 0.0, 0.75),
     el.DielectricStack(1.5, 8.0, 1.2, -0.3, 2.7),
     el.DielectricStack(el.METAL, 2.0, 7.5, 0.0, 0.3),
 ]
@@ -276,7 +269,7 @@ def test_matched_left_interface_reduces_to_single_image():
 
 def test_double_metal_center_closed_form():
     # midway between grounded plates the image ladder sums to -2 ln2 / c
-    st = el.DielectricStack.double_metal(0.75)
+    st = el.DielectricStack(el.METAL, 1.0, el.METAL, 0.0, 0.75)
     expected = -2.0 * math.log(2.0) / nm_to_bohr(0.75) * HARTREE_EV
     assert rel(el.potential_slab_series(st, 0.375).v, expected) < 1e-13
     assert rel(el.potential_slab_images(st, 0.375).v, expected) < 1e-13
@@ -329,7 +322,7 @@ def test_truncation_bound_is_certified_and_relative():
     assert res.terms_used >= 1
     assert 0.0 <= res.truncation_error_bound <= 1e-10
     # the exact-remainder branch between two metals reports float roundoff
-    metal = el.potential_slab_series(el.DielectricStack.double_metal(0.75), 0.3)
+    metal = el.potential_slab_series(el.DielectricStack(el.METAL, 1.0, el.METAL, 0.0, 0.75), 0.3)
     assert metal.truncation_error_bound == 5.0e-16
     # a slowly converging ladder: looser tolerance stops earlier, and the
     # certified relative bound keeps the loose value within its promise
@@ -510,7 +503,7 @@ def test_plate_plate_matches_pair_sum():
 
 
 def test_plate_plate_double_metal_closed_form():
-    st = el.DielectricStack.double_metal(0.75)
+    st = el.DielectricStack(el.METAL, 1.0, el.METAL, 0.0, 0.75)
     center = (2.0 * math.log(2.0) - 1.0) / (2.0 * nm_to_bohr(0.75)) * HARTREE_EV
     assert rel(el.plate_plate_energy(st, 0.375), center) < 1e-12
     # off center: pair sums converge only like order^-2, so extrapolate
@@ -532,7 +525,7 @@ def test_plate_plate_zero_without_second_interface():
 
 
 def test_plate_plate_scaling_symmetry_positivity():
-    st = el.DielectricStack.double_metal(0.75)
+    st = el.DielectricStack(el.METAL, 1.0, el.METAL, 0.0, 0.75)
     base = el.plate_plate_energy(st, 0.3)
     assert el.plate_plate_energy(st, 0.3, q=2.0) == pytest.approx(4.0 * base, rel=1e-13)
     z = np.linspace(0.075, 0.675, 41)
@@ -548,7 +541,7 @@ def test_plate_plate_scaling_symmetry_positivity():
 
 def test_plate_plate_curve_matches_scalar():
     finite = el.DielectricStack(7.0, 1.5, 3.0, 0.0, 0.75)
-    metal = el.DielectricStack.double_metal(0.75)
+    metal = el.DielectricStack(el.METAL, 1.0, el.METAL, 0.0, 0.75)
     z = np.array([0.1, 0.2, 0.375, 0.55])
     for st in (finite, metal):
         curve = el.plate_plate_curve(st, z)
@@ -591,7 +584,7 @@ GAAS_GAP = el.DielectricStack(12.9, 1.0, el.METAL, 0.0, 1.0)  # the Schottky pro
 HIGH_CONTRAST = el.DielectricStack(el.METAL, 1.0, 2.0e4, 0.0, 1.0)  # 262,080 groups
 CURVE_FAMILIES = {
     "slab_dielectric": (el.slab_potential_curve, el.DielectricStack(1.5, 8.0, 1.2, -0.3, 2.7)),
-    "slab_two_metal": (el.slab_potential_curve, el.DielectricStack.double_metal(0.75)),
+    "slab_two_metal": (el.slab_potential_curve, el.DielectricStack(el.METAL, 1.0, el.METAL, 0.0, 0.75)),
     "halfplane_gaas": (el.halfplane_potential_curve, GAAS_GAP),
     "plate_finite": (el.plate_plate_curve, el.DielectricStack(7.0, 1.5, 3.0, 0.0, 0.75)),
 }

@@ -87,17 +87,13 @@ TABLE = {
     "HydrogenicParams": entry(sc.HydrogenicParams, **HYDROGENIC),
     "single_wall_params": entry(sc.single_wall_params, eps_wall=12.9, eps_host=1.0, m_eff=1.0,
                                 n=1),
-    "hydrogenic_energy_ev": entry(_hydrogenic(sc.hydrogenic_energy_ev), **HYDROGENIC),
     "hydrogenic_bohr_radius_nm": entry(_hydrogenic(sc.hydrogenic_bohr_radius_nm), **HYDROGENIC),
     "bohr_radius_numeric": entry(sc.bohr_radius_numeric, STATE),
     "require_step": entry(sc.require_step, h=0.1),
     "box_energy_ev": entry(sc.box_energy_ev, length_nm=1.0, n=1, m_eff=1.0),
-    "particle_in_box_levitation": entry(sc.particle_in_box_levitation, mass_kg=1.67e-27, n=1,
-                                        length_nm=1.0),
     # scenarios
     "Material": entry(sn.Material, "X", eps=2.0, m_electron=0.1, m_hole=0.5,
                       layer_thickness_nm=0.3),
-    "builtin_materials": entry(sn.builtin_materials),
     "get_material": entry(sn.get_material, "GaAs"),
     "carrier_mass": entry(sn.carrier_mass, sn.get_material("GaAs"), sn.Carrier.ELECTRON),
     "halfline_profile": entry(sn.halfline_profile, eps_host=12.9, eps_slab=1.0, gap_nm=1.0,

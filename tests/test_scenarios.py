@@ -32,14 +32,16 @@ from imagewell.errors import (
     TableRangeError,
 )
 
+import reference
+
 
 # ---------------------------------------------------------------------------
 # Materials
 
 
 def test_builtin_materials_registry():
-    mats = sn.builtin_materials()
-    assert {"GaAs", "InSb", "LHe", "sAr", "Vacuum", "Metal"} <= set(mats)
+    for name in ("GaAs", "InSb", "LHe", "sAr", "Vacuum", "Metal"):
+        assert sn.get_material(name).name == name
     gaas = sn.get_material("GaAs")
     assert gaas.eps == 12.9
     assert sn.carrier_mass(gaas, sn.Carrier.ELECTRON) == 0.067
@@ -49,9 +51,6 @@ def test_builtin_materials_registry():
     assert sn.get_material("sAr").layer_thickness_nm == 0.345
     assert sn.get_material("Metal").eps == math.inf
     assert sn.REGISTRY_VERSION == 1
-    # the returned dict is a copy, not the live registry
-    mats["GaAs"] = None
-    assert sn.get_material("GaAs") is gaas
 
 
 def test_material_validation():
@@ -100,29 +99,44 @@ def test_interval_profile_properties():
     asym = np.abs(prof.u_hartree - prof.u_hartree[::-1]) / np.abs(prof.u_hartree)
     assert np.max(asym) < 1e-11
     # interior samples follow the half-work slab potential
-    stack = el.DielectricStack.double_metal(1.6)
+    stack = el.DielectricStack(el.METAL, 1.0, el.METAL, 0.0, 1.6)
     j = 1234
     z_nm = prof.grid_bohr[j] * BOHR_RADIUS_NM
     v = el.slab_potential_curve(stack, np.array([z_nm]), q=-1.0)[0]
     assert prof.u_hartree[j] * HARTREE_EV == pytest.approx(0.5 * (-1.0) * v, rel=1e-12)
+    # midgap, psi(1/2) - psi(1) = -2 ln 2 makes u c = -q^2 ln 2 (measured 1 ulp off)
+    mid = prof.u_hartree[prof.grid_bohr.size // 2] * prof.grid_bohr[-1]
+    assert abs(mid + math.log(2.0)) <= 2.0 * math.ulp(math.log(2.0))
     # free particle: a hard box
     free = sn.interval_profile(1.0, q=0.0)
     assert np.all(free.u_hartree == 0.0)
     with pytest.raises(DomainError):
         sn.interval_profile(0.0)
+    for q in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            sn.interval_profile(1.6, q=q)
 
 
-@pytest.mark.parametrize("n_points", [4001, 4000, 101, 100])
+@pytest.mark.parametrize("n_points", [10000, 4001, 4000, 101, 100, 3])
 def test_interval_profile_is_an_exact_mirror(n_points):
     for q in (-1.0, 0.5):
-        for gap in (0.5, 0.9, 1.6, 4.0):
+        for gap in (0.1, 0.5, 0.9, 1.6, 4.0, 27.3, 100.0):
             u = sn.interval_profile(gap, q=q, n_points=n_points).u_hartree
             assert np.array_equal(u, u[::-1])
             # against the whole interior evaluated point by point, as before mirroring
             z = np.linspace(0.0, gap, n_points)[1:-1]
-            stack = el.DielectricStack.double_metal(gap)
+            stack = el.DielectricStack(el.METAL, 1.0, el.METAL, 0.0, gap)
             full = 0.5 * q * el.slab_potential_curve(stack, z, q=q) / HARTREE_EV
-            assert np.max(np.abs(u[1:-1] / full - 1.0)) < 1e-11
+            err = np.abs(u[1:-1] / full - 1.0)
+            assert np.max(err) < 1e-11
+            # on the left half, x = i/(n - 1) <= 1/2, the digamma closed form is
+            # the series to rounding (measured <= 2.7e-15); past it the routes'
+            # own b - z0 loses up to 1.3e-13
+            left = (n_points - 1) // 2
+            assert np.max(err[:left]) < 1e-14
+            for i in {1, (left + 1) // 2, left}:  # and the images route at three of them
+                v = el.potential_slab_images(stack, z[i - 1], q=q).v
+                assert abs(u[i] * HARTREE_EV / (0.5 * q * v) - 1.0) < 1e-14
             assert u[0] == u[1] and u[-1] == u[-2]  # each wall repeats its neighbour
 
 
@@ -345,7 +359,7 @@ def _synthetic_state(gap_nm, psi_shape, n_points=2001):
 
 def test_averaged_plate_plate_synthetic_states():
     gap = 1.6
-    center_ev = el.plate_plate_energy(el.DielectricStack.double_metal(gap), gap / 2.0)
+    center_ev = el.plate_plate_energy(el.DielectricStack(el.METAL, 1.0, el.METAL, 0.0, gap), gap / 2.0)
     mid = nm_to_bohr(gap) / 2.0
     sigma = nm_to_bohr(gap) / 100.0
     peaked = _synthetic_state(gap, lambda x: np.exp(-((x - mid) ** 2) / (2 * sigma**2)))
@@ -367,7 +381,7 @@ def test_box_force_matches_closed_form():
     # slope by 2 (1e-3)^2 relative: measured 2.0e-6
     m_n = NEUTRON_MASS_KG / ELECTRON_MASS_KG
     force = sn.total_force(1, 1.0, 0.0, 0.0, q=0.0, m_eff=m_n).f_binding_n
-    analytic = 2.0 * sc.box_energy_ev(1.0, 1, m_n) / 1.0 * EV_PER_NM_TO_N
+    analytic = 2.0 * reference.box_level_ev(1.0, 1, m_n) / 1.0 * EV_PER_NM_TO_N
     assert abs(force - analytic) / analytic < 1e-5
 
 
@@ -493,7 +507,7 @@ def test_neutron_levitation_reduction():
     assert bd.f_casimir_n == 0.0 and bd.f_vdw_n == 0.0
     mass = bd.f_total_n / STANDARD_GRAVITY_MS2
     assert abs(mass - 6.7022e-15) / 6.7022e-15 < 1e-3
-    closed = sc.particle_in_box_levitation(NEUTRON_MASS_KG, 1, 1.0)
+    closed = reference.box_levitation_mass_kg(NEUTRON_MASS_KG, 1, 1.0)
     assert abs(mass - closed) / closed < 1e-3
 
 
@@ -520,6 +534,21 @@ def test_binding_force_matches_scaling_identity(gap, q):
     u_avg = np.trapezoid(state.psi**2 * spec.profile.u_hartree, state.grid_bohr) * HARTREE_EV
     identity = (2.0 * state.energy_ev - u_avg) / gap * EV_PER_NM_TO_N
     assert sn.total_force(1, gap, 0.0, 0.0, q=q).f_binding_n == pytest.approx(identity, rel=1e-5)
+
+
+@pytest.mark.parametrize("gap, m_eff", [(1.6, 2.0), (1.6, 0.5), (0.9, 3.0), (2.5, 0.7),
+                                         (4.0, 1.3)])
+def test_levels_scale_with_mass_and_gap(gap, m_eff):
+    # U(z; D) = f(z/D)/D makes H(D, m) = H(mD, 1) x m, and on a grid of fixed
+    # point count the profile is f(x_i)/c at the same x_i: E(D, m) = m E(mD, 1)
+    # to rounding, exactly for a power of two (measured <= 3.4e-16)
+    levels = [s.energy_h for s in sn.two_plate_spectrum(gap, 2, m_eff=m_eff, n_points=2001).states]
+    scaled = [m_eff * s.energy_h
+              for s in sn.two_plate_spectrum(m_eff * gap, 2, n_points=2001).states]
+    if math.frexp(m_eff)[0] == 0.5:
+        assert levels == scaled
+    for level, other in zip(levels, scaled):
+        assert abs(level - other) <= 1e-15 * abs(level)
 
 
 def test_levitation_rows_share_three_spectra(monkeypatch):

