@@ -9,7 +9,8 @@ Three routes to the induced (self-) potential on a charge inside the slab
 are provided and are expected to agree:
 
 * ``potential_slab_series``  -- closed-form reflection series, terms grouped
-  so each group falls off at least as 1/n^2 even between two metals;
+  so each group falls off at least as 1/n^2 even between two metals, and
+  an Euler-Maclaurin tail past the first block where it is needed;
 * ``potential_slab_images``  -- explicit image charges built by recursive
   alternating reflection, summed in the same grouping;
 * ``potential_kernel_quadrature`` -- wavenumber-space boundary-value solve
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import digamma
+from scipy.special import digamma, exp1
 
 from .constants import HARTREE_EV, nm_to_bohr
 from .errors import ConvergenceError, DomainError, SingularityError, StackError, require_count
@@ -148,9 +149,12 @@ class PotentialValue:
 
     ``v`` is in volts; multiplying by the source charge (in elementary
     charges) gives the interaction energy in eV.  ``truncation_error_bound``
-    bounds the relative truncation error only (a series' certified remainder,
-    the quadrature's panel-rule difference); rounding, which on near-matched
-    stacks can exceed it, is not in it.
+    bounds the relative truncation error only (a series' certified remainder:
+    its geometric majorant, or the Euler-Maclaurin remainder of a tail added
+    in closed form; the quadrature's panel-rule difference); rounding, which
+    on near-matched stacks can exceed it, is not in it.  ``terms_used``
+    counts a series' explicit groups, not the terms its tail stands for, or
+    the quadrature's nodes.
     """
 
     v: float
@@ -206,15 +210,17 @@ def _group_index(n0: int, n1: int, ndim: int) -> np.ndarray:
     return np.arange(n0, n1, dtype=float).reshape((-1,) + (1,) * ndim)
 
 
-def _sum_grouped(block_fn, bound_fn, exact_tail_fn, tol: float, to_api, shape: tuple):
+def _sum_grouped(block_fn, bound_fn, tail_fn, tol: float, to_api, shape: tuple):
     """Sum a grouped series at all points of ``shape`` at once.
 
     Groups come in blocks of 64, 128, ... up to ``_BLOCK_MAX``; all points
     share the group count.  After each block the sum stops once at every point
     the certified majorant ``bound_fn(n)`` of the whole remainder, which the
-    last group's size cannot tighten, is within ``tol`` of the sum, or an
-    exact remainder (group ratio 1) is added after the first block.  Returns
-    ``(to_api(sum), groups, rel. bound)``.
+    last group's size cannot tighten, is within ``tol`` of the sum.  Where it
+    is not, a tail hook ``tail_fn(n)`` gives the remainder past n groups and a
+    bound on its error, and the sum stops with the remainder added once that
+    bound is within ``tol`` of it.  Returns ``(to_api(sum), groups, rel.
+    bound)``: ``groups`` counts the explicit groups only.
 
     A block is drawn in chunks of at most ``_CHUNK`` values and
     ``_CHUNK_GROUPS`` groups: ``block_fn(n0, n1, out, tmp)`` writes groups
@@ -239,12 +245,16 @@ def _sum_grouped(block_fn, bound_fn, exact_tail_fn, tol: float, to_api, shape: t
             block_fn(m, m + k - 1, buf[1:k], tmp[1:k])
         total = total + buf[:k].sum(axis=0, out=acc)
         n += block
-        if exact_tail_fn is not None:
-            return to_api(total + exact_tail_fn(n)), n, 5.0e-16
         scale = np.maximum(np.abs(total), _TINY)
         bound = bound_fn(n)
         if (bound <= tol * scale).all():
             return to_api(total), n, bound / scale
+        if tail_fn is not None:
+            tail, bound = tail_fn(n)
+            whole = total + tail
+            scale = np.maximum(np.abs(whole), _TINY)
+            if (bound <= tol * scale).all():
+                return to_api(whole), n, bound / scale
         if n >= _TERM_CAP:
             raise ConvergenceError(
                 f"series not converged after {n} groups (bound {np.max(bound):.3e})",
@@ -275,7 +285,7 @@ def _check_ratio(ratio: float) -> None:
 
 
 def _ladder(da, db, c, rho, beta_a, beta_b, direct):
-    """Groups and geometric majorant of the reflection ladder
+    """Groups, geometric majorant and tail of the reflection ladder
     rho^n [direct/((n+1)c) + beta_b/(2nc + 2db) + beta_a/(2nc + 2da)]
     seen at distances da, db from the two interfaces (atomic units)."""
 
@@ -298,7 +308,44 @@ def _ladder(da, db, c, rho, beta_a, beta_b, direct):
         )
         return h * abs(rho) ** n / (1.0 - abs(rho))
 
-    return block, bound
+    def tail(n):
+        value = err = 0.0
+        for weight, s in ((direct / c, 1.0), (beta_b / (2.0 * c), db / c),
+                          (beta_a / (2.0 * c), da / c)):
+            t, t_err = _lerch_tail(rho, n, s)
+            value, err = value + weight * t, err + abs(weight) * t_err
+        return value, err
+
+    return block, bound, tail
+
+
+def _lerch_tail(rho: float, n: int, s):
+    """The tail sum_{k >= n} rho^k/(k + s) for 0 < |rho| < 1 and s > 0, and a
+    certified bound on its error.
+
+    The terms run in one sign (every k for rho > 0) or in two (even and odd
+    k apart for rho < 0, step 2).  Run p is rho^(n+p)/step times
+    S = sum_{j >= 0} e^(-mu j)/(y + j), with lam = -ln|rho|, mu = step lam
+    and y = (n + p + s)/step.  Euler-Maclaurin (Abramowitz & Stegun 23.1.30)
+    gives S = e^(mu y) E1(mu y) + d0/2 - d1/12 + d3/720 - d5/30240 + R, with
+    d_k = e^(mu y) f^(k)(y) for f(t) = e^(-mu t)/t.  f is completely
+    monotone, so |R| <= 2 zeta(6)/(2 pi)^6 |d5| = |d5|/30240.  The E1 term
+    is taken as e^(lam s) E1(mu y), since rho^(n+p) e^(mu y) = +-e^(lam s):
+    for s <= 1 it cannot overflow."""
+    lam = -math.log(abs(rho))
+    step = 1 if rho > 0.0 else 2
+    value = err = 0.0
+    for p in range(step):
+        power = rho ** (n + p) / step
+        mu, u = step * lam, step / (n + p + s)  # u = 1/y; below, |d_k| as polynomials
+        d1 = (mu + u) * u
+        d3 = (((mu + 3.0 * u) * mu + 6.0 * u * u) * mu + 6.0 * u**3) * u
+        d5 = (((((mu + 5.0 * u) * mu + 20.0 * u * u) * mu + 60.0 * u**3) * mu
+               + 120.0 * u**4) * mu + 120.0 * u**5) * u
+        integral = math.copysign(1.0, power) / step * np.exp(lam * s) * exp1(lam * (n + p + s))
+        value = value + integral + power * (u / 2.0 + d1 / 12.0 - d3 / 720.0 + d5 / 30240.0)
+        err = err + abs(power) * d5 / 30240.0
+    return value, err
 
 
 _ALTERNATE = np.array([1.0, -1.0])  # (-1)^k over an odd-even pair of orders
@@ -363,7 +410,7 @@ def _two_metal_cross(x):
 
 def _slab_sum(stack: DielectricStack, z0_nm, q: float, tol: float, images: bool = False):
     """Grouped slab series at positions z0_nm, in volts; the images route
-    swaps in its own groups but keeps the majorant and metal remainder."""
+    swaps in its own groups but keeps the majorant and tail."""
     if not 0.0 < tol < 1.0:
         raise DomainError(f"tol must lie in (0, 1), got {tol}")
     z0_nm = np.asarray(z0_nm, dtype=float)
@@ -371,11 +418,12 @@ def _slab_sum(stack: DielectricStack, z0_nm, q: float, tol: float, images: bool 
     z0, a, b, c, bset = _slab_geometry_au(stack, z0_nm)
     da, db = z0 - a, b - z0  # distances to the two interfaces
     rho = bset.ratio
-    block, bound = _ladder(da, db, c, rho, bset.beta_21, bset.beta_23, rho)
+    block, bound, tail = _ladder(da, db, c, rho, bset.beta_21, bset.beta_23, rho)
     if images:
         block = _image_groups(float(z0), a, b, bset)
-    metal = bset.beta_21 == -1.0 and bset.beta_23 == -1.0  # the remainder is exact
-    tail = (lambda n: _two_metal_self(n, da / c, db / c) / c) if metal else None
+    if bset.beta_21 == -1.0 and bset.beta_23 == -1.0:  # two metals: the remainder is exact
+        bound = lambda n: math.inf  # noqa: E731
+        tail = lambda n: (_two_metal_self(n, da / c, db / c) / c, 0.0)  # noqa: E731
     return _sum_grouped(block, bound, tail, tol, lambda s: q * s / stack.k2 * HARTREE_EV,
                         z0_nm.shape)
 
@@ -386,9 +434,12 @@ def potential_slab_series(
     """Induced potential on a charge in the slab, by the reflection series.
 
     Terms are grouped by round trip so the group sequence behaves like
-    ratio^n / n; for |ratio| < 1 a geometric majorant certifies the
-    truncation error, while between two metals (both coefficients -1) the
-    exact remainder is added in closed form.
+    ratio^n / n.  For |ratio| < 1 the sum stops after a block of groups
+    once a geometric majorant certifies the truncation error; where it does
+    not, the rest of the ladder is added by Euler-Maclaurin summation
+    (``_lerch_tail``) and its certified remainder is the bound.  Between two
+    metals (both coefficients -1) the exact remainder is added in closed
+    form.  ``terms_used`` counts the explicit groups.
     """
     v, terms, err = _slab_sum(stack, z0_nm, q, tol)
     return PotentialValue(float(v), terms, float(err))
@@ -425,7 +476,7 @@ def _halfplane_sum(stack: DielectricStack, dist_a_nm, q: float):
     da = nm_to_bohr(dist_a_nm)
     c = nm_to_bohr(stack.c_nm)
     # the slab ladder seen from region 1: no direct round trip term
-    block, bound = _ladder(da, da + c, c, bset.ratio, b12, bset.beta_23, 0.0)
+    block, bound, _ = _ladder(da, da + c, c, bset.ratio, b12, bset.beta_23, 0.0)
     return _sum_grouped(block, bound, None, _TOL, lambda s: q * s / stack.k1 * HARTREE_EV,
                         dist_a_nm.shape)
 

@@ -396,7 +396,9 @@ def casimir_force(area_m2: float, gap_nm: float) -> float:
 
 
 def vdw_force(hamaker_j: float, gap_nm: float) -> float:
-    """Van der Waals attraction per Hamaker model: -H / (6 pi D^3).
+    """Van der Waals attraction per Hamaker model: -H / (6 pi D^3), a
+    pressure in N/m^2, not a force: ``_force_budget`` adds it to the forces
+    in N without the plate area (``casimir_force`` does take the area).
     ``hamaker_j`` and ``gap_nm`` are finite and > 0, and the force a finite
     float (``DomainError`` otherwise: D^3 overflows past a gap of about
     6e111 nm and underflows below one of about 2e-99 nm)."""

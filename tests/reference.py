@@ -1,5 +1,5 @@
-"""Closed forms the tests compare the solvers against, written from their
-formulas with the standard library only: they share no code and no
+"""Closed forms and direct sums the tests compare the solvers against,
+written from their formulas with the standard library only: they share no code and no
 constant with ``imagewell``."""
 
 import math
@@ -27,3 +27,16 @@ def box_levitation_mass_kg(mass_kg, n, length_nm):
     one wall, -dE/dL = 2E/L: M = n^2 pi^2 hbar^2 / (m L^3 g)."""
     length_m = length_nm * 1.0e-9
     return n * n * math.pi**2 * HBAR_JS**2 / (mass_kg * length_m**3 * STANDARD_GRAVITY_MS2)
+
+
+def lerch_tail(rho, n, s):
+    """sum_{k >= n} rho^k/(k + s), for |rho| < 1, term by term until the
+    terms fall below 1e-20 of the running sum, added by ``math.fsum``."""
+    terms, total, k = [], 0.0, n
+    while True:
+        term = rho**k / (k + s)
+        terms.append(term)
+        total += term
+        if abs(term) < 1.0e-20 * abs(total):
+            return math.fsum(terms)
+        k += 1

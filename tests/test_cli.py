@@ -237,6 +237,20 @@ def test_potential_csv_table(capsys):
         assert float(row[4]) == pytest.approx(v_series, rel=1e-12)  # q = 1
 
 
+def test_potential_near_unit_reflection_rows_end_in_the_tail(capsys):
+    # reflection product 1 - 4e-6: the series and images routes end after one
+    # block where they used to give up at the group cap
+    argv = ["potential", "--k1", "1", "--k2", "1e6", "--k3", "1", "--a", "0", "--b", "1",
+            "--z0", "0.1:0.9:3"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert "failed" not in captured.err
+    _, rows = read_csv(captured.out)
+    assert [row[5] for row in rows] == ["64"] * 3
+    v_series, v_quad = float(rows[1][1]), float(rows[1][3])
+    assert abs(v_series - v_quad) <= 1e-6 * abs(v_quad)
+
+
 def test_eigen_bare_box_matches_closed_form(capsys):
     assert cli.main(["eigen", "--gap", "1.0", "--q", "0", "--states", "2"]) == 0
     header, rows = read_csv(capsys.readouterr().out)

@@ -23,6 +23,8 @@ from imagewell import electrostatics as el
 from imagewell.constants import HARTREE_EV, nm_to_bohr
 from imagewell.errors import ConvergenceError, DomainError, SingularityError, StackError
 
+import reference
+
 
 def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b))
@@ -170,7 +172,7 @@ def scalar_block(z0, a, b, bset):
 
 
 # dielectric-dielectric, metal-dielectric, and a contrast of 2e4 against a
-# metal that needs 262,080 groups at 1e-10
+# metal, whose first block leaves the rest to the tail at 1e-10
 BITWISE_STACKS = [
     el.DielectricStack(1.5, 8.0, 1.2, -0.3, 2.7),
     el.DielectricStack(el.METAL, 2.0, 7.5, 0.0, 0.3),
@@ -321,17 +323,43 @@ def test_truncation_bound_is_certified_and_relative():
     res = el.potential_slab_series(st, 0.3)
     assert res.terms_used >= 1
     assert 0.0 <= res.truncation_error_bound <= 1e-10
-    # the exact-remainder branch between two metals reports float roundoff
+    # the remainder between two metals is exact: no truncation error
     metal = el.potential_slab_series(el.DielectricStack(el.METAL, 1.0, el.METAL, 0.0, 0.75), 0.3)
-    assert metal.truncation_error_bound == 5.0e-16
-    # a slowly converging ladder: looser tolerance stops earlier, and the
-    # certified relative bound keeps the loose value within its promise
+    assert metal.truncation_error_bound == 0.0
+    # a slowly converging ladder: the certified relative bound, the
+    # Euler-Maclaurin remainder's after one block, keeps each value within
+    # its promise
     slow = el.DielectricStack(el.METAL, 1.0, 500.0, 0.0, 1.0)
     tight = el.potential_slab_series(slow, 0.4, tol=1e-12)
     loose = el.potential_slab_series(slow, 0.4, tol=1e-4)
-    assert loose.terms_used < tight.terms_used
+    assert tight.truncation_error_bound <= 1e-12
     assert loose.truncation_error_bound <= 1e-4
     assert abs(loose.v - tight.v) <= 2e-4 * abs(tight.v)
+
+
+def test_first_block_rows_do_not_move_without_the_tail(monkeypatch):
+    # the README's dielectric stack converges in its first block: the tail is
+    # never added, so every slab route gives the same floats without it
+    st, z = el.DielectricStack(2.0, 1.0, 5.0, 0.0, 1.0), np.linspace(0.1, 0.9, 17)
+    routes = (el.potential_slab_series, el.potential_slab_images)
+    with_tail = [fn(st, float(z0)) for fn in routes for z0 in z] + [el.slab_potential_curve(st, z)]
+    assert {r.terms_used for r in with_tail[:-1]} == {64}
+    engine = el._sum_grouped
+    monkeypatch.setattr(el, "_sum_grouped",
+                        lambda block, bound, tail, *rest: engine(block, bound, None, *rest))
+    without = [fn(st, float(z0)) for fn in routes for z0 in z] + [el.slab_potential_curve(st, z)]
+    assert with_tail[:-1] == without[:-1]
+    assert np.array_equal(with_tail[-1], without[-1])
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("s", [1.0e-4, 0.5, 1.0])
+@pytest.mark.parametrize("rho", [0.5, 0.9, 0.99, 0.999, -0.5, -0.9, -0.99, -0.999])
+def test_lerch_tail_is_within_its_certified_bound(rho, s, n):
+    got, err = el._lerch_tail(rho, n, s)
+    want = reference.lerch_tail(rho, n, s)
+    assert err >= 0.0
+    assert abs(got - want) <= err + 4.0 * np.finfo(float).eps * abs(want)
 
 
 NAN_CALLS = [
@@ -383,18 +411,35 @@ def test_tolerance_outside_the_unit_interval_raises_before_any_group(fn, tol, mo
 
 
 # Reflection product 1 - 1e-11: just inside the allowed range, but the grouped
-# series would need ~1e11 groups, far past the term cap.
+# series would need ~1e11 groups, far past the term cap.  The slab routes end
+# after one block with the Euler-Maclaurin tail; the others keep their groups.
 NEAR_UNIT = el.DielectricStack(el.METAL, 1.0, 2.0e11, 0.0, 1.0)
 NEAR_UNIT_MIRROR = el.DielectricStack(2.0e11, 1.0, el.METAL, 0.0, 1.0)
-CAPPED_CALLS = [
+TAIL_CALLS = [
     (el.potential_slab_series, NEAR_UNIT, 0.4),
     (el.potential_slab_images, NEAR_UNIT, 0.4),
     (el.slab_potential_curve, NEAR_UNIT, np.array([0.3, 0.4])),
+]
+CAPPED_CALLS = [
     (el.potential_left_halfplane, NEAR_UNIT_MIRROR, 0.4),
     (el.halfplane_potential_curve, NEAR_UNIT_MIRROR, np.array([0.3, 0.4])),
     (el.plate_plate_energy, NEAR_UNIT, 0.4),
     (el.plate_plate_curve, NEAR_UNIT, np.array([0.3, 0.4])),
 ]
+
+
+@pytest.mark.parametrize(
+    "fn, stack, where", TAIL_CALLS, ids=[call[0].__name__ for call in TAIL_CALLS]
+)
+def test_near_unit_slabs_end_in_the_tail_and_agree_with_the_quadrature(fn, stack, where):
+    # criterion 01's tolerances: within 1e-10 of the series, 1e-6 of the quadrature
+    result = fn(stack, where)
+    got = np.atleast_1d(result.v if isinstance(result, el.PotentialValue) else result)
+    for z0, v in zip(np.atleast_1d(where), got):
+        series = el.potential_slab_series(stack, float(z0))
+        assert series.terms_used == 64
+        assert abs(v - series.v) <= 1e-10 * abs(series.v)
+        assert abs(v - el.potential_kernel_quadrature(stack, float(z0)).v) <= 1e-6 * abs(v)
 
 
 @pytest.mark.parametrize(
@@ -561,27 +606,31 @@ def test_slab_curve_matches_scalar():
 # The grouped-series engine
 
 
-def whole_block_sum_grouped(block_fn, bound_fn, exact_tail_fn, tol, to_api, shape):
-    """Reference for ``_sum_grouped``: the same blocks, stop test and
-    remainder, but each block drawn and summed as one (groups, points) array."""
+def whole_block_sum_grouped(block_fn, bound_fn, tail_fn, tol, to_api, shape):
+    """Reference for ``_sum_grouped``: the same blocks, stop tests and tail,
+    but each block drawn and summed as one (groups, points) array."""
     total, n, block = 0.0, 0, el._BLOCK0
     while True:
         g = np.empty((block,) + shape)
         block_fn(n, n + block, g, np.empty_like(g))
         total = total + g.sum(axis=0)
         n += block
-        if exact_tail_fn is not None:
-            return to_api(total + exact_tail_fn(n)), n, 5.0e-16
         scale = np.maximum(np.abs(total), el._TINY)
         bound = bound_fn(n)
         if (bound <= tol * scale).all():
             return to_api(total), n, bound / scale
+        if tail_fn is not None:
+            tail, bound = tail_fn(n)
+            scale = np.maximum(np.abs(total + tail), el._TINY)
+            if (bound <= tol * scale).all():
+                return to_api(total + tail), n, bound / scale
         assert n < el._TERM_CAP
         block = min(2 * block, el._BLOCK_MAX)
 
 
 GAAS_GAP = el.DielectricStack(12.9, 1.0, el.METAL, 0.0, 1.0)  # the Schottky profile's stack
-HIGH_CONTRAST = el.DielectricStack(el.METAL, 1.0, 2.0e4, 0.0, 1.0)  # 262,080 groups
+# 262,080 groups for the plate-plate sum, one block and the tail for the slab
+HIGH_CONTRAST = el.DielectricStack(el.METAL, 1.0, 2.0e4, 0.0, 1.0)
 CURVE_FAMILIES = {
     "slab_dielectric": (el.slab_potential_curve, el.DielectricStack(1.5, 8.0, 1.2, -0.3, 2.7)),
     "slab_two_metal": (el.slab_potential_curve, el.DielectricStack(el.METAL, 1.0, el.METAL, 0.0, 0.75)),
@@ -611,11 +660,21 @@ def test_curves_equal_the_whole_block_engine(family, points, monkeypatch):
 def test_chunked_blocks_past_the_chunk_size_equal_the_whole_block_engine(monkeypatch):
     # a chunk holds 4,096 groups at 2 points, a sixteenth of the largest block
     z = np.array([0.3, 0.4])
-    chunked = el._slab_sum(HIGH_CONTRAST, z, 1.0, 1.0e-10)
-    assert chunked[1] > el._BLOCK_MAX
-    monkeypatch.setattr(el, "_sum_grouped", whole_block_sum_grouped)
-    reference = el._slab_sum(HIGH_CONTRAST, z, 1.0, 1.0e-10)
-    assert [np.array_equal(x, y) for x, y in zip(chunked, reference)] == [True] * 3
+    sums = []
+
+    def recorded(engine):
+        def run(*args):
+            sums.append(engine(*args))
+            return sums[-1]
+
+        return run
+
+    monkeypatch.setattr(el, "_sum_grouped", recorded(el._sum_grouped))
+    el.plate_plate_curve(HIGH_CONTRAST, z)
+    assert sums[-1][1] > el._BLOCK_MAX
+    monkeypatch.setattr(el, "_sum_grouped", recorded(whole_block_sum_grouped))
+    el.plate_plate_curve(HIGH_CONTRAST, z)
+    assert [np.array_equal(x, y) for x, y in zip(sums[0], sums[1])] == [True] * 3
 
 
 def traced_peak_mib(fn, *args):
@@ -629,20 +688,20 @@ def traced_peak_mib(fn, *args):
 
 def test_curve_memory_stays_at_the_chunk_buffers():
     # two buffers of 65,536 floats are 1 MiB; a whole block of 64 groups x
-    # 4000 points is 2 MiB, and the high-contrast ladder's blocks reach
-    # 65,536 groups, 50 MiB at 100 points
+    # 4000 points is 2 MiB, and the high-contrast plate-plate sum's blocks
+    # reach 65,536 groups, 50 MiB at 100 points
     assert traced_peak_mib(el.halfplane_potential_curve, GAAS_GAP,
                            np.linspace(0.0, 60.0, 4001)[1:]) <= 2.0
-    assert traced_peak_mib(el.slab_potential_curve, HIGH_CONTRAST,
+    assert traced_peak_mib(el.plate_plate_curve, HIGH_CONTRAST,
                            np.linspace(0.05, 0.95, 100)) <= 4.0
 
 
 @pytest.mark.parametrize("fn", [el.potential_slab_series, el.potential_slab_images,
                                 el.plate_plate_energy])
 def test_one_point_memory_stays_at_the_chunk_groups(fn):
-    # 262,080 groups at one point: chunks of 4,096 groups keep every route
-    # near 0.2 MiB (the images route's recursion near 0.8 MiB), where blocks
-    # of up to 65,536 groups drawn as one chunk took 1.9-3.5 MiB
+    # 262,080 plate-plate groups at one point: chunks of 4,096 groups keep
+    # it near 0.2 MiB, where blocks of up to 65,536 groups drawn as one chunk
+    # took 1.9-3.5 MiB; the slab routes sum one block and the tail
     assert traced_peak_mib(fn, HIGH_CONTRAST, 0.4) <= 1.0
 
 
@@ -666,7 +725,7 @@ def test_ladder_blocks_equal_the_direct_term_formula(family, monkeypatch):
     ladder, chunks = el._ladder, []
 
     def checked_ladder(*args):
-        block, bound = ladder(*args)
+        block, bound, tail = ladder(*args)
         reference = direct_term_ladder_block(*args)
 
         def both(n0, n1, out, tmp):
@@ -675,7 +734,7 @@ def test_ladder_blocks_equal_the_direct_term_formula(family, monkeypatch):
             reference(n0, n1, expected, None)
             chunks.append(np.array_equal(out, expected))
 
-        return both, bound
+        return both, bound, tail
 
     curve = fn(stack, z)
     monkeypatch.setattr(el, "_ladder", checked_ladder)
