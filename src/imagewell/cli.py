@@ -330,19 +330,6 @@ def _cross_flag_problems(command: str, v: dict) -> list[str]:
 # Run
 
 
-def _solve_each(points, solve, fill):
-    """One row per point: ``solve(point)``, or the point and ``fill`` when
-    that raises an ImagewellError, the row then flagged with its message."""
-    rows, failed = [], []
-    for x in map(float, points):
-        try:
-            rows.append(solve(x))
-        except ImagewellError as exc:
-            failed.append((len(rows), str(exc)))
-            rows.append([x, *fill])
-    return rows, failed
-
-
 def _flagged(records):
     """(index, message) of each row the library flagged as failed."""
     return [(i, r.message) for i, r in enumerate(records) if r.failed]
@@ -359,7 +346,8 @@ def _run_potential(p):
         qd = el.potential_kernel_quadrature(stack, z0, q=p["q"])
         return [z0, se.v, im.v, qd.v, se.energy_ev(p["q"]), se.terms_used]
 
-    rows, failed = _solve_each(p["z0"].values(), solve, [math.nan] * 4 + [0])
+    rows, failed = sn._each_flagged(map(float, p["z0"].values()), solve,
+                                    lambda z0, _: [z0, *[math.nan] * 4, 0])
     meta = {"tolerance": p["tol"], "max_series_terms": max(row[-1] for row in rows)}
     return header, rows, failed, meta
 
@@ -427,7 +415,8 @@ def _run_plates(p):
         return ([gap] + [s.energy_ev for s in spec.states]
                 + [spec.u_max_ev] + [s.kind.value for s in spec.states])
 
-    rows, failed = _solve_each(p["gap"].values(), solve, [math.nan] * (n + 1) + [""] * n)
+    rows, failed = sn._each_flagged(map(float, p["gap"].values()), solve,
+                                    lambda gap, _: [gap, *[math.nan] * (n + 1), *[""] * n])
     meta = {"n_points": p["points"], "m_eff": p["mass"], "q": p["q"]}
     return header, rows, failed, meta
 

@@ -652,7 +652,24 @@ def potential_kernel_quadrature(
 # Cross-slab image-image interaction
 
 
-def _plate_sum(stack: DielectricStack, z0_nm, q: float):
+def plate_plate_energy(stack: DielectricStack, z0_nm: float, q: float = 1.0) -> float:
+    """Interaction energy (eV) between the image population left of the slab
+    and the one right of it, for a charge at z0 inside the slab;
+    ``plate_plate_curve`` at one point.
+
+    Pairs are taken strictly across the slab (one partner on each side); the
+    real charge itself is not a partner.  Terms are grouped by the combined
+    reflection depth of the pair, which decays geometrically for |ratio| < 1
+    and like 1/s^3 between two metals, where the whole sum is the exact
+    digamma remainder from the first group on.  A charge whose square
+    overflows raises ``DomainError``.
+    """
+    return float(plate_plate_curve(stack, z0_nm, q))
+
+
+def plate_plate_curve(stack: DielectricStack, z0_nm: np.ndarray, q: float = 1.0) -> np.ndarray:
+    """``plate_plate_energy`` (eV) evaluated on an array of slab positions;
+    all positions share one grouped summation."""
     z0_nm = np.asarray(z0_nm, dtype=float)
     _require_source(stack, z0_nm, q)
     if not math.isfinite(q * q):
@@ -679,24 +696,3 @@ def _plate_sum(stack: DielectricStack, z0_nm, q: float):
         return 2.0 * abs(rho) ** (t + 1.0) / (c * (1.0 - abs(rho)))
 
     return _sum_grouped(block, bound, None, _TOL, to_ev, z0_nm.shape)[0]
-
-
-def plate_plate_energy(stack: DielectricStack, z0_nm: float, q: float = 1.0) -> float:
-    """Interaction energy (eV) between the image population left of the slab
-    and the one right of it, for a charge at z0 inside the slab;
-    ``plate_plate_curve`` at one point.
-
-    Pairs are taken strictly across the slab (one partner on each side); the
-    real charge itself is not a partner.  Terms are grouped by the combined
-    reflection depth of the pair, which decays geometrically for |ratio| < 1
-    and like 1/s^3 between two metals, where the whole sum is the exact
-    digamma remainder from the first group on.  A charge whose square
-    overflows raises ``DomainError``.
-    """
-    return float(_plate_sum(stack, z0_nm, q))
-
-
-def plate_plate_curve(stack: DielectricStack, z0_nm: np.ndarray, q: float = 1.0) -> np.ndarray:
-    """``plate_plate_energy`` (eV) evaluated on an array of slab positions;
-    all positions share one grouped summation."""
-    return _plate_sum(stack, z0_nm, q)

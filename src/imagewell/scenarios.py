@@ -124,9 +124,12 @@ def halfline_profile(
     slab of ``eps_slab`` (thickness ``gap_nm``) backed by metal.
 
     The domain is the distance d from the host/slab interface, truncated by
-    default at max(20 x expected Bohr radius of the highest requested state,
-    10 x gap).  The potential is evaluated off the wall only; the wall entry
-    repeats its neighbour.  A zero gap collapses exactly to the bare metal wall.
+    default at the largest of 20 x the metal wall's Bohr radius, 20 x the
+    film wall's when the film attracts (gap > 0 and ``eps_slab`` >
+    ``eps_host``), and 10 x gap; each radius is that of the highest
+    requested state (``sc.single_wall_bohr_radius_nm``).  The potential is
+    evaluated off the wall only; the wall entry repeats its neighbour.  A
+    zero gap collapses exactly to the bare metal wall.
     ``n_points`` is an integer >= 3, the fewest a profile takes; a grid step
     whose square is not a normal float raises ``GridError`` before any
     potential is evaluated.
@@ -135,17 +138,9 @@ def halfline_profile(
         raise DomainError("gap must be >= 0")
     require_count("n_points", n_points, 3)
     if d_max_nm is None:
-        scales = [
-            sc.hydrogenic_bohr_radius_nm(
-                sc.single_wall_params(math.inf, eps_host, m_eff, n_states)
-            )
-        ]
+        scales = [sc.single_wall_bohr_radius_nm(math.inf, eps_host, m_eff, n_states)]
         if gap_nm > 0.0 and eps_slab > eps_host:  # attractive film interface
-            scales.append(
-                sc.hydrogenic_bohr_radius_nm(
-                    sc.single_wall_params(eps_slab, eps_host, m_eff, n_states)
-                )
-            )
+            scales.append(sc.single_wall_bohr_radius_nm(eps_slab, eps_host, m_eff, n_states))
         d_max_nm = max(20.0 * max(scales), 10.0 * gap_nm)
     sc.require_step(nm_to_bohr(d_max_nm / (n_points - 1)))
     grid_nm = np.linspace(0.0, d_max_nm, n_points)
@@ -207,28 +202,40 @@ class SweepRow:
     message: str = ""
 
 
-def _halfline_rows(eps_host, eps_slab, m_eff, q, cases, n_states, n_points, d_max_nm):
-    """Solve one half-line row per ``(gap_nm, layers)`` case; a row whose
-    profile or spectrum fails is flagged with NaN values and None kinds, not
-    dropped.  An ``n_states`` that is not an integer >= 1 raises
-    ``DomainError`` before any row."""
-    require_count("n_states", n_states, 1)
-    rows = []
-    for gap, layers in cases:
+def _each_flagged(cases, solve, fill):
+    """One row per case: ``solve(case)``, or ``fill(case, message)`` where
+    that raises an ImagewellError.  Returns the rows and the (index,
+    message) of each filled one: a failed row is flagged, not dropped."""
+    rows, failed = [], []
+    for case in cases:
         try:
-            profile = halfline_profile(
-                eps_host, eps_slab, gap, m_eff=m_eff, q=q,
-                n_states=n_states, n_points=n_points, d_max_nm=d_max_nm,
-            )
-            states = sc.solve_eigenstates(profile, m_eff=m_eff, n_states=n_states)
-            energies = tuple(s.energy_ev for s in states)
-            radii = tuple(sc.bohr_radius_numeric(s) for s in states)
-            rows.append(SweepRow(gap, layers, energies, radii, tuple(s.kind for s in states)))
+            rows.append(solve(case))
         except ImagewellError as exc:
-            nan = (math.nan,) * n_states
-            rows.append(SweepRow(gap, layers, nan, nan, (None,) * n_states,
-                                 failed=True, message=str(exc)))
-    return rows
+            failed.append((len(rows), str(exc)))
+            rows.append(fill(case, str(exc)))
+    return rows, failed
+
+
+def _halfline_rows(eps_host, eps_slab, m_eff, q, cases, n_states, n_points, d_max_nm):
+    """Solve one half-line row per ``(gap_nm, layers)`` case; a failed row
+    has NaN values and None kinds.  An ``n_states`` that is not an integer
+    >= 1 raises ``DomainError`` before any row."""
+    require_count("n_states", n_states, 1)
+
+    def solve(case):
+        profile = halfline_profile(
+            eps_host, eps_slab, case[0], m_eff=m_eff, q=q,
+            n_states=n_states, n_points=n_points, d_max_nm=d_max_nm,
+        )
+        states = sc.solve_eigenstates(profile, m_eff=m_eff, n_states=n_states)
+        energies = tuple(s.energy_ev for s in states)
+        radii = tuple(sc.bohr_radius_numeric(s) for s in states)
+        return SweepRow(*case, energies, radii, tuple(s.kind for s in states))
+
+    nan = (math.nan,) * n_states
+    fill = lambda case, message: SweepRow(  # noqa: E731
+        *case, nan, nan, (None,) * n_states, failed=True, message=message)
+    return _each_flagged(cases, solve, fill)[0]
 
 
 def schottky_gap_sweep(
@@ -298,12 +305,7 @@ def effective_epsilon_curve() -> EffectiveEpsilonTable:
     (electron in vacuum, unit mass), at 2001 permittivities 1 + 1e-3 to 1 +
     1e4, geometrically spaced.  Built once; every call returns that table."""
     eps = 1.0 + np.geomspace(1.0e-3, 1.0e4, 2001)
-    bohr = np.array(
-        [
-            sc.hydrogenic_bohr_radius_nm(sc.single_wall_params(float(e)))
-            for e in eps
-        ]
-    )
+    bohr = np.array([sc.single_wall_bohr_radius_nm(float(e)) for e in eps])
     # ascending radius <-> descending eps
     return EffectiveEpsilonTable(bohr[::-1], eps[::-1])
 
@@ -397,7 +399,7 @@ def casimir_force(area_m2: float, gap_nm: float) -> float:
 
 def vdw_force(hamaker_j: float, gap_nm: float) -> float:
     """Van der Waals attraction per Hamaker model: -H / (6 pi D^3), a
-    pressure in N/m^2, not a force: ``_force_budget`` adds it to the forces
+    pressure in N/m^2, not a force: ``total_force`` adds it to the forces
     in N without the plate area (``casimir_force`` does take the area).
     ``hamaker_j`` and ``gap_nm`` are finite and > 0, and the force a finite
     float (``DomainError`` otherwise: D^3 overflows past a gap of about
@@ -421,6 +423,7 @@ class ForceBreakdown:
     n_electrons: int
     area_m2: float
     hamaker_j: float
+    slope_n_per_nm: float
 
 
 def _energy_and_pp(gap_nm, state_index, q, m_eff, n_points, guesses=None):
@@ -430,19 +433,34 @@ def _energy_and_pp(gap_nm, state_index, q, m_eff, n_points, guesses=None):
     return spec, state.energy_ev, averaged_plate_plate(gap_nm, state, q=q)
 
 
-def _force_budget(
-    n_electrons, gap_nm, area_m2, hamaker_j, state_index, q, m_eff, n_points, delta_frac
-):
-    """The force budget at one gap and its slope dF_total/dD, both from the
-    spectra at gap - dd, gap and gap + dd (first and second central
-    differences; the Casimir and van der Waals terms are closed forms).
-    The centre is solved first.  Between two metals U(z; D) = f(z/D)/D, so
-    each level moves as dE/dD = (<U> - 2E)/D (Hellmann-Feynman; Feynman,
-    Phys. Rev. 56, 340 (1939)), <U> = sum psi^2 u / sum psi^2 over the
-    centre state and its profile; the outer spectra start from the levels
-    E -+ (<U> - 2E)/D dd that this predicts.  The step dd = ``delta_frac``
-    x gap must leave gap - dd, gap and gap + dd three distinct floats and dd^2
-    a normal float (``DomainError`` otherwise, before any spectrum is solved)."""
+def total_force(
+    n_electrons: int,
+    gap_nm: float,
+    area_m2: float,
+    hamaker_j: float,
+    state_index: int = 0,
+    q: float = -1.0,
+    m_eff: float = 1.0,
+    n_points: int = 4001,
+    delta_frac: float = 1.0e-3,
+) -> ForceBreakdown:
+    """The plate force budget at one gap, N^2 x image-image repulsion + N x
+    binding force + Casimir + van der Waals, and its slope dF_total/dD
+    (``slope_n_per_nm``).  A zero area or Hamaker constant switches that
+    attraction off (the standalone force functions still require positive
+    inputs).  All N charges occupy the selected state; exclusion is
+    deliberately not modeled.
+
+    Both come from the spectra at gap - dd, gap and gap + dd (first and
+    second central differences; the Casimir and van der Waals terms are
+    closed forms).  The centre is solved first.  Between two metals
+    U(z; D) = f(z/D)/D, so each level moves as dE/dD = (<U> - 2E)/D
+    (Hellmann-Feynman; Feynman, Phys. Rev. 56, 340 (1939)), <U> = sum psi^2 u
+    / sum psi^2 over the centre state and its profile; the outer spectra
+    start from the levels E -+ (<U> - 2E)/D dd that this predicts.  The step
+    dd = ``delta_frac`` x gap must leave gap - dd, gap and gap + dd three
+    distinct floats and dd^2 a normal float (``DomainError`` otherwise,
+    before any spectrum is solved)."""
     require_count("n_electrons", n_electrons, 0)
     if not n_electrons < 2**53:  # past 2**53 floats cannot tell integers apart
         raise DomainError("n_electrons must be below 2**53")
@@ -478,32 +496,8 @@ def _force_budget(
         slope += (vdw_force(hamaker_j, g_hi) - vdw_force(hamaker_j, g_lo)) / (2.0 * dd)
     return ForceBreakdown(
         gap_nm, e_mid, u_mid, f_binding, f_pp, f_cas, f_vdw, f_total,
-        n, area_m2, hamaker_j,
-    ), slope
-
-
-def total_force(
-    n_electrons: int,
-    gap_nm: float,
-    area_m2: float,
-    hamaker_j: float,
-    state_index: int = 0,
-    q: float = -1.0,
-    m_eff: float = 1.0,
-    n_points: int = 4001,
-    delta_frac: float = 1.0e-3,
-) -> ForceBreakdown:
-    """Compose the plate force budget at one gap: N^2 x image-image
-    repulsion + N x binding force + Casimir + van der Waals.  A zero area
-    or Hamaker constant switches the corresponding attraction off (the
-    standalone force functions still require positive inputs).
-
-    All N charges are assumed to occupy the selected state; exclusion is
-    deliberately not modeled.
-    """
-    return _force_budget(
-        n_electrons, gap_nm, area_m2, hamaker_j, state_index, q, m_eff, n_points, delta_frac
-    )[0]
+        n, area_m2, hamaker_j, slope,
+    )
 
 
 @dataclass(frozen=True)
@@ -532,25 +526,17 @@ def levitation_curve(
     repulsive; attractive rows are flagged with a NaN mass.  Stability is
     the sign of dF_total/dD (restoring if the force grows on compression),
     taken by the second central difference over the same three spectra
-    that give the row's forces."""
-    rows = []
-    for gap in gaps_nm:
-        gap = float(gap)
-        try:
-            center, dforce = _force_budget(
-                n_electrons, gap, area_m2, hamaker_j, state_index, q, m_eff, n_points, delta_frac
-            )
-            repulsive = center.f_total_n > 0.0
-            mass = center.f_total_n / STANDARD_GRAVITY_MS2 if repulsive else math.nan
-            rows.append(
-                LevitationRow(gap, mass, repulsive, bool(dforce < 0.0), center)
-            )
-        except ImagewellError as exc:
-            nanb = ForceBreakdown(
-                gap, math.nan, math.nan, math.nan, math.nan, math.nan,
-                math.nan, math.nan, n_electrons, area_m2, hamaker_j,
-            )
-            rows.append(
-                LevitationRow(gap, math.nan, False, False, nanb, True, str(exc))
-            )
-    return rows
+    that give the row's forces (``slope_n_per_nm``)."""
+    def solve(gap):
+        b = total_force(
+            n_electrons, gap, area_m2, hamaker_j, state_index, q, m_eff, n_points, delta_frac
+        )
+        repulsive = b.f_total_n > 0.0
+        mass = b.f_total_n / STANDARD_GRAVITY_MS2 if repulsive else math.nan
+        return LevitationRow(gap, mass, repulsive, bool(b.slope_n_per_nm < 0.0), b)
+
+    def fill(gap, message):
+        nanb = ForceBreakdown(gap, *(math.nan,) * 7, n_electrons, area_m2, hamaker_j, math.nan)
+        return LevitationRow(gap, math.nan, False, False, nanb, True, message)
+
+    return _each_flagged(map(float, gaps_nm), solve, fill)[0]

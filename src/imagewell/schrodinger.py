@@ -611,33 +611,19 @@ def diagonalization_oracle(
 # Hydrogenic closed forms for a charge bound to a single wall
 
 
-@dataclass(frozen=True)
-class HydrogenicParams:
-    """Effective one-third-charge hydrogen problem: a charge in a host of
-    permittivity ``eps_host`` bound to its image behind a single wall, with
-    effective charge ``z_eff`` and effective mass ``m_eff``."""
-
-    z_eff: float
-    m_eff: float = 1.0
-    eps_host: float = 1.0
-    n: int = 1
-
-    def __post_init__(self) -> None:
-        require_positive("z_eff", self.z_eff)  # no binding otherwise
-        require_positive("m_eff", self.m_eff)
-        require_positive("eps_host", self.eps_host)
-        require_count("n", self.n, 1)
-
-
-def single_wall_params(
+def single_wall_bohr_radius_nm(
     eps_wall: float, eps_host: float = 1.0, m_eff: float = 1.0, n: int = 1
-) -> HydrogenicParams:
-    """Effective parameters for a charge facing one half-space of
-    permittivity ``eps_wall`` (may be ``inf`` for a metal): z_eff =
-    (1/4)|eps_host - eps_wall|/(eps_host + eps_wall), reaching 1/4 at a
-    metal.  The wall binds only when eps_wall > eps_host; below, its image
-    repels and the parameters describe the attractive wall of the same
-    |z_eff|.  ``eps_wall`` and ``eps_host`` must be > 0 (``DomainError``)."""
+) -> float:
+    """Bohr radius (nm) of level n of a charge of effective mass ``m_eff`` in
+    a host of permittivity ``eps_host``, bound to its image behind one wall of
+    permittivity ``eps_wall`` (``inf`` for a metal): the hydrogenic radius
+    n^2 a0 eps_host / (z_eff m_eff) with z_eff = (1/4)|eps_host - eps_wall| /
+    (eps_host + eps_wall), reaching 1/4 at a metal.  The wall binds only when
+    eps_wall > eps_host; below, its image repels and this is the radius of
+    the attractive wall of the same |z_eff|.  ``DomainError`` unless
+    ``eps_wall`` is > 0 or inf and differs from ``eps_host`` (a matched wall
+    binds nothing), ``eps_host`` and ``m_eff`` are finite and > 0, ``n`` is
+    an integer >= 1, and the radius is a finite float."""
     require_positive("eps_host", eps_host)
     if not eps_wall > 0.0:
         raise DomainError(f"eps_wall must be > 0 or inf, got {eps_wall!r}")
@@ -645,13 +631,11 @@ def single_wall_params(
         z = 0.25
     else:
         z = 0.25 * abs(eps_host - eps_wall) / (eps_host + eps_wall)
-    return HydrogenicParams(z_eff=z, m_eff=m_eff, eps_host=eps_host, n=n)
-
-
-def hydrogenic_bohr_radius_nm(p: HydrogenicParams) -> float:
-    """Bohr radius of level n in nm; ``DomainError`` where it is not a finite float."""
+    require_positive("z_eff", z)  # no binding otherwise
+    require_positive("m_eff", m_eff)
+    require_count("n", n, 1)
     return require_finite("hydrogenic Bohr radius", lambda: (
-        p.n * p.n * BOHR_RADIUS_NM * p.eps_host / (p.z_eff * p.m_eff)))
+        n * n * BOHR_RADIUS_NM * eps_host / (z * m_eff)))
 
 
 def bohr_radius_numeric(state: Eigenstate) -> float:

@@ -60,13 +60,8 @@ def _solve_eigenstates(guess, **kwargs):
     return sc.solve_eigenstates(PROFILE, guesses=[guess], **kwargs)
 
 
-def _hydrogenic(fn):
-    return lambda **kwargs: fn(sc.HydrogenicParams(**kwargs))
-
-
 FORCE = dict(n_electrons=1, area_m2=1.0e-12, hamaker_j=1.0e-19, state_index=0, q=-1.0,
              m_eff=1.0, n_points=POINTS, delta_frac=1.0e-3)
-HYDROGENIC = dict(z_eff=0.25, m_eff=1.0, eps_host=1.0, n=1)
 
 TABLE = {
     # electrostatics
@@ -84,10 +79,8 @@ TABLE = {
     # schrodinger
     "solve_eigenstates": entry(_solve_eigenstates, m_eff=1.0, n_states=1, guess=-0.1),
     "diagonalization_oracle": entry(sc.diagonalization_oracle, PROFILE, m_eff=1.0, n_states=1),
-    "HydrogenicParams": entry(sc.HydrogenicParams, **HYDROGENIC),
-    "single_wall_params": entry(sc.single_wall_params, eps_wall=12.9, eps_host=1.0, m_eff=1.0,
-                                n=1),
-    "hydrogenic_bohr_radius_nm": entry(_hydrogenic(sc.hydrogenic_bohr_radius_nm), **HYDROGENIC),
+    "single_wall_bohr_radius_nm": entry(sc.single_wall_bohr_radius_nm, eps_wall=12.9,
+                                        eps_host=1.0, m_eff=1.0, n=1),
     "bohr_radius_numeric": entry(sc.bohr_radius_numeric, STATE),
     "require_step": entry(sc.require_step, h=0.1),
     "box_energy_ev": entry(sc.box_energy_ev, length_nm=1.0, n=1, m_eff=1.0),

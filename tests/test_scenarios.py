@@ -158,7 +158,7 @@ def test_effective_epsilon_round_trip():
     assert np.all(np.diff(table.bohr_nm) > 0.0)
     assert np.all(np.diff(table.eps) < 0.0)
     for eps in (1.5, 3.0, 20.0):
-        r = sc.hydrogenic_bohr_radius_nm(sc.single_wall_params(eps))
+        r = sc.single_wall_bohr_radius_nm(eps)
         assert abs(sn.effective_epsilon(r) - eps) < 5e-3 * eps
 
 
@@ -564,15 +564,37 @@ def test_levitation_rows_share_three_spectra(monkeypatch):
     rows = sn.levitation_curve(gaps, 1, 0.0, 0.0)
     assert len(calls) == 3 * len(gaps)
     assert [r.stable for r in rows] == [False, True]
-    for row, gap in zip(rows, gaps):
+    # the stencil's slope against the nested first difference of f_total
+    # (step 2d), which shares no spectrum with it: measured 2.65e-4 and
+    # 8.80e-6 apart, relative
+    for row, gap, rel in zip(rows, gaps, (3.4e-4, 1.1e-5)):
         d = 1.0e-3 * gap
         assert not row.failed
         assert row.breakdown == sn.total_force(1, gap, 0.0, 0.0)
         nested = (
             sn.total_force(1, gap + d, 0.0, 0.0).f_total_n
             - sn.total_force(1, gap - d, 0.0, 0.0).f_total_n
-        )
-        assert row.stable == (nested < 0.0)
+        ) / (2.0 * d)
+        assert row.stable == (nested < 0.0) == (row.breakdown.slope_n_per_nm < 0.0)
+        assert abs(row.breakdown.slope_n_per_nm - nested) <= rel * abs(nested)
+
+
+def test_levitation_rows_reach_the_budget_through_total_force(monkeypatch):
+    # the 1e-300 nm gap is flagged inside total_force: its step squared underflows
+    gaps = [1.0, 1.0e-300]
+    calls, budgets = [], []
+    real = sn.total_force
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        budgets.append(real(*args, **kwargs))
+        return budgets[-1]
+
+    monkeypatch.setattr(sn, "total_force", counted)
+    rows = sn.levitation_curve(gaps, 1, 0.0, 0.0, q=0.0, n_points=101)
+    assert calls == gaps
+    assert not rows[0].failed and rows[0].breakdown is budgets[0]
+    assert rows[1].failed and "force step" in rows[1].message
 
 
 def test_force_stencil_outer_spectra_start_warm(monkeypatch):

@@ -6,7 +6,6 @@ route; the finite-difference route itself is checked for second-order grid
 convergence toward the analytic box levels.
 """
 
-import dataclasses
 import math
 import warnings
 
@@ -589,49 +588,50 @@ def test_solver_argument_validation():
 
 
 def test_single_wall_effective_charge():
-    assert sc.single_wall_params(math.inf).z_eff == 0.25
-    assert sc.single_wall_params(3.0).z_eff == pytest.approx(0.125, rel=1e-15)
+    # z_eff read through the radius a0 / z_eff of a unit-mass ground state in vacuum
+    assert sc.single_wall_bohr_radius_nm(math.inf) == 4.0 * BOHR_RADIUS_NM
+    assert sc.single_wall_bohr_radius_nm(3.0) == pytest.approx(8.0 * BOHR_RADIUS_NM, rel=1e-15)
     # host and wall swapped give the same strength (only the contrast matters)
-    assert sc.single_wall_params(2.0, eps_host=8.0).z_eff == pytest.approx(
-        0.25 * 6.0 / 10.0, rel=1e-15
+    assert sc.single_wall_bohr_radius_nm(2.0, eps_host=8.0) == pytest.approx(
+        BOHR_RADIUS_NM * 8.0 / (0.25 * 6.0 / 10.0), rel=1e-15
     )
 
 
 def test_hydrogenic_energy_and_radius():
-    metal = sc.single_wall_params(math.inf)
-    level = reference.hydrogenic_level_ev(**dataclasses.asdict(metal))
+    level = reference.hydrogenic_level_ev(z_eff=0.25, m_eff=1.0, eps_host=1.0, n=1)
     assert level == pytest.approx(-HARTREE_EV / 32.0, rel=1e-12)
     assert abs(level + 0.8503599) < 1e-4
-    assert sc.hydrogenic_bohr_radius_nm(metal) == pytest.approx(
+    assert sc.single_wall_bohr_radius_nm(math.inf) == pytest.approx(
         4.0 * BOHR_RADIUS_NM, rel=1e-12
     )
     # dielectric wall in vacuum: radius = 4 a0 (eps+1)/(eps-1)
     for eps in (3.0, 2.0, 1.5):
-        p = sc.single_wall_params(eps)
         expected = 4.0 * BOHR_RADIUS_NM * (eps + 1.0) / (eps - 1.0)
-        assert sc.hydrogenic_bohr_radius_nm(p) == pytest.approx(expected, rel=1e-12)
+        assert sc.single_wall_bohr_radius_nm(eps) == pytest.approx(expected, rel=1e-12)
     # excited levels follow the 1/n^2 ladder
-    p2 = sc.HydrogenicParams(z_eff=0.25, n=2)
-    assert reference.hydrogenic_level_ev(**dataclasses.asdict(p2)) == pytest.approx(
-        level / 4.0, rel=1e-12
-    )
+    level_2 = reference.hydrogenic_level_ev(z_eff=0.25, m_eff=1.0, eps_host=1.0, n=2)
+    assert level_2 == pytest.approx(level / 4.0, rel=1e-12)
 
 
 def test_hydrogenic_validation():
     with pytest.raises(DomainError):
-        sc.HydrogenicParams(z_eff=0.0)
+        sc.single_wall_bohr_radius_nm(1.0)  # a wall matched to its host binds nothing
     with pytest.raises(DomainError):
-        sc.HydrogenicParams(z_eff=0.25, n=0)
+        sc.single_wall_bohr_radius_nm(8.0, eps_host=8.0)
+    with pytest.raises(DomainError):
+        sc.single_wall_bohr_radius_nm(math.inf, n=0)
 
 
 @pytest.mark.parametrize("fn, args, kwargs", [
-    pytest.param(sc.HydrogenicParams, (0.25,), {"m_eff": m}, id=f"hydrogenic-m_eff-{m}")
+    pytest.param(sc.single_wall_bohr_radius_nm, (math.inf,), {"m_eff": m},
+                 id=f"hydrogenic-m_eff-{m}")
     for m in (0.0, -1.0, math.nan)
 ] + [
-    pytest.param(sc.HydrogenicParams, (0.25,), {"eps_host": e}, id=f"hydrogenic-eps_host-{e}")
+    pytest.param(sc.single_wall_bohr_radius_nm, (math.inf,), {"eps_host": e},
+                 id=f"hydrogenic-eps_host-{e}")
     for e in (0.0, -1.0, math.nan)
 ] + [
-    pytest.param(sc.HydrogenicParams, (0.25,), {"n": 1.5}, id="hydrogenic-n-1.5"),
+    pytest.param(sc.single_wall_bohr_radius_nm, (math.inf,), {"n": 1.5}, id="hydrogenic-n-1.5"),
     pytest.param(sn.halfline_profile, (1.0, 1.7, 1.0), {"m_eff": 0.0}, id="halfline-m_eff-0"),
     pytest.param(sc.box_energy_ev, (1.0, 1, 0.0), {}, id="box-m_eff-0"),
     pytest.param(sc.box_energy_ev, (math.nan, 1), {}, id="box-length-nan"),
